@@ -23,6 +23,7 @@ from .pathlab import (  # noqa: F401
     make_grid,
     reconstruct_coprocess,
     sample_brownian,
+    sample_brownian_paths,
     simulate_diffusion,
 )
 from .kernelkit import (  # noqa: F401

@@ -40,7 +40,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -59,8 +59,8 @@ from .chaosreg import (
     risk_isometry,
     risk_monte_carlo,
 )
-from .errors import ConfigError, GridEmptyError
-from .glselect import MajorantParams, adaptive_fit, trace_to_csv
+from .errors import ConfigError
+from .glselect import MajorantParams, adaptive_fit, bandwidth_grid, trace_to_csv
 from .kernelkit import MomentKernel, build_kernel, kernel_moment
 from .mappingzoo import (
     ClassParams,
@@ -255,6 +255,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if mu4 <= 0 or bound <= 0:
         raise ConfigError("majorant: mu4 and class_bound must be positive")
     plan = _parse_bandwidths(_require(doc, "bandwidths", dict, "config"), max_order)
+    if plan.mode == "adaptive":
+        _check_adaptive_brackets(n_list, max_order, s_star_lo)
     risk_p = float(doc.get("risk_p", 2.0))
     if risk_p < 2:
         raise ConfigError("risk_p: must be >= 2")
@@ -295,6 +297,19 @@ def parse_config(doc: dict) -> ExperimentConfig:
         check_n_mc=int(check.get("n_mc", 10_000)),
         check_kernel_perturbation=float(check.get("kernel_coeff_perturbation", 0.0)),
     )
+
+
+def _check_adaptive_brackets(n_list, max_order: int, s_star_lo: float) -> None:
+    """Reject a sample size and order whose adaptive bandwidth bracket is empty."""
+    for n in n_list:
+        for order in range(1, max_order + 1):
+            try:
+                bandwidth_grid(n, order, s_star_lo)
+            except ValueError as exc:  # GridEmptyError, or n < 3
+                raise ConfigError(
+                    f"bandwidths: no adaptive candidate at n={n}, order {order}, "
+                    f"s_star_lo={s_star_lo}: {exc}"
+                ) from exc
 
 
 def load_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
@@ -572,25 +587,23 @@ def cmd_fit(config: ExperimentConfig, out_dir: Path, threads: int = 1,
 
 def cmd_adapt(config: ExperimentConfig, out_dir: Path, threads: int = 1,
               data_dir: Path | None = None) -> Path:
-    """Adaptive per-order bandwidth selection; writes models and selection traces."""
+    """Adaptive per-order bandwidth selection; writes models and selection traces.
+
+    Selection runs whatever the configured bandwidth mode; every bracket is
+    checked before anything is written.
+    """
     started = time.time()
+    _check_adaptive_brackets(config.n_list, config.max_order, config.s_star_lo)
     out_dir.mkdir(parents=True, exist_ok=True)
-    kernel = config.kernel()
-    params = config.majorant_params()
+    adaptive = replace(config, bandwidths=BandwidthPlan("adaptive"))
+    tasks = [
+        (adaptive, n, n_index, rep, data_dir)
+        for n_index, n, rep, _ in _rep_dirs(out_dir, config)
+    ]
+    models = _parallel_map(_fit_task, tasks, threads)
     outputs = []
-    for n_index, n, rep, rep_dir in _rep_dirs(out_dir, config):
+    for (n_index, n, rep, rep_dir), model in zip(_rep_dirs(out_dir, config), models):
         rep_dir.mkdir(parents=True, exist_ok=True)
-        sample = _sample_for(config, n, n_index, rep, data_dir)
-        try:
-            model = adaptive_fit(
-                sample, config.max_order, params, config.s_star_lo,
-                config.grid_size, kernel,
-            )
-        except GridEmptyError as exc:
-            raise ConfigError(
-                f"adaptive selection failed at n={n}, order={exc.order}, "
-                f"s_star_lo={config.s_star_lo}: {exc}"
-            ) from exc
         path = rep_dir / "model.json"
         with open(path, "w") as fp:
             model_to_json(model, fp)
@@ -604,20 +617,27 @@ def cmd_adapt(config: ExperimentConfig, out_dir: Path, threads: int = 1,
     return out_dir
 
 
+def _risk_task(args):
+    config, model_path, n_index, rep = args
+    with open(model_path) as fp:
+        model = model_from_json(fp.read())
+    return _risk_of_model(config, model, n_index, rep)
+
+
 def cmd_risk(config: ExperimentConfig, models_dir: Path, out_dir: Path,
              threads: int = 1) -> Path:
     """Per-replication risks of stored models against the configured truth."""
     started = time.time()
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
+    tasks = []
     for n_index, n, rep, rep_dir in _rep_dirs(models_dir, config):
         model_path = rep_dir / "model.json"
         if not model_path.exists():
             raise ConfigError(f"missing model file {model_path}")
-        with open(model_path) as fp:
-            model = model_from_json(fp.read())
-        report = _risk_of_model(config, model, n_index, rep)
-        rows.append((n, rep, report))
+        tasks.append((config, model_path, n_index, rep))
+    reports = _parallel_map(_risk_task, tasks, threads)
+    rows = [(n, rep, report)
+            for (_, n, rep, _), report in zip(_rep_dirs(models_dir, config), reports)]
     risk_csv = out_dir / "risk.csv"
     with open(risk_csv, "w") as fp:
         fp.write("n,rep,p,method,value,mc_stderr\n")

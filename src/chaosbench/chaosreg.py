@@ -27,15 +27,20 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from ._util import DEFAULT_QUAD_POINTS, derive_seed, midpoints
+from ._util import DEFAULT_QUAD_POINTS, midpoints
+# derive_seed and sample_brownian are unused here but stay importable: the
+# per-layer tracer in perfbench/tracing.py wraps them by name in this module
+from ._util import derive_seed  # noqa: F401
 from .chaoscalc import GriddedFunction, _chaos_from_parts, brute_multiple_integral
 from .errors import UnsupportedOrderError
 from .kernelkit import MomentKernel, boundary_sign, slice_matrix
-from .pathlab import BrownianPath, TimeGrid, sample_brownian
+from .pathlab import BrownianPath, TimeGrid, sample_brownian_paths
+from .pathlab import sample_brownian  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -64,8 +69,13 @@ class Sample:
     def n(self) -> int:
         return len(self.responses)
 
-    @property
+    @cached_property
     def increments(self) -> np.ndarray:
+        """Path increments (n, N), computed once from ``path_values``.
+
+        Always ``np.diff(path_values)``, whichever route built the sample, so
+        fits from synthesized and from re-read datasets are bit-identical.
+        """
         return np.diff(self.path_values, axis=1)
 
     def path(self, i: int) -> BrownianPath:
@@ -182,13 +192,22 @@ def _fit_parts(sample: Sample, bandwidth: float, grid_size: int,
 
 
 def _symmetrize(values: np.ndarray) -> np.ndarray:
+    """Mean of all axis transposes, exactly symmetric.
+
+    Every entry takes the value at its sorted index, so mirrored entries are
+    equal whatever order the transposes were summed in.
+    """
     dim = values.ndim
     if dim == 1:
         return values
     acc = np.zeros_like(values)
     for perm in itertools.permutations(range(dim)):
         acc += np.transpose(values, perm)
-    return acc / math.factorial(dim)
+    acc /= math.factorial(dim)
+    # the smallest index dtype keeps the index grid small next to the tensor
+    idx = np.indices(values.shape, dtype=np.min_scalar_type(max(values.shape) - 1))
+    idx.sort(axis=0)
+    return acc[tuple(idx)]
 
 
 def fit_chaos_kernel(
@@ -365,15 +384,18 @@ def risk_monte_carlo(
     grid_size: int | None = None,
     n_steps: int = 512,
 ) -> RiskReport:
-    """Monte Carlo prediction risk (E |mhat(W) - m(W)|^p)^(1/p) over fresh paths."""
+    """Monte Carlo prediction risk (E |mhat(W) - m(W)|^p)^(1/p) over fresh paths.
+
+    The ``n_mc`` paths are one batch, ``sample_brownian_paths(grid, n_mc, seed)``.
+    """
     if p < 2:
         raise ValueError("p must be >= 2")
     if n_mc < 100:
         raise ValueError("n_mc must be >= 100")
     grid = TimeGrid(n_steps)
     diffs = np.empty(n_mc)
-    for j in range(n_mc):
-        w = sample_brownian(grid, derive_seed(seed, j))
+    for j, values in enumerate(sample_brownian_paths(grid, n_mc, seed)):
+        w = BrownianPath(grid, values)
         diffs[j] = predict(model, w, grid_size) - truth.evaluate(w)
     powered = np.abs(diffs) ** p
     mean_pow = float(np.mean(powered))

@@ -152,6 +152,10 @@ def kernel_slices(kernel: BandwidthedKernel, t: Sequence[float]) -> list[KernelS
     return [KernelSlice(kernel.base, float(c), kernel.h) for c in t]
 
 
+#: Evaluation points per block in :func:`slice_matrix`.
+_SLICE_BLOCK = 2048
+
+
 def slice_matrix(kernel: MomentKernel, centers: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
     """Values of the slices at all ``centers`` on the points ``x``.
 
@@ -161,10 +165,17 @@ def slice_matrix(kernel: MomentKernel, centers: np.ndarray, h: float, x: np.ndar
     """
     centers = np.asarray(centers, dtype=float)
     signs = boundary_sign(centers)
-    args = signs[:, None] * (centers[:, None] - x[None, :]) / h
-    inside = (args >= 0.0) & (args <= 1.0)
-    vals = np.where(inside, legendre.legval(2.0 * args - 1.0, kernel.poly_coeffs), 0.0)
-    return vals / h
+    out = np.empty((len(centers), len(x)))
+    # blocks of columns bound the polynomial evaluation's temporaries, which
+    # sit next to the sample's paths and increments during a fit; every value
+    # is elementwise, so blocking changes no bit
+    for lo in range(0, len(x), _SLICE_BLOCK):
+        block = x[None, lo:lo + _SLICE_BLOCK]
+        args = signs[:, None] * (centers[:, None] - block) / h
+        inside = (args >= 0.0) & (args <= 1.0)
+        vals = np.where(inside, legendre.legval(2.0 * args - 1.0, kernel.poly_coeffs), 0.0)
+        np.divide(vals, h, out=out[:, lo:lo + _SLICE_BLOCK])
+    return out
 
 
 def kernel_moment(kernel: MomentKernel, s: int, n_points: int = 10_000) -> float:

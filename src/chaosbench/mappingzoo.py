@@ -31,7 +31,10 @@ from .chaoscalc import (
     l2_inner,
 )
 from .chaosreg import Sample
-from .pathlab import BrownianPath, TimeGrid, sample_brownian
+from .pathlab import BrownianPath, TimeGrid, sample_brownian_paths
+# unused here but importable: the per-layer tracer in perfbench/tracing.py
+# wraps sample_brownian by name in this module
+from .pathlab import sample_brownian  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -215,13 +218,12 @@ def evaluate_mapping(
     return float(value)
 
 
-def _evaluate_batch(spec: MappingSpec, grid: TimeGrid, increments: np.ndarray,
-                    quad_points: int) -> np.ndarray:
-    """Vectorized ``evaluate_mapping`` across rows of an increment matrix."""
+def _evaluate_batch(spec: MappingSpec, grid: TimeGrid, path_values: np.ndarray,
+                    increments: np.ndarray, quad_points: int) -> np.ndarray:
+    """Vectorized ``evaluate_mapping`` across rows of path and increment matrices."""
     n = increments.shape[0]
     values = np.full(n, spec.a)
     t_left = grid.points[:-1]
-    cum = None
     for comp in spec.components:
         fact = math.factorial(comp.order)
         if isinstance(comp, (ConstantComponent, EqualFactorComponent)):
@@ -242,12 +244,8 @@ def _evaluate_batch(spec: MappingSpec, grid: TimeGrid, increments: np.ndarray,
             herm = np.polynomial.hermite_e.hermeval(xi / norm, coeffs)
             values += scale * norm**comp.order * herm / fact
         else:
-            if cum is None:
-                cum = np.concatenate(
-                    [np.zeros((n, 1)), np.cumsum(increments, axis=1)], axis=1
-                )
             for i in range(n):
-                path = BrownianPath(grid, cum[i])
+                path = BrownianPath(grid, path_values[i])
                 values[i] += comp.chaos_value(path, quad_points) / fact
     return values
 
@@ -256,19 +254,21 @@ def synthesize(spec: MappingSpec, n: int, grid: TimeGrid, seed: int,
                quad_points: int = DEFAULT_QUAD_POINTS) -> Sample:
     """Draw n independent (W_i, Y_i = m(W_i) + eps_i) pairs, deterministic given seed.
 
-    Path i uses the derived seed (seed, 0, i); the noise vector uses
-    (seed, 1).  Noise is independent of the paths.
+    The n paths are one batch, ``sample_brownian_paths(grid, n, derive_seed(seed, 0))``;
+    the noise vector uses the stream (seed, 1).  Noise is independent of the
+    paths.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    rows = np.empty((n, grid.n_steps + 1))
-    for i in range(n):
-        rows[i] = sample_brownian(grid, derive_seed(seed, 0, i)).values
+    rows = sample_brownian_paths(grid, n, derive_seed(seed, 0))
     increments = np.diff(rows, axis=1)
-    m_values = _evaluate_batch(spec, grid, increments, quad_points)
+    m_values = _evaluate_batch(spec, grid, rows, increments, quad_points)
     noise_rng = np.random.default_rng(derive_seed(seed, 1))
     responses = m_values + spec.noise.sample(noise_rng, n)
-    return Sample(grid, responses, rows)
+    sample = Sample(grid, responses, rows)
+    # fill the Sample.increments cache with the np.diff it would compute itself
+    sample.__dict__["increments"] = increments
+    return sample
 
 
 @dataclass(frozen=True)

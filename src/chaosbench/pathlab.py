@@ -128,18 +128,33 @@ def make_grid(n_steps: int) -> TimeGrid:
     return TimeGrid(int(n_steps))
 
 
+def sample_brownian_paths(grid: TimeGrid, n: int, seed: int) -> np.ndarray:
+    """Sample ``n`` standard Brownian paths on ``grid`` as an (n, N+1) array.
+
+    All n*N increments are independent N(0, 1/N) draws from one generator,
+    ``numpy.random.default_rng(seed)``, taken in a single row-major call: row
+    i holds draws i*N .. (i+1)*N - 1.  Every row starts at 0.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    rng = np.random.default_rng(seed)
+    dw = rng.normal(0.0, np.sqrt(grid.dt), (n, grid.n_steps))
+    values = np.empty((n, grid.n_steps + 1))
+    values[:, 0] = 0.0
+    np.cumsum(dw, axis=1, out=values[:, 1:])
+    del dw  # at most two (n, N) arrays are alive at once
+    if not np.all(np.isfinite(values)):
+        raise ValueError("path values must be finite")
+    return values
+
+
 def sample_brownian(grid: TimeGrid, seed: int) -> BrownianPath:
     """Sample a standard Brownian path on ``grid``, deterministic given ``seed``.
 
-    Increments are independent N(0, 1/N) draws from
-    ``numpy.random.default_rng(seed)``.
+    The path is row 0 of :func:`sample_brownian_paths` at the same seed: its
+    increments are the first N draws of ``numpy.random.default_rng(seed)``.
     """
-    rng = np.random.default_rng(seed)
-    dw = rng.normal(0.0, np.sqrt(grid.dt), grid.n_steps)
-    values = np.empty(grid.n_steps + 1)
-    values[0] = 0.0
-    np.cumsum(dw, out=values[1:])
-    return BrownianPath(grid, values)
+    return BrownianPath(grid, sample_brownian_paths(grid, 1, seed)[0])
 
 
 def simulate_diffusion(spec: DiffusionSpec, w: BrownianPath) -> DiffusionPath:

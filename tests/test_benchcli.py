@@ -303,6 +303,56 @@ def test_fit_parallel_matches_serial(tmp_path):
         assert a == b
 
 
+def _output_digests(out_dir):
+    return json.loads((out_dir / "manifest.json").read_text())["outputs"]
+
+
+def test_adapt_parallel_matches_serial(tmp_path):
+    config = parse_config(
+        _base_doc(n_list=[500], path_steps=256, s_star_hi=1.0,
+                  bandwidths={"mode": "adaptive"}, replications=2)
+    )
+    serial = cmd_adapt(config, tmp_path / "serial", threads=1)
+    parallel = cmd_adapt(config, tmp_path / "parallel", threads=2)
+    assert _output_digests(serial) == _output_digests(parallel)
+
+
+def test_monte_carlo_risk_parallel_matches_serial(tmp_path):
+    config = parse_config(
+        _base_doc(n_list=[30], replications=3, risk_p=4.0, risk={"n_mc": 100})
+    )
+    assert config.risk_method == "monte_carlo"
+    models = cmd_fit(config, tmp_path / "fits")
+    serial = cmd_risk(config, models, tmp_path / "serial", threads=1)
+    parallel = cmd_risk(config, models, tmp_path / "parallel", threads=2)
+    assert _output_digests(serial) == _output_digests(parallel)
+
+
+def test_empty_adaptive_bracket_is_rejected_before_any_output(tmp_path):
+    # the README config in adaptive mode: the order-2 bracket at n = 2000,
+    # [0.0794, 0.1316], holds no e^-k
+    doc = _base_doc(
+        n_list=[500, 1000, 2000, 5000], path_steps=512, grid_size=64,
+        bandwidths={"mode": "adaptive"}, risk_p=2.0, risk={}, replications=20,
+        seed=20240801, check={},
+    )
+    with pytest.raises(ConfigError, match=r"n=2000, order 2"):
+        parse_config(doc)
+    cfg = _write_config(tmp_path, doc)
+    for command in ("rate", "adapt"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+    # adapt selects bandwidths whatever the configured mode, and checks first
+    cfg = _write_config(
+        tmp_path, dict(doc, bandwidths={"mode": "theoretical", "s": [1.0], "lam": [1.0]}),
+        "theoretical.json",
+    )
+    out = tmp_path / "adapt_theoretical"
+    assert main(["adapt", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_theorem41_mode_fits_growing_orders(tmp_path):
     doc = _base_doc(
         n_list=[8104],

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from chaosbench.chaosreg import (
     Sample,
     _fit_generic,
     _fit_parts,
+    _symmetrize,
     estimate_mean,
     fit_chaos_kernel,
     model_from_json,
@@ -74,6 +77,18 @@ def test_fitted_surface_is_symmetric(order):
     est = fit_chaos_kernel(sample, order, 0.3, 6, K1)
     gridded = est.as_gridded()
     assert gridded.is_symmetric(tol=1e-10)
+
+
+def test_order_three_fit_is_exactly_symmetric():
+    sample = synthesize(quadratic_terminal(), 400, make_grid(128), 17)
+    values = fit_chaos_kernel(sample, 3, 0.25, 16, K1).values
+    for perm in itertools.permutations(range(3)):
+        assert np.array_equal(values, np.transpose(values, perm))
+
+
+def test_symmetrize_order_two_is_plain_average():
+    m = np.random.default_rng(2).normal(size=(8, 8))
+    assert np.array_equal(_symmetrize(m), (m + m.T) / 2)
 
 
 def test_order_three_matches_generic_route():

@@ -12,6 +12,7 @@ from chaosbench.kernelkit import (
     kernel_moment,
     kernel_slices,
     kernel_to_json,
+    slice_matrix,
 )
 
 
@@ -140,6 +141,18 @@ def test_single_slice_equals_multivariate():
     u = np.linspace(0, 1, 50)
     direct = np.array([eval_multivariate(k, [0.3], [uu]) for uu in u])
     assert np.allclose(s(u), direct)
+
+
+def test_slice_matrix_equals_univariate_kernel_across_blocks():
+    # more points than one evaluation block, so block edges are crossed
+    base = build_kernel(2.0)
+    centers = (np.arange(16) + 0.5) / 16
+    x = (np.arange(5001) + 0.5) / 5001
+    h = 0.2
+    direct = eval_univariate(
+        base, boundary_sign(centers)[:, None] * (centers[:, None] - x[None, :]) / h
+    ) / h
+    assert np.array_equal(slice_matrix(base, centers, h, x), direct)
 
 
 def test_bandwidth_validation():

@@ -13,6 +13,7 @@ from chaosbench.pathlab import (
     read_path_csv,
     reconstruct_coprocess,
     sample_brownian,
+    sample_brownian_paths,
     simulate_diffusion,
     write_path_csv,
 )
@@ -48,6 +49,38 @@ def test_sample_brownian_single_step_is_standard_gaussian():
         path = sample_brownian(grid, seed)
         expected = np.random.default_rng(seed).normal(0.0, 1.0)
         assert path.values[1] == expected
+
+
+def test_sample_brownian_is_row_zero_of_batch():
+    grid = make_grid(64)
+    for seed in (0, 123, 2**40 + 7):
+        batch = sample_brownian_paths(grid, 5, seed)
+        assert np.array_equal(sample_brownian(grid, seed).values, batch[0])
+
+
+def test_batch_shape_and_validation():
+    batch = sample_brownian_paths(make_grid(16), 3, 1)
+    assert batch.shape == (3, 17)
+    assert np.all(batch[:, 0] == 0.0)
+    assert np.array_equal(batch, sample_brownian_paths(make_grid(16), 3, 1))
+    with pytest.raises(ValueError):
+        sample_brownian_paths(make_grid(16), 0, 1)
+
+
+def test_batch_pooled_increment_variance():
+    # E dW^2 = 1/N, and N dW^2 has variance 2, so the pooled mean of N dW^2
+    # over n*N increments has standard error sqrt(2/(nN))
+    n, steps = 2000, 64
+    increments = np.diff(sample_brownian_paths(make_grid(steps), n, 8), axis=1)
+    pooled = float(np.mean(increments**2)) * steps
+    assert abs(pooled - 1.0) <= 5.0 * np.sqrt(2.0 / (n * steps))
+
+
+def test_batch_adjacent_rows_uncorrelated():
+    n = 4000
+    terminal = sample_brownian_paths(make_grid(32), n, 9)[:, -1]
+    corr = float(np.corrcoef(terminal[:-1], terminal[1:])[0, 1])
+    assert abs(corr) <= 3.0 / np.sqrt(n)
 
 
 def test_terminal_variance_over_many_seeds():

@@ -1,0 +1,53 @@
+"""The benchmark's per-layer tracer (perfbench/tracing.py) against the package.
+
+The tracer wraps functions by the names modules import them under and reads
+some arguments by position.  A refactor that drops or renames one of those
+names fails here rather than in a traced benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from chaosbench import benchcli, chaosreg, mappingzoo
+from chaosbench.benchcli import cmd_fit, cmd_risk, parse_config
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_and_restores_program_names(tmp_path):
+    tracing = _tracing()
+    config = parse_config({
+        "truth": "quadratic_terminal",
+        "n_list": [30],
+        "path_steps": 128,
+        "grid_size": 16,
+        "max_order": 2,
+        "s_star_hi": 2.0,
+        "majorant": {"mu4": 0.66, "class_bound": 1.0},
+        "bandwidths": {"mode": "fixed", "values": {"1": 0.25, "2": 0.25}},
+        "risk_p": 4.0,
+        "risk": {"method": "monte_carlo", "n_mc": 100},
+        "replications": 2,
+        "seed": 3,
+    })
+    def wrapped_names():
+        return (mappingzoo.sample_brownian, chaosreg.sample_brownian,
+                chaosreg.derive_seed, benchcli.synthesize, benchcli.risk_monte_carlo)
+
+    before = wrapped_names()
+    with tracing.Tracer() as tracer:
+        assert all(a is not b for a, b in zip(wrapped_names(), before))
+        models = cmd_fit(config, tmp_path / "fits")
+        cmd_risk(config, models, tmp_path / "risk")
+    assert wrapped_names() == before
+    summary = tracer.summary()
+    assert summary["mappingzoo.synthesize.paths"] == 60
+    assert summary["chaosreg.risk_monte_carlo.draws"] == 200
+    assert summary["chaosreg.fit.order2.calls"] == 2
