@@ -39,12 +39,15 @@ from .chaoscalc import (  # noqa: F401
     GriddedFunction,
     brute_multiple_integral,
     chaos_constant,
+    gridded_chaos_values,
     hermite_chaos,
+    hermite_chaos_values,
     isometry_report,
     ito_integral_1,
     l2_inner,
     moment_bound_report,
     tensor_chaos,
+    tensor_chaos_values,
 )
 from .chaosreg import (  # noqa: F401
     ChaosKernelEstimate,
@@ -54,6 +57,7 @@ from .chaosreg import (  # noqa: F401
     estimate_mean,
     fit_chaos_kernel,
     predict,
+    predict_values,
     risk_isometry,
     risk_monte_carlo,
     smoothed_truth,

@@ -28,7 +28,7 @@ Example config::
 Inline truths replace the string by an object with ``a``, ``components``
 (entries ``{"order", "kind": "constant"|"poly", ...}``), ``noise`` and
 ``class``; polynomial components give power-basis coefficients of the
-univariate factor.
+univariate factor, which must not all be zero.
 """
 
 from __future__ import annotations
@@ -157,6 +157,8 @@ def _parse_component(doc: dict, i: int):
         return ConstantComponent(order, _require(doc, "value", float, where))
     if kind == "poly":
         coeffs = _require(doc, "coeffs", list, where)
+        if not any(coeffs):
+            raise ConfigError(f"{where}.coeffs: the factor must not be identically zero")
         return EqualFactorComponent(order, np.polynomial.Polynomial(coeffs))
     if kind == "gridded":
         g = _require(doc, "grid_size", int, where)
@@ -557,47 +559,13 @@ def _fit_task(args):
     return _fit_one(config, n, n_index, rep, data_dir)
 
 
-def cmd_fit(config: ExperimentConfig, out_dir: Path, threads: int = 1,
-            data_dir: Path | None = None) -> Path:
-    """Fit per-replication models with the configured bandwidth rule.
-
-    Datasets are read from ``data_dir`` (a ``cmd_simulate`` output tree) when
-    given, otherwise re-synthesized from the replication seeds; both routes
-    produce identical samples.
-    """
-    if config.bandwidths.mode == "adaptive":
-        return cmd_adapt(config, out_dir, threads, data_dir)
+def _fit_and_write(command: str, config: ExperimentConfig, fit_config: ExperimentConfig,
+                   out_dir: Path, threads: int, data_dir: Path | None) -> Path:
+    """Fit every replication with ``fit_config``; write models, selection traces, manifest."""
     started = time.time()
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [
-        (config, n, n_index, rep, data_dir)
-        for n_index, n, rep, _ in _rep_dirs(out_dir, config)
-    ]
-    models = _parallel_map(_fit_task, tasks, threads)
-    outputs = []
-    for (n_index, n, rep, rep_dir), model in zip(_rep_dirs(out_dir, config), models):
-        rep_dir.mkdir(parents=True, exist_ok=True)
-        path = rep_dir / "model.json"
-        with open(path, "w") as fp:
-            model_to_json(model, fp)
-        outputs.append(path)
-    _write_manifest(out_dir, "fit", config, started, outputs)
-    return out_dir
-
-
-def cmd_adapt(config: ExperimentConfig, out_dir: Path, threads: int = 1,
-              data_dir: Path | None = None) -> Path:
-    """Adaptive per-order bandwidth selection; writes models and selection traces.
-
-    Selection runs whatever the configured bandwidth mode; every bracket is
-    checked before anything is written.
-    """
-    started = time.time()
-    _check_adaptive_brackets(config.n_list, config.max_order, config.s_star_lo)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    adaptive = replace(config, bandwidths=BandwidthPlan("adaptive"))
-    tasks = [
-        (adaptive, n, n_index, rep, data_dir)
+        (fit_config, n, n_index, rep, data_dir)
         for n_index, n, rep, _ in _rep_dirs(out_dir, config)
     ]
     models = _parallel_map(_fit_task, tasks, threads)
@@ -613,8 +581,34 @@ def cmd_adapt(config: ExperimentConfig, out_dir: Path, threads: int = 1,
             with open(tpath, "w") as fp:
                 trace_to_csv(trace, fp)
             outputs.append(tpath)
-    _write_manifest(out_dir, "adapt", config, started, outputs)
+    _write_manifest(out_dir, command, config, started, outputs)
     return out_dir
+
+
+def cmd_fit(config: ExperimentConfig, out_dir: Path, threads: int = 1,
+            data_dir: Path | None = None) -> Path:
+    """Fit per-replication models with the configured bandwidth rule.
+
+    Datasets are read from ``data_dir`` (a ``cmd_simulate`` output tree) when
+    given, otherwise re-synthesized from the replication seeds; both routes
+    produce identical samples.
+    """
+    if config.bandwidths.mode == "adaptive":
+        return cmd_adapt(config, out_dir, threads, data_dir)
+    return _fit_and_write("fit", config, config, out_dir, threads, data_dir)
+
+
+def cmd_adapt(config: ExperimentConfig, out_dir: Path, threads: int = 1,
+              data_dir: Path | None = None) -> Path:
+    """Adaptive per-order bandwidth selection; writes models and selection traces.
+
+    Selection runs whatever the configured bandwidth mode; every bracket is
+    checked before anything is written.  The manifest records the config as
+    given.
+    """
+    _check_adaptive_brackets(config.n_list, config.max_order, config.s_star_lo)
+    adaptive = replace(config, bandwidths=BandwidthPlan("adaptive"))
+    return _fit_and_write("adapt", config, adaptive, out_dir, threads, data_dir)
 
 
 def _risk_task(args):

@@ -1,21 +1,26 @@
 """Multiple Wiener integrals against discretized Brownian paths.
 
-Two independent evaluation routes are provided on purpose:
+Each integrand form has one evaluator; it takes an (n, N) matrix of path
+increments and returns one value per path (row):
 
-* ``tensor_chaos`` reduces a product integrand to single Ito integrals and
-  L2 inner products through the product-formula recursion
+* ``tensor_chaos_values`` reduces a product integrand to single Ito
+  integrals and L2 inner products through the product-formula recursion
 
       I_{p+1}(g_1 x ... x g_{p+1})
           = I_p(g_1 x ... x g_p) I_1(g_{p+1})
             - sum_{j<=p} <g_j, g_{p+1}> I_{p-1}(x_{i!=j} g_i),
 
-  with I_0 = 1.  For equal factors this collapses to the Hermite identity
-  implemented in ``hermite_chaos``.
+  with I_0 = 1.
 
-* ``brute_multiple_integral`` sums the gridded integrand over multi-indices
-  with pairwise-distinct coordinates against coarse-cell increments.  It is
-  the slow off-diagonal Riemann discretization and serves as the oracle for
-  the recursion.
+* ``hermite_chaos_values`` is the equal-factor case of the recursion, the
+  Hermite identity I_l(g x ... x g) = ||g||^l He_l(I_1(g)/||g||).
+
+* ``gridded_chaos_values`` sums a gridded integrand over multi-indices with
+  pairwise-distinct coordinates against coarse-cell increments.  It is the
+  off-diagonal Riemann discretization and the oracle for the recursion.
+
+``tensor_chaos``, ``hermite_chaos`` and ``brute_multiple_integral`` take one
+``BrownianPath`` and evaluate row 0 of the matching batch.
 
 Monte Carlo validators check the Ito isometry, orthogonality of distinct
 orders, hypercontractive moment growth, and the second-moment bound
@@ -130,72 +135,93 @@ def _chaos_from_parts(xi: Sequence, gram: np.ndarray):
     return rec(tuple(range(n)))
 
 
-def tensor_chaos(
-    gs: Sequence[Callable], path: BrownianPath, quad_points: int = DEFAULT_QUAD_POINTS
-) -> float:
+def tensor_chaos_values(
+    gs: Sequence[Callable], increments: np.ndarray, quad_points: int = DEFAULT_QUAD_POINTS
+) -> np.ndarray:
     """Multiple Wiener integral of the (implicitly symmetrized) product g_1 x ... x g_l.
 
-    Built from single Ito integrals and pairwise inner products only, via the
-    product-formula recursion.
+    One value per row of the (n, N) increment matrix, built from single Ito
+    integrals and pairwise inner products only, via the product-formula
+    recursion.
     """
     if len(gs) < 1:
         raise ValueError("need at least one factor")
-    xi = [ito_integral_1(g, path) for g in gs]
-    gram = np.empty((len(gs), len(gs)))
-    for i, gi in enumerate(gs):
-        for j in range(i, len(gs)):
-            gram[i, j] = gram[j, i] = l2_inner(gi, gs[j], quad_points)
-    return float(_chaos_from_parts(xi, gram))
+    t_left = np.arange(increments.shape[1]) / increments.shape[1]
+    g_at_left = np.stack([np.asarray(g(t_left), dtype=float) for g in gs])
+    xi = g_at_left @ increments.T  # (len(gs), n)
+    gram = np.array([[l2_inner(g, g2, quad_points) for g2 in gs] for g in gs])
+    return np.asarray(_chaos_from_parts(list(xi), gram))
 
 
-def hermite_chaos(
-    g: Callable, order: int, path: BrownianPath, quad_points: int = DEFAULT_QUAD_POINTS
-) -> float:
-    """Equal-factor fast path: ||g||^l He_l(I_1(g)/||g||), He_l probabilists' Hermite."""
+def hermite_chaos_values(
+    g: Callable, order: int, increments: np.ndarray, quad_points: int = DEFAULT_QUAD_POINTS
+) -> np.ndarray:
+    """Equal-factor form ||g||^l He_l(I_1(g)/||g||) per row, He_l probabilists' Hermite."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     norm_sq = l2_inner(g, g, quad_points)
     if norm_sq <= 0.0:
         raise DegenerateIntegrandError("hermite_chaos requires ||g|| > 0")
-    norm = np.sqrt(norm_sq)
-    xi = ito_integral_1(g, path)
+    norm = math.sqrt(norm_sq)
+    t_left = np.arange(increments.shape[1]) / increments.shape[1]
+    xi = increments @ np.asarray(g(t_left), dtype=float)
     coeffs = np.zeros(order + 1)
     coeffs[order] = 1.0
-    return float(norm**order * hermite_e.hermeval(xi / norm, coeffs))
+    return norm**order * hermite_e.hermeval(xi / norm, coeffs)
 
 
-def _coarse_increments(path: BrownianPath, grid_size: int) -> np.ndarray:
-    n = path.grid.n_steps
-    if n % grid_size != 0:
-        raise AlignmentError(f"grid_size {grid_size} does not divide path resolution {n}")
-    edges = np.arange(grid_size + 1) * (n // grid_size)
-    return path.values[edges[1:]] - path.values[edges[:-1]]
+_ROW_BLOCK = 512  # rows per block: bounds the (rows, G^2) order-3 temporary
+
+
+def gridded_chaos_values(f: GriddedFunction, increments: np.ndarray) -> np.ndarray:
+    """Off-diagonal Riemann-Ito sum of the gridded integrand per increment row.
+
+    Sums f at cell centers times products of coarse-cell increments (cell
+    sums of the fine increments) over multi-indices with pairwise-distinct
+    coordinates.  Supports dim <= 3; exact diagonals are excluded and no
+    Ito-correction terms are added.
+    """
+    if f.dim > 3:
+        raise UnsupportedOrderError(f"gridded integrals support order <= 3, got {f.dim}")
+    n, n_steps = increments.shape
+    g = f.grid_size
+    if n_steps % g != 0:
+        raise AlignmentError(f"grid_size {g} does not divide path resolution {n_steps}")
+    if n > _ROW_BLOCK:
+        return np.concatenate([gridded_chaos_values(f, increments[i:i + _ROW_BLOCK])
+                               for i in range(0, n, _ROW_BLOCK)])
+    v = increments.reshape(n, g, n_steps // g).sum(axis=2)
+    fv = f.values
+    if f.dim == 1:
+        return v @ fv
+    v2 = v**2
+    if f.dim == 2:
+        return np.einsum("nb,nb->n", v @ fv, v) - v2 @ np.diagonal(fv)
+    # sum_abc f_abc v_a v_b v_c as one matrix product and two small contractions
+    full = np.einsum("nbc,nc->nb", (v @ fv.reshape(g, g * g)).reshape(n, g, g), v)
+    full = np.einsum("nb,nb->n", full, v)
+    pairs = np.einsum("jjk->jk", fv) + np.einsum("jkj->jk", fv) + np.einsum("kjj->jk", fv)
+    triple = (v2 * v) @ np.einsum("jjj->j", fv)
+    return full - np.einsum("nk,nk->n", v2 @ pairs, v) + 2.0 * triple
+
+
+def tensor_chaos(
+    gs: Sequence[Callable], path: BrownianPath, quad_points: int = DEFAULT_QUAD_POINTS
+) -> float:
+    """Row 0 of ``tensor_chaos_values`` for a single path."""
+    return float(tensor_chaos_values(gs, path.increments[None], quad_points)[0])
+
+
+def hermite_chaos(
+    g: Callable, order: int, path: BrownianPath, quad_points: int = DEFAULT_QUAD_POINTS
+) -> float:
+    """Row 0 of ``hermite_chaos_values`` for a single path."""
+    return float(hermite_chaos_values(g, order, path.increments[None], quad_points)[0])
 
 
 def brute_multiple_integral(f: GriddedFunction, path: BrownianPath) -> float:
-    """Off-diagonal Riemann-Ito sum of the gridded integrand (independent oracle).
-
-    Sums f at cell centers times products of coarse-cell increments over
-    multi-indices with pairwise-distinct coordinates.  Supports dim <= 3;
-    exact diagonals are excluded and no Ito-correction terms are added.
-    """
-    if f.dim > 3:
-        raise UnsupportedOrderError(f"brute force supports order <= 3, got {f.dim}")
-    v = _coarse_increments(path, f.grid_size)
-    fv = f.values
-    if f.dim == 1:
-        return float(fv @ v)
-    if f.dim == 2:
-        full = float(v @ fv @ v)
-        diag = float(np.einsum("jj,j->", fv, v**2))
-        return full - diag
-    full = float(np.einsum("abc,a,b,c->", fv, v, v, v, optimize=True))
-    v2 = v**2
-    a12 = float(np.einsum("jjk,j,k->", fv, v2, v))
-    a13 = float(np.einsum("jkj,j,k->", fv, v2, v))
-    a23 = float(np.einsum("kjj,j,k->", fv, v2, v))
-    triple = float(np.einsum("jjj,j->", fv, v**3))
-    return full - a12 - a13 - a23 + 2.0 * triple
+    """Row 0 of ``gridded_chaos_values`` for a single path."""
+    return float(gridded_chaos_values(f, path.increments[None])[0])
 
 
 @dataclass(frozen=True)
@@ -263,17 +289,6 @@ def _increment_batches(n_mc: int, n_steps: int, seed: int, batch: int = _MC_BATC
         remaining -= size
 
 
-def _chaos_samples(gs, dw: np.ndarray, t_left: np.ndarray, quad_points: int) -> np.ndarray:
-    """Vectorized multiple-integral values across a batch of increment rows."""
-    g_at_left = np.stack([np.asarray(g(t_left), dtype=float) for g in gs])
-    xi = g_at_left @ dw.T  # (len(gs), batch)
-    gram = np.empty((len(gs), len(gs)))
-    for i in range(len(gs)):
-        for j in range(i, len(gs)):
-            gram[i, j] = gram[j, i] = l2_inner(gs[i], gs[j], quad_points)
-    return np.asarray(_chaos_from_parts(list(xi), gram))
-
-
 def _sym_product_inner(gs, gs_prime, quad_points: int) -> float:
     """l! <sym tensor, sym tensor'> = permanent of the cross inner-product matrix."""
     cross = np.array([[l2_inner(g, gp, quad_points) for gp in gs_prime] for g in gs])
@@ -300,12 +315,11 @@ def isometry_report(
         raise ValueError("n_mc must be >= 100")
     if not gs or not gs_prime:
         raise ValueError("both tensors need at least one factor")
-    t_left = np.arange(n_steps) / n_steps
     total = 0.0
     total_sq = 0.0
     for dw in _increment_batches(n_mc, n_steps, seed):
-        a = _chaos_samples(gs, dw, t_left, quad_points)
-        b = _chaos_samples(gs_prime, dw, t_left, quad_points)
+        a = tensor_chaos_values(gs, dw, quad_points)
+        b = tensor_chaos_values(gs_prime, dw, quad_points)
         prod = a * b
         total += float(np.sum(prod))
         total_sq += float(np.sum(prod**2))
@@ -350,11 +364,10 @@ def moment_bound_report(
     if np.any(t < h) or np.any(t > 1.0 - h):
         raise ValueError("t must be interior: all coordinates in [h, 1-h]")
     gs = estimator_kernel_variate(kernel, order, h, t)
-    t_left = np.arange(n_steps) / n_steps
     total = 0.0
     total_sq = 0.0
     for dw in _increment_batches(n_mc, n_steps, seed):
-        xi = _chaos_samples(gs, dw, t_left, quad_points)
+        xi = tensor_chaos_values(gs, dw, quad_points)
         powed = xi ** (2 * r)
         total += float(np.sum(powed))
         total_sq += float(np.sum(powed**2))

@@ -5,19 +5,23 @@ The order-l surface estimate at a grid node t of [0,1]^l is
     fhat(t) = (1/n) sum_i Y_i I_l(K_h(t, .))(W_i),
 
 computed from single Ito integrals of the kernel slices and their inner
-products (the same reduction as ``chaoscalc.tensor_chaos``, vectorized over
-grid nodes and sample paths).  The plugin regression adds the response mean
-and the per-order multiple integrals of the fitted surfaces, evaluated with
-the gridded off-diagonal sum.
+products (the same reduction as ``chaoscalc.tensor_chaos_values``,
+vectorized over grid nodes and sample paths).  The plugin regression adds the
+response mean and the per-order multiple integrals of the fitted surfaces,
+evaluated with the batched gridded off-diagonal sum
+(``chaoscalc.gridded_chaos_values``): ``predict_values`` predicts every row
+of an (n, N) increment matrix at once, and ``predict`` is its row 0 for a
+single path.
 
 Risk against a known truth is computed two ways: the exact conditional
 decomposition
 
     R_2^2 = (Ybar - a)^2 + sum_l ||fhat_l - f_l||^2 / l!
 
-valid for p = 2, and a plain Monte Carlo prediction error for any p >= 2.
+valid for p = 2, and a plain Monte Carlo prediction error for any p >= 2,
+which predicts and evaluates the truth on all draws in one batch.
 ``truth`` arguments are duck-typed: they need ``a``, ``orders``,
-``component_values(order, grid_size)`` and ``evaluate(path)`` (see
+``component_values(order, grid_size)`` and ``values(increments)`` (see
 ``mappingzoo.MappingSpec``).
 """
 
@@ -33,10 +37,12 @@ from typing import IO, Callable, Sequence
 import numpy as np
 
 from ._util import DEFAULT_QUAD_POINTS, midpoints
-# derive_seed and sample_brownian are unused here but stay importable: the
-# per-layer tracer in perfbench/tracing.py wraps them by name in this module
+# derive_seed, brute_multiple_integral and sample_brownian are unused here but
+# stay importable: the per-layer tracer in perfbench/tracing.py wraps them by
+# name in this module
 from ._util import derive_seed  # noqa: F401
-from .chaoscalc import GriddedFunction, _chaos_from_parts, brute_multiple_integral
+from .chaoscalc import GriddedFunction, _chaos_from_parts, gridded_chaos_values
+from .chaoscalc import brute_multiple_integral  # noqa: F401
 from .errors import UnsupportedOrderError
 from .kernelkit import MomentKernel, boundary_sign, slice_matrix
 from .pathlab import BrownianPath, TimeGrid, sample_brownian_paths
@@ -64,6 +70,8 @@ class Sample:
             )
         if np.any(values[:, 0] != 0.0):
             raise ValueError("all covariate paths must start at 0")
+        if not np.all(np.isfinite(responses)):
+            raise ValueError("responses must be finite")
 
     @property
     def n(self) -> int:
@@ -328,17 +336,19 @@ def _regrid(estimate: ChaosKernelEstimate, grid_size: int) -> GriddedFunction:
     return GriddedFunction(estimate.order, grid_size, values)
 
 
-def predict(model: FittedModel, path: BrownianPath, grid_size: int | None = None) -> float:
-    """Plugin prediction Ybar + sum_l I_l(fhat_l)(w) / l! via the gridded sum."""
-    value = model.mean_hat
+def predict_values(model: FittedModel, increments: np.ndarray,
+                   grid_size: int | None = None) -> np.ndarray:
+    """Plugin prediction Ybar + sum_l I_l(fhat_l)(W) / l! per increment row (orders <= 3)."""
+    values = np.full(len(increments), model.mean_hat)
     for est in model.estimates:
-        if est.order > 3:
-            raise UnsupportedOrderError(
-                f"prediction supports orders <= 3, model has order {est.order}"
-            )
         gridded = _regrid(est, grid_size) if grid_size else est.as_gridded()
-        value += brute_multiple_integral(gridded, path) / math.factorial(est.order)
-    return float(value)
+        values += gridded_chaos_values(gridded, increments) / math.factorial(est.order)
+    return values
+
+
+def predict(model: FittedModel, path: BrownianPath, grid_size: int | None = None) -> float:
+    """Row 0 of ``predict_values`` for a single path."""
+    return float(predict_values(model, path.increments[None], grid_size)[0])
 
 
 def risk_isometry(model: FittedModel, truth, grid_size: int | None = None,
@@ -386,17 +396,15 @@ def risk_monte_carlo(
 ) -> RiskReport:
     """Monte Carlo prediction risk (E |mhat(W) - m(W)|^p)^(1/p) over fresh paths.
 
-    The ``n_mc`` paths are one batch, ``sample_brownian_paths(grid, n_mc, seed)``.
+    The ``n_mc`` paths are one batch, ``sample_brownian_paths(grid, n_mc, seed)``,
+    and model and truth are evaluated on all of them at once.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
     if n_mc < 100:
         raise ValueError("n_mc must be >= 100")
-    grid = TimeGrid(n_steps)
-    diffs = np.empty(n_mc)
-    for j, values in enumerate(sample_brownian_paths(grid, n_mc, seed)):
-        w = BrownianPath(grid, values)
-        diffs[j] = predict(model, w, grid_size) - truth.evaluate(w)
+    increments = np.diff(sample_brownian_paths(TimeGrid(n_steps), n_mc, seed), axis=1)
+    diffs = predict_values(model, increments, grid_size) - truth.values(increments)
     powered = np.abs(diffs) ** p
     mean_pow = float(np.mean(powered))
     value = mean_pow ** (1.0 / p)

@@ -5,9 +5,11 @@ A mapping is represented as a constant plus per-order components f_l,
     m(W) = a + sum_l I_l(f_l)(W) / l!,
 
 with each component stored as a constant, an equal-factor product g x ... x g
-of a univariate g, or a gridded symmetric tensor.  Evaluation dispatches to
-the Hermite identity for the first two representations and to the gridded
-off-diagonal sum for the third.
+of a univariate g, or a gridded symmetric tensor.  ``MappingSpec.values``
+evaluates m on every row of an (n, N) increment matrix at once: the first
+two representations go through the batched Hermite identity, the third
+through the batched gridded off-diagonal sum.  ``evaluate_mapping`` is its
+row 0 for a single path.
 
 The bump family implements the disjoint-support construction used for hard
 instances: scaled copies of psi(u) = exp(-1/(1-u^2)) centered at
@@ -24,16 +26,12 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 from ._util import DEFAULT_QUAD_POINTS, derive_seed, midpoints
-from .chaoscalc import (
-    GriddedFunction,
-    brute_multiple_integral,
-    hermite_chaos,
-    l2_inner,
-)
+from .chaoscalc import GriddedFunction, gridded_chaos_values, hermite_chaos_values, l2_inner
 from .chaosreg import Sample
 from .pathlab import BrownianPath, TimeGrid, sample_brownian_paths
 # unused here but importable: the per-layer tracer in perfbench/tracing.py
-# wraps sample_brownian by name in this module
+# wraps these by name in this module
+from .chaoscalc import brute_multiple_integral, hermite_chaos  # noqa: F401
 from .pathlab import sample_brownian  # noqa: F401
 
 
@@ -88,10 +86,10 @@ class ConstantComponent:
     def gridded(self, grid_size: int) -> np.ndarray:
         return np.full((grid_size,) * self.order, self.value)
 
-    def chaos_value(self, path: BrownianPath, quad_points: int) -> float:
+    def chaos_values(self, increments: np.ndarray, quad_points: int) -> np.ndarray:
         if self.value == 0.0:
-            return 0.0
-        return self.value * hermite_chaos(lambda u: np.ones_like(u), self.order, path, quad_points)
+            return np.zeros(len(increments))
+        return self.value * hermite_chaos_values(np.ones_like, self.order, increments, quad_points)
 
 
 @dataclass(frozen=True)
@@ -111,8 +109,8 @@ class EqualFactorComponent:
             values = np.multiply.outer(values, row)
         return values
 
-    def chaos_value(self, path: BrownianPath, quad_points: int) -> float:
-        return hermite_chaos(self.g, self.order, path, quad_points)
+    def chaos_values(self, increments: np.ndarray, quad_points: int) -> np.ndarray:
+        return hermite_chaos_values(self.g, self.order, increments, quad_points)
 
 
 @dataclass(frozen=True)
@@ -139,8 +137,8 @@ class GriddedComponent:
             )
         return self.gridded_function.values
 
-    def chaos_value(self, path: BrownianPath, quad_points: int) -> float:
-        return brute_multiple_integral(self.gridded_function, path)
+    def chaos_values(self, increments: np.ndarray, quad_points: int) -> np.ndarray:
+        return gridded_chaos_values(self.gridded_function, increments)
 
 
 Component = Union[ConstantComponent, EqualFactorComponent, GriddedComponent]
@@ -187,8 +185,13 @@ class MappingSpec:
         c = self.component_for(order)
         return None if c is None else c.gridded(grid_size)
 
-    def evaluate(self, path: BrownianPath, quad_points: int = DEFAULT_QUAD_POINTS) -> float:
-        return evaluate_mapping(self, path, quad_points)
+    def values(self, increments: np.ndarray,
+               quad_points: int = DEFAULT_QUAD_POINTS) -> np.ndarray:
+        """a + sum_l I_l(f_l)(W) / l! for each row of an (n, N) increment matrix."""
+        values = np.full(len(increments), self.a)
+        for comp in self.components:
+            values += comp.chaos_values(increments, quad_points) / math.factorial(comp.order)
+        return values
 
 
 def quadratic_terminal(noise: NoiseSpec | None = None) -> MappingSpec:
@@ -211,43 +214,8 @@ def quadratic_terminal(noise: NoiseSpec | None = None) -> MappingSpec:
 def evaluate_mapping(
     spec: MappingSpec, path: BrownianPath, quad_points: int = DEFAULT_QUAD_POINTS
 ) -> float:
-    """a + sum_l I_l(f_l)(W) / l!, dispatching on the component representation."""
-    value = spec.a
-    for comp in spec.components:
-        value += comp.chaos_value(path, quad_points) / math.factorial(comp.order)
-    return float(value)
-
-
-def _evaluate_batch(spec: MappingSpec, grid: TimeGrid, path_values: np.ndarray,
-                    increments: np.ndarray, quad_points: int) -> np.ndarray:
-    """Vectorized ``evaluate_mapping`` across rows of path and increment matrices."""
-    n = increments.shape[0]
-    values = np.full(n, spec.a)
-    t_left = grid.points[:-1]
-    for comp in spec.components:
-        fact = math.factorial(comp.order)
-        if isinstance(comp, (ConstantComponent, EqualFactorComponent)):
-            if isinstance(comp, ConstantComponent):
-                if comp.value == 0.0:
-                    continue
-                g_left = np.ones_like(t_left)
-                norm_sq = 1.0
-                scale = comp.value
-            else:
-                g_left = np.asarray(comp.g(t_left), dtype=float)
-                norm_sq = l2_inner(comp.g, comp.g, quad_points)
-                scale = 1.0
-            norm = math.sqrt(norm_sq)
-            xi = increments @ g_left
-            coeffs = np.zeros(comp.order + 1)
-            coeffs[comp.order] = 1.0
-            herm = np.polynomial.hermite_e.hermeval(xi / norm, coeffs)
-            values += scale * norm**comp.order * herm / fact
-        else:
-            for i in range(n):
-                path = BrownianPath(grid, path_values[i])
-                values[i] += comp.chaos_value(path, quad_points) / fact
-    return values
+    """Row 0 of ``MappingSpec.values`` for a single path."""
+    return float(spec.values(path.increments[None], quad_points)[0])
 
 
 def synthesize(spec: MappingSpec, n: int, grid: TimeGrid, seed: int,
@@ -262,7 +230,7 @@ def synthesize(spec: MappingSpec, n: int, grid: TimeGrid, seed: int,
         raise ValueError("need n >= 2")
     rows = sample_brownian_paths(grid, n, derive_seed(seed, 0))
     increments = np.diff(rows, axis=1)
-    m_values = _evaluate_batch(spec, grid, rows, increments, quad_points)
+    m_values = spec.values(increments, quad_points)
     noise_rng = np.random.default_rng(derive_seed(seed, 1))
     responses = m_values + spec.noise.sample(noise_rng, n)
     sample = Sample(grid, responses, rows)

@@ -415,3 +415,31 @@ def test_theorem41_mode_rejects_monte_carlo_risk():
     )
     with pytest.raises(ConfigError, match="isometry"):
         parse_config(doc)
+
+
+def test_zero_poly_factor_is_rejected_before_any_output(tmp_path):
+    # a zero factor has ||g|| = 0, so its Hermite form would divide by zero
+    truth = {
+        "a": 1.0,
+        "components": [{"order": 1, "kind": "poly", "coeffs": [0.0]}],
+        "noise": {"kind": "gaussian", "sigma": 0.5},
+    }
+    doc = _base_doc(truth=truth, n_list=[200], max_order=1,
+                    bandwidths={"mode": "fixed", "values": {"1": 0.25}})
+    with pytest.raises(ConfigError, match=r"components\[0\].coeffs"):
+        parse_config(doc)
+    cfg = _write_config(tmp_path, doc)
+    for command in ("simulate", "fit"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+
+
+def test_adapt_manifest_records_the_configured_bandwidth_mode(tmp_path):
+    config = parse_config(_base_doc(n_list=[500], path_steps=256, s_star_hi=1.0,
+                                    replications=1))
+    out = cmd_adapt(config, tmp_path / "adapted")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "adapt"
+    assert manifest["config"]["bandwidths"]["mode"] == "fixed"
+    assert "n_000500/rep_000/trace_order2.csv" in manifest["outputs"]

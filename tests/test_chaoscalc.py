@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,12 +8,15 @@ from chaosbench.chaoscalc import (
     GriddedFunction,
     brute_multiple_integral,
     chaos_constant,
+    gridded_chaos_values,
     hermite_chaos,
+    hermite_chaos_values,
     isometry_report,
     ito_integral_1,
     l2_inner,
     moment_bound_report,
     tensor_chaos,
+    tensor_chaos_values,
 )
 from chaosbench.errors import (
     AlignmentError,
@@ -228,3 +232,52 @@ def test_gridded_function_validation():
         GriddedFunction(2, 4, np.ones((4, 3)))
     with pytest.raises(ValueError):
         GriddedFunction(1, 3, np.array([1.0, np.nan, 0.0]))
+
+
+def _increment_rows(n_rows, n_steps, seed):
+    return np.random.default_rng(seed).normal(0.0, np.sqrt(1.0 / n_steps), (n_rows, n_steps))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_gridded_batch_matches_explicit_distinct_index_sum(order):
+    g_size, n_steps = 4, 8
+    rng = np.random.default_rng(order)
+    f = GriddedFunction(order, g_size, rng.normal(size=(g_size,) * order))  # not symmetric
+    rows = _increment_rows(5, n_steps, 10 + order)
+    batch = gridded_chaos_values(f, rows)
+    for row, value in zip(rows, batch):
+        levels = np.concatenate([[0.0], np.cumsum(row)])
+        v = levels[2::2] - levels[:-2:2]  # coarse increments over two fine steps
+        expected = sum(
+            f.values[idx] * np.prod(v[list(idx)])
+            for idx in itertools.permutations(range(g_size), order)
+        )
+        assert value == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+def test_batches_match_single_path_wrappers_row_by_row():
+    grid = make_grid(128)
+    paths = [sample_brownian(grid, 300 + i) for i in range(6)]
+    rows = np.stack([w.increments for w in paths])
+    g = np.polynomial.Polynomial([0.3, -1.0, 0.5])
+    rng = np.random.default_rng(4)
+    for order in (1, 2, 3):
+        herm = hermite_chaos_values(g, order, rows)
+        tens = tensor_chaos_values([RAMP, g, ONE][:order], rows)
+        values = rng.normal(size=(16,) * order)
+        grid_vals = gridded_chaos_values(GriddedFunction(order, 16, values), rows)
+        for i, w in enumerate(paths):
+            assert herm[i] == pytest.approx(hermite_chaos(g, order, w), rel=1e-12)
+            assert tens[i] == pytest.approx(tensor_chaos([RAMP, g, ONE][:order], w), rel=1e-12)
+            assert grid_vals[i] == pytest.approx(
+                brute_multiple_integral(GriddedFunction(order, 16, values), w), rel=1e-12
+            )
+
+
+def test_gridded_batch_row_blocks_match_one_block():
+    rows = _increment_rows(1100, 64, 8)
+    f = GriddedFunction(3, 8, np.random.default_rng(9).normal(size=(8, 8, 8)))
+    batch = gridded_chaos_values(f, rows)
+    assert batch.shape == (1100,)
+    for i in (0, 511, 512, 1099):
+        assert batch[i] == pytest.approx(gridded_chaos_values(f, rows[i:i + 1])[0], rel=1e-12)

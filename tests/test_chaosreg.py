@@ -16,13 +16,22 @@ from chaosbench.chaosreg import (
     model_from_json,
     model_to_json,
     predict,
+    predict_values,
     risk_isometry,
     risk_monte_carlo,
     smoothed_truth,
 )
 from chaosbench.kernelkit import build_kernel
-from chaosbench.mappingzoo import GaussianNoise, quadratic_terminal, synthesize
-from chaosbench.pathlab import make_grid, sample_brownian
+from chaosbench.mappingzoo import (
+    ConstantComponent,
+    EqualFactorComponent,
+    GaussianNoise,
+    MappingSpec,
+    evaluate_mapping,
+    quadratic_terminal,
+    synthesize,
+)
+from chaosbench.pathlab import BrownianPath, make_grid, sample_brownian, sample_brownian_paths
 
 K0 = build_kernel(1.0)
 K1 = build_kernel(2.0)
@@ -289,3 +298,46 @@ def test_risk_report_serialization():
     report = risk_isometry(FittedModel(truth.a, ()), truth, grid_size=8)
     doc = report.to_json()
     assert '"method": "isometry"' in doc and '"breakdown"' in doc
+
+
+def test_sample_rejects_non_finite_responses():
+    grid = make_grid(8)
+    rows = np.zeros((2, 9))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Sample(grid, np.array([1.0, bad]), rows)
+
+
+def _order_three_model(g=16):
+    rng = np.random.default_rng(12)
+    sym = {}
+    for order in (1, 2, 3):
+        sym[order] = _symmetrize(rng.normal(size=(g,) * order))
+    return _model_with(sym, 0.7)
+
+
+def test_predict_values_match_predict_row_by_row():
+    model = _order_three_model()
+    grid = make_grid(128)
+    rows = sample_brownian_paths(grid, 7, 31)
+    batch = predict_values(model, np.diff(rows, axis=1))
+    for values, value in zip(rows, batch):
+        assert value == pytest.approx(predict(model, BrownianPath(grid, values)), rel=1e-12)
+    coarse = predict_values(model, np.diff(rows, axis=1), grid_size=8)
+    assert coarse[3] == pytest.approx(predict(model, BrownianPath(grid, rows[3]), 8), rel=1e-12)
+
+
+def test_risk_monte_carlo_equals_explicit_per_draw_formula():
+    model = _order_three_model()
+    truth = MappingSpec(
+        0.5,
+        (EqualFactorComponent(1, np.polynomial.Polynomial([1.0, 0.5])),
+         ConstantComponent(3, 1.0)),
+        GaussianNoise(0.0),
+    )
+    n_mc, seed, p = 300, 77, 4.0
+    grid = make_grid(128)
+    draws = [BrownianPath(grid, v) for v in sample_brownian_paths(grid, n_mc, seed)]
+    diffs = np.array([predict(model, w) - evaluate_mapping(truth, w) for w in draws])
+    report = risk_monte_carlo(model, truth, p, n_mc, seed, n_steps=128)
+    assert report.value == pytest.approx(np.mean(np.abs(diffs) ** p) ** (1 / p), rel=1e-12)

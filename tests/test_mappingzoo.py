@@ -20,7 +20,7 @@ from chaosbench.mappingzoo import (
     quadratic_terminal,
     synthesize,
 )
-from chaosbench.pathlab import make_grid, sample_brownian
+from chaosbench.pathlab import BrownianPath, make_grid, sample_brownian, sample_brownian_paths
 
 
 def test_quadratic_terminal_shape():
@@ -225,3 +225,19 @@ def test_declared_class_params_round_trip():
     assert spec.declared.max_order == 2
     assert spec.declared.class_bound == 1.0
     assert isinstance(spec.declared, ClassParams)
+
+
+def test_mapping_values_match_evaluate_mapping_row_by_row():
+    g = np.polynomial.Polynomial([0.2, -0.4, 1.0])
+    gridded, _ = bump_instance(2, 0.25, [(0, 1), (1, 0)], rho=2.0, grid_size=16)
+    spec = MappingSpec(
+        0.3,
+        (EqualFactorComponent(1, g), GriddedComponent(2, gridded), ConstantComponent(3, -1.5)),
+        GaussianNoise(0.0),
+    )
+    grid = make_grid(128)
+    rows = sample_brownian_paths(grid, 6, 41)
+    batch = spec.values(np.diff(rows, axis=1))
+    for values, value in zip(rows, batch):
+        direct = evaluate_mapping(spec, BrownianPath(grid, values))
+        assert value == pytest.approx(direct, rel=1e-12)

@@ -51,3 +51,11 @@ def test_tracer_wraps_and_restores_program_names(tmp_path):
     assert summary["mappingzoo.synthesize.paths"] == 60
     assert summary["chaosreg.risk_monte_carlo.draws"] == 200
     assert summary["chaosreg.fit.order2.calls"] == 2
+    # Monte Carlo risk predicts and evaluates the truth on all draws at once:
+    # no per-draw prediction, one truth quadrature per component and replication
+    with tracing.Tracer() as tracer:
+        cmd_risk(config, models, tmp_path / "risk_again")
+    summary = tracer.summary()
+    assert summary["chaosreg.risk_monte_carlo.draws"] == 200
+    assert summary.get("chaosreg.predict.calls", 0) == 0
+    assert summary.get("chaoscalc.l2_inner.calls", 0) <= 4
