@@ -3,7 +3,7 @@
 Subpackages:
 
 * ``pathlab``    - path and diffusion simulation, coprocess reconstruction
-* ``kernelkit``  - vanishing-moment kernels and boundary-corrected products
+* ``kernelkit``  - vanishing-moment kernels and boundary-corrected slices
 * ``chaoscalc``  - multiple Wiener integrals, oracles, and MC validators
 * ``chaosreg``   - chaos-kernel surface estimates and the plugin regression
 * ``glselect``   - data-driven bandwidth selection
@@ -27,13 +27,11 @@ from .pathlab import (  # noqa: F401
     simulate_diffusion,
 )
 from .kernelkit import (  # noqa: F401
-    BandwidthedKernel,
     MomentKernel,
     boundary_sign,
     build_kernel,
-    eval_multivariate,
     eval_univariate,
-    kernel_slices,
+    slice_matrix,
 )
 from .chaoscalc import (  # noqa: F401
     GriddedFunction,

@@ -404,7 +404,10 @@ def _sample_for(config: ExperimentConfig, n: int, n_index: int, rep: int,
         rep_dir = data_dir / f"n_{n:06d}" / f"rep_{rep:03d}"
         if not rep_dir.exists():
             raise ConfigError(f"missing dataset directory {rep_dir}")
-        return load_dataset(rep_dir, config.path_steps)
+        sample = load_dataset(rep_dir, config.path_steps)
+        if sample.n != n:
+            raise ConfigError(f"dataset {rep_dir} holds {sample.n} paths, the config n is {n}")
+        return sample
     grid = make_grid(config.path_steps)
     return synthesize(config.truth, n, grid, config.rep_seed(n_index, rep))
 
@@ -541,7 +544,11 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> P
 
 
 def load_dataset(rep_dir: Path, grid_steps: int) -> Sample:
-    """Read a dataset written by ``cmd_simulate``."""
+    """Read a dataset written by ``cmd_simulate``.
+
+    Raises ConfigError unless it holds one path of ``grid_steps`` steps per
+    response.
+    """
     with open(rep_dir / "responses.csv") as fp:
         fp.readline()
         responses = np.array([float(line.split(",")[1]) for line in fp if line.strip()])
@@ -551,6 +558,11 @@ def load_dataset(rep_dir: Path, grid_steps: int) -> Sample:
     # C-contiguous so downstream matrix products reduce in the same order as
     # freshly synthesized samples (bit-identical fits from either route)
     values = np.ascontiguousarray(matrix[:, 1:].T)
+    if values.shape != (len(responses), grid_steps + 1):
+        raise ConfigError(
+            f"dataset {rep_dir} holds {len(responses)} responses and {values.shape[0]} "
+            f"paths of {values.shape[1] - 1} steps, the config has path_steps {grid_steps}"
+        )
     return Sample(make_grid(grid_steps), responses, values)
 
 
@@ -563,12 +575,12 @@ def _fit_and_write(command: str, config: ExperimentConfig, fit_config: Experimen
                    out_dir: Path, threads: int, data_dir: Path | None) -> Path:
     """Fit every replication with ``fit_config``; write models, selection traces, manifest."""
     started = time.time()
-    out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [
         (fit_config, n, n_index, rep, data_dir)
         for n_index, n, rep, _ in _rep_dirs(out_dir, config)
     ]
     models = _parallel_map(_fit_task, tasks, threads)
+    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for (n_index, n, rep, rep_dir), model in zip(_rep_dirs(out_dir, config), models):
         rep_dir.mkdir(parents=True, exist_ok=True)
@@ -629,7 +641,10 @@ def cmd_risk(config: ExperimentConfig, models_dir: Path, out_dir: Path,
         if not model_path.exists():
             raise ConfigError(f"missing model file {model_path}")
         tasks.append((config, model_path, n_index, rep))
-    reports = _parallel_map(_risk_task, tasks, threads)
+    # isometry risk is about a millisecond of closed-form work per replication,
+    # less than starting a worker pool costs
+    reports = _parallel_map(_risk_task, tasks,
+                            threads if config.risk_method == "monte_carlo" else 1)
     rows = [(n, rep, report)
             for (_, n, rep, _), report in zip(_rep_dirs(models_dir, config), reports)]
     risk_csv = out_dir / "risk.csv"

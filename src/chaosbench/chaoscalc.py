@@ -40,7 +40,7 @@ from numpy.polynomial import hermite_e
 
 from ._util import DEFAULT_QUAD_POINTS, midpoints
 from .errors import AlignmentError, DegenerateIntegrandError, UnsupportedOrderError
-from .kernelkit import BandwidthedKernel, MomentKernel, kernel_slices
+from .kernelkit import MomentKernel, slice_matrix
 from .pathlab import BrownianPath
 
 
@@ -333,13 +333,6 @@ def isometry_report(
     return MomentReport(mean, theoretical, stderr, n_mc, seed)
 
 
-def estimator_kernel_variate(
-    kernel: MomentKernel, order: int, h: float, t: Sequence[float]
-) -> list:
-    """The slice factorization of K_h(t, .), the integrand of the xi variates."""
-    return kernel_slices(BandwidthedKernel(kernel, h, order), t)
-
-
 def moment_bound_report(
     order: int,
     h: float,
@@ -363,7 +356,8 @@ def moment_bound_report(
     t = np.asarray(t, dtype=float)
     if np.any(t < h) or np.any(t > 1.0 - h):
         raise ValueError("t must be interior: all coordinates in [h, 1-h]")
-    gs = estimator_kernel_variate(kernel, order, h, t)
+    # the slice factorization of K_h(t, .), the integrand of the xi variates
+    gs = [lambda u, c=c: slice_matrix(kernel, [c], h, np.atleast_1d(u))[0] for c in t]
     total = 0.0
     total_sq = 0.0
     for dw in _increment_batches(n_mc, n_steps, seed):

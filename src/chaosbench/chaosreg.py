@@ -4,11 +4,18 @@ The order-l surface estimate at a grid node t of [0,1]^l is
 
     fhat(t) = (1/n) sum_i Y_i I_l(K_h(t, .))(W_i),
 
-computed from single Ito integrals of the kernel slices and their inner
-products (the same reduction as ``chaoscalc.tensor_chaos_values``,
-vectorized over grid nodes and sample paths).  The plugin regression adds the
-response mean and the per-order multiple integrals of the fitted surfaces,
-evaluated with the batched gridded off-diagonal sum
+the Wick product of the slice integrals x_a = sum_j K_h(c_a, t_j) dW_j:
+
+    fhat_l = Sym sum_{p <= l/2} (-1)^p l! / (2^p p! (l-2p)!) gram^(x p) x M_(l-2p),
+
+with response moments M_k = (1/n) sum_i Y_i x_i^(x k), M_0 = Ybar, and the
+slice gram sl sl^T / N taken on the same path grid as x, so the Ito
+correction removes exactly the expected diagonal of the left-point sums.
+One slice matrix sl, evaluated at the left grid points, gives both.
+
+The plugin regression adds the response mean and the per-order multiple
+integrals of the fitted surfaces, evaluated with the batched gridded
+off-diagonal sum
 (``chaoscalc.gridded_chaos_values``): ``predict_values`` predicts every row
 of an (n, N) increment matrix at once, and ``predict`` is its row 0 for a
 single path.
@@ -32,11 +39,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Callable, Sequence
+from typing import IO, Callable
 
 import numpy as np
 
-from ._util import DEFAULT_QUAD_POINTS, midpoints
+from ._util import midpoints
 # derive_seed, brute_multiple_integral and sample_brownian are unused here but
 # stay importable: the per-layer tracer in perfbench/tracing.py wraps them by
 # name in this module
@@ -88,16 +95,6 @@ class Sample:
 
     def path(self, i: int) -> BrownianPath:
         return BrownianPath(self.grid, self.path_values[i])
-
-    @classmethod
-    def from_paths(cls, responses: Sequence[float], paths: Sequence[BrownianPath]) -> "Sample":
-        paths = list(paths)
-        if not paths:
-            raise ValueError("need at least two observations")
-        grid = paths[0].grid
-        if any(p.grid != grid for p in paths):
-            raise ValueError("all paths must share one grid")
-        return cls(grid, np.asarray(responses, dtype=float), np.stack([p.values for p in paths]))
 
 
 @dataclass(frozen=True)
@@ -186,17 +183,10 @@ def estimate_mean(sample: Sample) -> float:
     return float(np.mean(sample.responses))
 
 
-def _fit_parts(sample: Sample, bandwidth: float, grid_size: int,
-               kernel: MomentKernel, quad_points: int):
-    """Slice single-integrals X (G, n) and slice gram matrix (G, G)."""
-    centers = midpoints(grid_size)
-    t_left = sample.grid.points[:-1]
-    sl = slice_matrix(kernel, centers, bandwidth, t_left)
-    x = sl @ sample.increments.T
-    q = midpoints(quad_points)
-    qx = slice_matrix(kernel, centers, bandwidth, q)
-    gram = (qx @ qx.T) / quad_points
-    return x, gram
+def _fit_parts(sample: Sample, bandwidth: float, grid_size: int, kernel: MomentKernel):
+    """Slice single-integrals X (G, n) and their path-grid gram sl sl^T / N (G, G)."""
+    sl = slice_matrix(kernel, midpoints(grid_size), bandwidth, sample.grid.points[:-1])
+    return sl @ sample.increments.T, (sl @ sl.T) / sample.grid.n_steps
 
 
 def _symmetrize(values: np.ndarray) -> np.ndarray:
@@ -218,13 +208,33 @@ def _symmetrize(values: np.ndarray) -> np.ndarray:
     return acc[tuple(idx)]
 
 
+def _response_moment(x: np.ndarray, y: np.ndarray, k: int):
+    """M_k = (1/n) sum_i y_i x_i^(x k); M_0 = Ybar.
+
+    Orders k >= 2 are built one (k-2)-tuple of leading indices at a time as a
+    (G, n) @ (n, G) product, so no (G^(k-1), n) temporary is formed.
+    """
+    n = len(y)
+    if k == 0:
+        return np.mean(y)
+    if k == 1:
+        return x @ y / n
+    g = x.shape[0]
+    out = np.empty((g,) * k)
+    for lead in np.ndindex(*(g,) * (k - 2)):
+        w = y
+        for a in lead:
+            w = w * x[a]
+        out[lead] = (x * w) @ x.T / n
+    return out
+
+
 def fit_chaos_kernel(
     sample: Sample,
     order: int,
     bandwidth: float,
     grid_size: int,
     kernel: MomentKernel,
-    quad_points: int = DEFAULT_QUAD_POINTS,
 ) -> ChaosKernelEstimate:
     """Fit the order-l surface on the G-per-axis midpoint grid of [0,1]^l.
 
@@ -236,31 +246,21 @@ def fit_chaos_kernel(
         raise ValueError("grid_size must be >= 2")
     if order < 1:
         raise ValueError("order must be >= 1")
-    x, gram = _fit_parts(sample, bandwidth, grid_size, kernel, quad_points)
+    x, gram = _fit_parts(sample, bandwidth, grid_size, kernel)
     y = sample.responses
-    n = sample.n
-    if order == 1:
-        values = x @ y / n
-    elif order == 2:
-        values = (x * y) @ x.T / n - np.mean(y) * gram
-        values = _symmetrize(values)
-    elif order == 3:
-        g = grid_size
-        u = x @ y / n
-        xy = x * y
-        values = np.empty((g, g, g))
-        for a in range(g):
-            values[a] = (xy * x[a]) @ x.T / n
-        corr = gram[:, :, None] * u[None, None, :]
-        values -= corr + np.transpose(corr, (0, 2, 1)) + np.transpose(corr, (2, 0, 1))
-        values = _symmetrize(values)
-    else:
-        values = _fit_generic(x, gram, y, order, grid_size)
-    return ChaosKernelEstimate(order, bandwidth, grid_size, values)
+    values = _response_moment(x, y, order)
+    for p in range(1, order // 2 + 1):
+        term = _response_moment(x, y, order - 2 * p)
+        for _ in range(p):
+            term = np.multiply.outer(gram, term)
+        coeff = (-1) ** p * math.factorial(order) // (
+            2**p * math.factorial(p) * math.factorial(order - 2 * p))
+        values = values + coeff * term
+    return ChaosKernelEstimate(order, bandwidth, grid_size, _symmetrize(values))
 
 
 def _fit_generic(x, gram, y, order, grid_size):
-    """Ordered-node evaluation with mirroring, for orders beyond the fast paths."""
+    """Ordered-node product-formula evaluation with mirroring: the tests' oracle."""
     n = len(y)
     values = np.zeros((grid_size,) * order)
     for idx in itertools.combinations_with_replacement(range(grid_size), order):

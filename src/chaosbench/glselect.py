@@ -26,7 +26,6 @@ from typing import IO
 
 import numpy as np
 
-from ._util import DEFAULT_QUAD_POINTS
 from .chaoscalc import chaos_constant
 from .chaosreg import ChaosKernelEstimate, FittedModel, Sample, estimate_mean, fit_chaos_kernel
 from .errors import GridEmptyError, IncompleteInputError
@@ -164,13 +163,9 @@ def _select_with_fits(
     params: MajorantParams,
     grid_size: int,
     kernel: MomentKernel,
-    quad_points: int = DEFAULT_QUAD_POINTS,
 ):
     n = sample.n
-    fits = {
-        h: fit_chaos_kernel(sample, order, h, grid_size, kernel, quad_points)
-        for h in grid.values
-    }
+    fits = {h: fit_chaos_kernel(sample, order, h, grid_size, kernel) for h in grid.values}
     majorants = {h: majorant(order, h, n, params) for h in grid.values}
     records = []
     for h in grid.values:  # decreasing, so ties keep the largest h
@@ -190,10 +185,9 @@ def select_bandwidth(
     params: MajorantParams,
     grid_size: int,
     kernel: MomentKernel,
-    quad_points: int = DEFAULT_QUAD_POINTS,
 ) -> SelectionTrace:
     """Fit all grid bandwidths once and return the B + M minimizer with its trace."""
-    trace, _ = _select_with_fits(order, sample, grid, params, grid_size, kernel, quad_points)
+    trace, _ = _select_with_fits(order, sample, grid, params, grid_size, kernel)
     return trace
 
 
@@ -204,7 +198,6 @@ def adaptive_fit(
     s_star_lo: float,
     grid_size: int,
     kernel: MomentKernel,
-    quad_points: int = DEFAULT_QUAD_POINTS,
 ) -> FittedModel:
     """Per-order bandwidth selection followed by plugin assembly.
 
@@ -215,9 +208,7 @@ def adaptive_fit(
     traces = []
     for order in range(1, max_order + 1):
         grid = bandwidth_grid(sample.n, order, s_star_lo)
-        trace, fits = _select_with_fits(
-            order, sample, grid, params, grid_size, kernel, quad_points
-        )
+        trace, fits = _select_with_fits(order, sample, grid, params, grid_size, kernel)
         traces.append(trace)
         estimates.append(fits[trace.chosen])
     return FittedModel(estimate_mean(sample), tuple(estimates), tuple(traces))

@@ -1,4 +1,4 @@
-"""Vanishing-moment kernels on [0, 1] and their boundary-corrected products.
+"""Vanishing-moment kernels on [0, 1] and their boundary-corrected slices.
 
 The univariate kernel of order m is the degree-m polynomial with unit mass
 and vanishing moments 1..m.  It is the Legendre reproducing kernel at 0,
@@ -7,9 +7,10 @@ and vanishing moments 1..m.  It is the Legendre reproducing kernel at 0,
 
 where P~_j are Legendre polynomials shifted to [0, 1]; reproduction of
 polynomials of degree <= m at the point 0 is exactly the moment property.
-The multivariate kernel rescales by a bandwidth h and mirrors the window at
-each coordinate via the sign flip s(t) = +1 on (1/2, 1), -1 otherwise, which
-keeps all kernel mass inside [0, 1] near the edges.
+The order-l product kernel K_h(t, u) = prod_k h^-1 k(s(t_k)(t_k - u_k)/h)
+factors into one slice per coordinate; ``slice_matrix`` tabulates the slices
+at a set of centres on a set of points.  The window flip s(t) = +1 on
+(1/2, 1), -1 otherwise, keeps all slice mass inside [0, 1] near the edges.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -82,76 +83,6 @@ def boundary_sign(t):
     return sign
 
 
-@dataclass(frozen=True)
-class BandwidthedKernel:
-    """The order-l product kernel K_h(t, u) = h^-l prod_k k(s(t_k)(t_k - u_k)/h)."""
-
-    base: MomentKernel
-    h: float
-    order: int
-
-    def __post_init__(self):
-        if not 0.0 < self.h < 1.0:
-            raise ValueError(f"bandwidth must lie in (0, 1), got {self.h}")
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-
-
-@dataclass(frozen=True)
-class KernelSlice:
-    """One univariate factor u -> h^-1 k(s(c)(c - u)/h) of the product kernel.
-
-    ``support`` is the window [lo, hi] inside [0, 1] outside of which the
-    slice vanishes.
-    """
-
-    base: MomentKernel
-    center: float
-    h: float
-
-    @property
-    def sign(self) -> float:
-        return boundary_sign(self.center)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        if self.sign > 0:
-            lo, hi = self.center - self.h, self.center
-        else:
-            lo, hi = self.center, self.center + self.h
-        return max(lo, 0.0), min(hi, 1.0)
-
-    def __call__(self, u):
-        arg = self.sign * (self.center - np.asarray(u, dtype=float)) / self.h
-        return eval_univariate(self.base, arg) / self.h
-
-    def integral(self, nodes: int = 16) -> float:
-        """Integral over [0, 1], computed exactly (Gauss-Legendre on the window)."""
-        lo, hi = self.support
-        if hi <= lo:
-            return 0.0
-        pts, wts = gauss_legendre_panels(lo, hi, panels=1, nodes=nodes)
-        return float(np.dot(self(pts), wts))
-
-
-def eval_multivariate(kernel: BandwidthedKernel, t: Sequence[float], u: Sequence[float]) -> float:
-    """Evaluate K_h(t, u) at single points t, u of [0, 1]^l."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if t.shape != (kernel.order,) or u.shape != (kernel.order,):
-        raise ValueError(f"t and u must have {kernel.order} coordinates")
-    args = boundary_sign(t) * (t - u) / kernel.h
-    return float(np.prod(eval_univariate(kernel.base, args))) / kernel.h**kernel.order
-
-
-def kernel_slices(kernel: BandwidthedKernel, t: Sequence[float]) -> list[KernelSlice]:
-    """Factor K_h(t, .) into univariate slices: K(t, u) = prod_k slice_k(u_k)."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if t.shape != (kernel.order,):
-        raise ValueError(f"t must have {kernel.order} coordinates")
-    return [KernelSlice(kernel.base, float(c), kernel.h) for c in t]
-
-
 #: Evaluation points per block in :func:`slice_matrix`.
 _SLICE_BLOCK = 2048
 
@@ -160,9 +91,11 @@ def slice_matrix(kernel: MomentKernel, centers: np.ndarray, h: float, x: np.ndar
     """Values of the slices at all ``centers`` on the points ``x``.
 
     Returns an array of shape (len(centers), len(x)); row a holds
-    h^-1 k(s(c_a)(c_a - x)/h).  This is the vectorized form of
-    :class:`KernelSlice` used by the estimator loops.
+    h^-1 k(s(c_a)(c_a - x)/h), which vanishes outside the window between
+    c_a and c_a - s(c_a) h.  The bandwidth must lie in (0, 1).
     """
+    if not 0.0 < h < 1.0:
+        raise ValueError(f"bandwidth must lie in (0, 1), got {h}")
     centers = np.asarray(centers, dtype=float)
     signs = boundary_sign(centers)
     out = np.empty((len(centers), len(x)))

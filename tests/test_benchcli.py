@@ -1,9 +1,11 @@
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
 
+from chaosbench import benchcli
 from chaosbench.benchcli import (
     cmd_adapt,
     cmd_check,
@@ -317,7 +319,7 @@ def test_adapt_parallel_matches_serial(tmp_path):
     assert _output_digests(serial) == _output_digests(parallel)
 
 
-def test_monte_carlo_risk_parallel_matches_serial(tmp_path):
+def test_monte_carlo_risk_parallel_matches_serial(tmp_path, monkeypatch):
     config = parse_config(
         _base_doc(n_list=[30], replications=3, risk_p=4.0, risk={"n_mc": 100})
     )
@@ -325,6 +327,14 @@ def test_monte_carlo_risk_parallel_matches_serial(tmp_path):
     models = cmd_fit(config, tmp_path / "fits")
     serial = cmd_risk(config, models, tmp_path / "serial", threads=1)
     parallel = cmd_risk(config, models, tmp_path / "parallel", threads=2)
+    assert _output_digests(serial) == _output_digests(parallel)
+    # isometry risk runs in process whatever --threads says: starting a pool
+    # would fail here
+    iso = parse_config(_base_doc(n_list=[30], replications=3))
+    assert iso.risk_method == "isometry"
+    serial = cmd_risk(iso, models, tmp_path / "iso_serial", threads=1)
+    monkeypatch.setattr(benchcli, "ProcessPoolExecutor", None)
+    parallel = cmd_risk(iso, models, tmp_path / "iso_parallel", threads=2)
     assert _output_digests(serial) == _output_digests(parallel)
 
 
@@ -381,6 +391,30 @@ def test_fit_from_simulated_data_matches_seed_route(tmp_path):
         a = (from_seeds / "n_000030" / f"rep_{rep:03d}" / "model.json").read_text()
         b = (from_data / "n_000030" / f"rep_{rep:03d}" / "model.json").read_text()
         assert a == b
+
+
+def test_data_tree_that_does_not_match_the_config_is_rejected(tmp_path, capsys):
+    data = cmd_simulate(parse_config(_base_doc(path_steps=64)), tmp_path / "data")
+    # n = 40 paths filed under n = 50
+    wrong_n = tmp_path / "wrong_n"
+    shutil.copytree(data / "n_000040", wrong_n / "n_000050")
+    # the last response of replication 1 cut off
+    short = tmp_path / "short"
+    shutil.copytree(data, short)
+    responses = short / "n_000040" / "rep_001" / "responses.csv"
+    responses.write_text("".join(responses.read_text().splitlines(keepends=True)[:-1]))
+    cases = [
+        (_base_doc(path_steps=128), data, "rep_000"),
+        (_base_doc(path_steps=64, n_list=[50]), wrong_n, "rep_000"),
+        (_base_doc(path_steps=64), short, "rep_001"),
+    ]
+    for i, (doc, data_dir, rep) in enumerate(cases):
+        cfg = _write_config(tmp_path, doc, f"cfg{i}.json")
+        out = tmp_path / f"fit{i}"
+        assert main(["fit", "--config", str(cfg), "--out", str(out),
+                     "--data", str(data_dir)]) == 1
+        assert not out.exists()
+        assert rep in capsys.readouterr().err
 
 
 def test_manifest_replays_as_config(tmp_path):

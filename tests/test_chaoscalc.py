@@ -23,11 +23,16 @@ from chaosbench.errors import (
     DegenerateIntegrandError,
     UnsupportedOrderError,
 )
-from chaosbench.kernelkit import BandwidthedKernel, build_kernel, kernel_slices
+from chaosbench.kernelkit import build_kernel, slice_matrix
 from chaosbench.pathlab import make_grid, sample_brownian
 
 ONE = np.polynomial.Polynomial([1.0])
 RAMP = np.polynomial.Polynomial([0.0, 1.0])
+
+
+def _slice(kernel, c, h):
+    """The kernel slice at centre c as a callable, as ``moment_bound_report`` builds it."""
+    return lambda u: slice_matrix(kernel, [c], h, np.atleast_1d(u))[0]
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +184,7 @@ def test_isometry_report_input_validation():
 def test_orthogonality_of_kernel_slice_tensors():
     # distinct orders built from the m = 1 kernel slices are orthogonal
     kernel = build_kernel(2.0)
-    (g,) = kernel_slices(BandwidthedKernel(kernel, 0.25, 1), [0.45])
+    g = _slice(kernel, 0.45, 0.25)
     report = isometry_report([g], [g, g], n_mc=20_000, seed=41, n_steps=512)
     assert report.theoretical == 0.0
     assert report.within(3.0)
@@ -202,7 +207,7 @@ def test_moment_bound_order_one_with_quadrature_oracle():
     assert report.bound == pytest.approx(2.0 * 4.0 / h)
     assert report.within_bound
     # oracle: E xi^2 = || K_h(t, .) ||^2 by direct quadrature
-    (slice_,) = kernel_slices(BandwidthedKernel(kernel, h, 1), [0.45])
+    slice_ = _slice(kernel, 0.45, h)
     norm_sq = l2_inner(slice_, slice_, quad_points=100_000)
     assert abs(report.empirical - norm_sq) <= 3 * report.mc_stderr
 

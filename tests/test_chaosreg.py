@@ -21,7 +21,7 @@ from chaosbench.chaosreg import (
     risk_monte_carlo,
     smoothed_truth,
 )
-from chaosbench.kernelkit import build_kernel
+from chaosbench.kernelkit import build_kernel, slice_matrix
 from chaosbench.mappingzoo import (
     ConstantComponent,
     EqualFactorComponent,
@@ -101,12 +101,45 @@ def test_symmetrize_order_two_is_plain_average():
 
 
 def test_order_three_matches_generic_route():
-    # the einsum fast path and the ordered-node recursion must agree
+    # the one fit path and the ordered-node recursion on the path-grid gram
+    # must agree at every order, the order-4 fallback included
     sample = _toy_sample(9, seed=11)
-    est = fit_chaos_kernel(sample, 3, 0.4, 4, K1)
-    x, gram = _fit_parts(sample, 0.4, 4, K1, 10_000)
-    generic = _fit_generic(x, gram, sample.responses, 3, 4)
-    assert np.allclose(est.values, generic, rtol=1e-10, atol=1e-12)
+    x, gram = _fit_parts(sample, 0.4, 4, K1)
+    for order in (1, 2, 3, 4):
+        est = fit_chaos_kernel(sample, order, 0.4, 4, K1)
+        generic = _fit_generic(x, gram, sample.responses, order, 4)
+        assert np.allclose(est.values, generic, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_fit_mean_is_path_grid_smoothed_constant(order):
+    # For unit constant components, E[fhat_l] = s^(x l) exactly, where
+    # s_a = sum_j sl_a(t_j) / N is the left-point sum of slice a: the Ito
+    # correction removes the expected diagonal of x_a x_b only when its gram
+    # is the path-grid gram sl sl^T / N.  The order-2 correction is scaled by
+    # a and the order-3 one by f_1, so each truth switches its own one on.  At
+    # h = 0.1 the kernel-4 gram on 256 steps is up to 3.0 away from the exact
+    # L2 gram, many standard errors of the ensemble mean.
+    h, g, grid = 0.1, 4, make_grid(256)
+    if order == 2:
+        truth = MappingSpec(1.0, (ConstantComponent(2, 1.0),), GaussianNoise(0.0))
+        reps, n = 50, 1000
+    else:
+        truth = MappingSpec(
+            0.0, (ConstantComponent(1, 1.0), ConstantComponent(3, 1.0)), GaussianNoise(0.0)
+        )
+        reps, n = 100, 4000
+    fits = np.array([
+        fit_chaos_kernel(synthesize(truth, n, grid, 7000 + r), order, h, g, K1).values
+        for r in range(reps)
+    ])
+    s = slice_matrix(K1, midpoints(g), h, grid.points[:-1]).sum(axis=1) / grid.n_steps
+    target = s
+    for _ in range(order - 1):
+        target = np.multiply.outer(target, s)
+    z = (fits.mean(axis=0) - target) / (fits.std(axis=0, ddof=1) / np.sqrt(reps))
+    # 3.5 sigma over the at most 20 distinct entries: family-wise level about 1 %
+    assert np.max(np.abs(z)) <= 3.5
 
 
 def test_fit_bandwidth_validation():

@@ -1,19 +1,30 @@
 import numpy as np
 import pytest
 
+from chaosbench._util import gauss_legendre_panels
 from chaosbench.chaoscalc import l2_inner
 from chaosbench.kernelkit import (
-    BandwidthedKernel,
     boundary_sign,
     build_kernel,
-    eval_multivariate,
     eval_univariate,
     kernel_from_json,
     kernel_moment,
-    kernel_slices,
     kernel_to_json,
     slice_matrix,
 )
+
+
+def _window(c, h):
+    """The slice window [lo, hi] inside [0, 1]: left of c where s(c) = +1, else right."""
+    lo, hi = (c - h, c) if boundary_sign(c) > 0 else (c, c + h)
+    return max(lo, 0.0), min(hi, 1.0)
+
+
+def _slice_mass(kernel, c, h):
+    """Integral of the slice at c over [0, 1], exact by Gauss-Legendre on its window."""
+    lo, hi = _window(c, h)
+    pts, wts = gauss_legendre_panels(lo, hi, panels=1, nodes=16)
+    return float(slice_matrix(kernel, [c], h, pts)[0] @ wts)
 
 
 def test_flat_kernel_for_small_smoothness():
@@ -78,69 +89,39 @@ def test_boundary_sign_values():
 
 
 def test_flip_keeps_left_boundary_mass_inside():
-    k = BandwidthedKernel(build_kernel(2.0), 0.5, 1)
-    # argument s(0) (0 - 0.25) / 0.5 = 0.5 lands inside the support
-    assert eval_multivariate(k, [0.0], [0.25]) != 0.0
-    assert eval_multivariate(k, [0.0], [0.75]) == 0.0
-
-
-def test_multivariate_is_product_of_slices():
     base = build_kernel(2.0)
-    k = BandwidthedKernel(base, 0.3, 2)
-    t = [0.2, 0.8]
-    slices = kernel_slices(k, t)
-    rng = np.random.default_rng(3)
-    for u in rng.uniform(0, 1, size=(20, 2)):
-        direct = eval_multivariate(k, t, u)
-        via_slices = slices[0](u[0]) * slices[1](u[1])
-        assert direct == pytest.approx(via_slices, rel=1e-12, abs=1e-12)
-
-
-def test_multivariate_symmetry_under_simultaneous_permutation():
-    base = build_kernel(3.0)
-    k = BandwidthedKernel(base, 0.2, 3)
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        t = rng.uniform(0, 1, 3)
-        u = rng.uniform(0, 1, 3)
-        perm = rng.permutation(3)
-        assert eval_multivariate(k, t, u) == pytest.approx(
-            eval_multivariate(k, t[perm], u[perm]), rel=1e-12, abs=1e-12
-        )
+    # argument s(0) (0 - 0.25) / 0.5 = 0.5 lands inside the support
+    row = slice_matrix(base, [0.0], 0.5, np.array([0.25, 0.75]))[0]
+    assert row[0] != 0.0
+    assert row[1] == 0.0
+    # the flipped windows of edge centres lie inside [0, 1] and keep unit mass
+    for c in (0.0, 0.01, 0.99):
+        assert abs(_slice_mass(base, c, 0.25) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("h", [0.3, np.exp(-2)])
 def test_unit_mass_at_interior_points(order, h):
     base = build_kernel(2.0)
-    k = BandwidthedKernel(base, h, order)
     rng = np.random.default_rng(4)
     for _ in range(5):
         t = rng.uniform(h, 1 - h, order)
-        mass = np.prod([s.integral() for s in kernel_slices(k, t)])
+        mass = np.prod([_slice_mass(base, c, h) for c in t])
         assert abs(mass - 1.0) <= 1e-8
 
 
 def test_slice_support_width_and_location():
     base = build_kernel(2.0)
-    k = BandwidthedKernel(base, 0.25, 2)
-    for t in ([0.1, 0.9], [0.45, 0.55]):
-        for s, c in zip(kernel_slices(k, t), t):
-            lo, hi = s.support
-            assert 0.0 <= lo <= hi <= 1.0
-            assert hi - lo <= 0.25 + 1e-15
-            # vanishes outside the window
-            assert s(lo - 1e-6) == 0.0
-            assert s(hi + 1e-6) == 0.0
-
-
-def test_single_slice_equals_multivariate():
-    base = build_kernel(1.0)
-    k = BandwidthedKernel(base, 0.4, 1)
-    (s,) = kernel_slices(k, [0.3])
-    u = np.linspace(0, 1, 50)
-    direct = np.array([eval_multivariate(k, [0.3], [uu]) for uu in u])
-    assert np.allclose(s(u), direct)
+    h = 0.25
+    for c in (0.1, 0.9, 0.45, 0.55):
+        lo, hi = _window(c, h)
+        assert 0.0 <= lo <= hi <= 1.0
+        assert hi - lo <= h + 1e-15
+        row = slice_matrix(base, [c], h, np.array([lo - 1e-6, hi + 1e-6, (lo + hi) / 2]))[0]
+        # vanishes outside the window, not inside it
+        assert row[0] == 0.0
+        assert row[1] == 0.0
+        assert row[2] != 0.0
 
 
 def test_slice_matrix_equals_univariate_kernel_across_blocks():
@@ -157,10 +138,9 @@ def test_slice_matrix_equals_univariate_kernel_across_blocks():
 
 def test_bandwidth_validation():
     base = build_kernel(1.0)
-    with pytest.raises(ValueError):
-        BandwidthedKernel(base, 1.0, 1)
-    with pytest.raises(ValueError):
-        BandwidthedKernel(base, 0.5, 0)
+    for h in (1.0, 0.0):
+        with pytest.raises(ValueError):
+            slice_matrix(base, [0.5], h, np.array([0.5]))
 
 
 def test_json_round_trip():

@@ -51,6 +51,11 @@ def test_tracer_wraps_and_restores_program_names(tmp_path):
     assert summary["mappingzoo.synthesize.paths"] == 60
     assert summary["chaosreg.risk_monte_carlo.draws"] == 200
     assert summary["chaosreg.fit.order2.calls"] == 2
+    # one slice build per fit, on the path grid only: 4 fits x G = 16 x N = 128
+    fits = summary["chaosreg.fit.order1.calls"] + summary["chaosreg.fit.order2.calls"]
+    assert fits == 4
+    assert summary["kernelkit.slice_matrix.calls"] == fits
+    assert summary["kernelkit.slice_matrix.points"] == fits * 16 * 128
     # Monte Carlo risk predicts and evaluates the truth on all draws at once:
     # no per-draw prediction, one truth quadrature per component and replication
     with tracing.Tracer() as tracer:
