@@ -41,6 +41,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -279,7 +280,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("replications: must be >= 1")
     seed = _require(doc, "seed", int, "config")
     check = doc.get("check", {})
-    return ExperimentConfig(
+    config = ExperimentConfig(
         truth=truth,
         truth_doc=truth_doc,
         n_list=tuple(n_list),
@@ -299,6 +300,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         check_n_mc=int(check.get("n_mc", 10_000)),
         check_kernel_perturbation=float(check.get("kernel_coeff_perturbation", 0.0)),
     )
+    if plan.mode != "adaptive":
+        for n in config.n_list:
+            plan_bandwidths(config, n)  # raises unless every h lies in (0, 1)
+    return config
 
 
 def _check_adaptive_brackets(n_list, max_order: int, s_star_lo: float) -> None:
@@ -398,10 +403,34 @@ def plan_bandwidths(config: ExperimentConfig, n: int) -> dict[int, float]:
 # ---------------------------------------------------------------------------
 
 
-def _sample_for(config: ExperimentConfig, n: int, n_index: int, rep: int,
+def _rep_dir(root: Path, n: int, rep: int) -> Path:
+    return root / f"n_{n:06d}" / f"rep_{rep:03d}"
+
+
+def _replications(config: ExperimentConfig) -> list[tuple[int, int, int]]:
+    """(n_index, n, rep) of every replication, n-major."""
+    return [(i, n, rep) for i, n in enumerate(config.n_list)
+            for rep in range(config.replications)]
+
+
+def _replicate(task, config: ExperimentConfig, threads: int) -> list:
+    """``task(config, n_index, n, rep)`` for every replication, results n-major.
+
+    In this process when ``threads <= 1``, else in a process pool, so ``task``
+    must pickle (a module-level function or a ``functools.partial`` of one).
+    """
+    jobs = _replications(config)
+    columns = [[config] * len(jobs), *zip(*jobs)]
+    if threads <= 1:
+        return list(map(task, *columns))
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(task, *columns))
+
+
+def _sample_for(config: ExperimentConfig, n_index: int, n: int, rep: int,
                 data_dir: Path | None = None) -> Sample:
     if data_dir is not None:
-        rep_dir = data_dir / f"n_{n:06d}" / f"rep_{rep:03d}"
+        rep_dir = _rep_dir(data_dir, n, rep)
         if not rep_dir.exists():
             raise ConfigError(f"missing dataset directory {rep_dir}")
         sample = load_dataset(rep_dir, config.path_steps)
@@ -412,9 +441,9 @@ def _sample_for(config: ExperimentConfig, n: int, n_index: int, rep: int,
     return synthesize(config.truth, n, grid, config.rep_seed(n_index, rep))
 
 
-def _fit_one(config: ExperimentConfig, n: int, n_index: int, rep: int,
+def _fit_one(config: ExperimentConfig, n_index: int, n: int, rep: int,
              data_dir: Path | None = None) -> FittedModel:
-    sample = _sample_for(config, n, n_index, rep, data_dir)
+    sample = _sample_for(config, n_index, n, rep, data_dir)
     kernel = config.kernel()
     if config.bandwidths.mode == "adaptive":
         return adaptive_fit(
@@ -437,13 +466,6 @@ def _risk_of_model(config: ExperimentConfig, model: FittedModel, n_index: int, r
         derive_seed(config.seed, 1_000_000 + n_index, rep),
         config.grid_size, config.path_steps,
     )
-
-
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _sha256(path: Path) -> str:
@@ -506,40 +528,38 @@ def _config_doc(config: ExperimentConfig) -> dict:
     }
 
 
-def _rep_dirs(out_dir: Path, config: ExperimentConfig):
-    for n_index, n in enumerate(config.n_list):
-        for rep in range(config.replications):
-            yield n_index, n, rep, out_dir / f"n_{n:06d}" / f"rep_{rep:03d}"
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 
+def _simulate_one(config: ExperimentConfig, n_index: int, n: int, rep: int,
+                  out_dir: Path) -> tuple[Path, Path]:
+    sample = _sample_for(config, n_index, n, rep)
+    rep_dir = _rep_dir(out_dir, n, rep)
+    rep_dir.mkdir(parents=True, exist_ok=True)
+    responses = rep_dir / "responses.csv"
+    with open(responses, "w") as fp:
+        fp.write("index,y\n")
+        for i, y in enumerate(sample.responses):
+            fp.write(f"{i},{y:.17g}\n")
+    paths = rep_dir / "paths.csv"
+    with open(paths, "w") as fp:
+        fp.write("t," + ",".join(f"w_{i:04d}" for i in range(sample.n)) + "\n")
+        for t, column in zip(sample.grid.points, sample.path_values.T):
+            row = ",".join(f"{v:.17g}" for v in column)
+            fp.write(f"{t:.17g},{row}\n")
+    return responses, paths
+
+
 def cmd_simulate(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> Path:
-    """Write per-replication datasets (responses + paths CSV) and a manifest."""
+    """Write per-replication datasets (responses + paths CSV) and a manifest.
+
+    Each replication's worker writes its own two CSV files.
+    """
     started = time.time()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    grid = make_grid(config.path_steps)
-    for n_index, n, rep, rep_dir in _rep_dirs(out_dir, config):
-        rep_dir.mkdir(parents=True, exist_ok=True)
-        sample = synthesize(config.truth, n, grid, config.rep_seed(n_index, rep))
-        responses = rep_dir / "responses.csv"
-        with open(responses, "w") as fp:
-            fp.write("index,y\n")
-            for i, y in enumerate(sample.responses):
-                fp.write(f"{i},{y:.17g}\n")
-        paths = rep_dir / "paths.csv"
-        with open(paths, "w") as fp:
-            fp.write("t," + ",".join(f"w_{i:04d}" for i in range(sample.n)) + "\n")
-            t = grid.points
-            for j in range(len(t)):
-                row = ",".join(f"{v:.17g}" for v in sample.path_values[:, j])
-                fp.write(f"{t[j]:.17g},{row}\n")
-        outputs += [responses, paths]
-    _write_manifest(out_dir, "simulate", config, started, outputs)
+    written = _replicate(partial(_simulate_one, out_dir=out_dir), config, threads)
+    _write_manifest(out_dir, "simulate", config, started, [p for pair in written for p in pair])
     return out_dir
 
 
@@ -566,23 +586,17 @@ def load_dataset(rep_dir: Path, grid_steps: int) -> Sample:
     return Sample(make_grid(grid_steps), responses, values)
 
 
-def _fit_task(args):
-    config, n, n_index, rep, data_dir = args
-    return _fit_one(config, n, n_index, rep, data_dir)
-
-
 def _fit_and_write(command: str, config: ExperimentConfig, fit_config: ExperimentConfig,
                    out_dir: Path, threads: int, data_dir: Path | None) -> Path:
-    """Fit every replication with ``fit_config``; write models, selection traces, manifest."""
+    """Fit every replication with ``fit_config``; write models, selection traces, manifest.
+
+    Nothing is written unless every fit succeeded.
+    """
     started = time.time()
-    tasks = [
-        (fit_config, n, n_index, rep, data_dir)
-        for n_index, n, rep, _ in _rep_dirs(out_dir, config)
-    ]
-    models = _parallel_map(_fit_task, tasks, threads)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    models = _replicate(partial(_fit_one, data_dir=data_dir), fit_config, threads)
     outputs = []
-    for (n_index, n, rep, rep_dir), model in zip(_rep_dirs(out_dir, config), models):
+    for (_, n, rep), model in zip(_replications(config), models):
+        rep_dir = _rep_dir(out_dir, n, rep)
         rep_dir.mkdir(parents=True, exist_ok=True)
         path = rep_dir / "model.json"
         with open(path, "w") as fp:
@@ -623,52 +637,56 @@ def cmd_adapt(config: ExperimentConfig, out_dir: Path, threads: int = 1,
     return _fit_and_write("adapt", config, adaptive, out_dir, threads, data_dir)
 
 
-def _risk_task(args):
-    config, model_path, n_index, rep = args
-    with open(model_path) as fp:
+def _stored_risk(config: ExperimentConfig, n_index: int, n: int, rep: int, models_dir: Path):
+    with open(_rep_dir(models_dir, n, rep) / "model.json") as fp:
         model = model_from_json(fp.read())
     return _risk_of_model(config, model, n_index, rep)
 
 
+def _write_aggregates(path: Path, config: ExperimentConfig, values) -> np.ndarray:
+    """Write the per-n mean and std of n-major replication values; return the means."""
+    table = np.reshape(values, (len(config.n_list), config.replications))
+    means = np.array([float(np.mean(row)) for row in table])
+    with open(path, "w") as fp:
+        fp.write("n,mean_risk,std_risk,replications\n")
+        for n, mean, row in zip(config.n_list, means, table):
+            std = float(np.std(row, ddof=1)) if len(row) > 1 else 0.0
+            fp.write(f"{n},{mean:.17g},{std:.17g},{len(row)}\n")
+    return means
+
+
 def cmd_risk(config: ExperimentConfig, models_dir: Path, out_dir: Path,
              threads: int = 1) -> Path:
-    """Per-replication risks of stored models against the configured truth."""
+    """Per-replication risks of stored models against the configured truth.
+
+    Nothing is written unless every model exists and every risk succeeded.
+    Isometry risk, about a millisecond of closed-form work per replication
+    (less than a worker pool costs to start), runs in this process.
+    """
     started = time.time()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = []
-    for n_index, n, rep, rep_dir in _rep_dirs(models_dir, config):
-        model_path = rep_dir / "model.json"
+    for _, n, rep in _replications(config):
+        model_path = _rep_dir(models_dir, n, rep) / "model.json"
         if not model_path.exists():
             raise ConfigError(f"missing model file {model_path}")
-        tasks.append((config, model_path, n_index, rep))
-    # isometry risk is about a millisecond of closed-form work per replication,
-    # less than starting a worker pool costs
-    reports = _parallel_map(_risk_task, tasks,
-                            threads if config.risk_method == "monte_carlo" else 1)
-    rows = [(n, rep, report)
-            for (_, n, rep, _), report in zip(_rep_dirs(models_dir, config), reports)]
+    reports = _replicate(partial(_stored_risk, models_dir=models_dir), config,
+                         threads if config.risk_method == "monte_carlo" else 1)
+    out_dir.mkdir(parents=True, exist_ok=True)
     risk_csv = out_dir / "risk.csv"
     with open(risk_csv, "w") as fp:
         fp.write("n,rep,p,method,value,mc_stderr\n")
-        for n, rep, report in rows:
+        for (_, n, rep), report in zip(_replications(config), reports):
             fp.write(
                 f"{n},{rep},{report.p:.17g},{report.method},"
                 f"{report.value:.17g},{report.mc_stderr:.17g}\n"
             )
     agg_csv = out_dir / "aggregates.csv"
-    with open(agg_csv, "w") as fp:
-        fp.write("n,mean_risk,std_risk,replications\n")
-        for n in config.n_list:
-            values = np.array([rep.value for nn, _, rep in rows if nn == n])
-            std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-            fp.write(f"{n},{float(np.mean(values)):.17g},{std:.17g},{len(values)}\n")
+    _write_aggregates(agg_csv, config, [report.value for report in reports])
     _write_manifest(out_dir, "risk", config, started, [risk_csv, agg_csv])
     return out_dir
 
 
-def _rate_task(args):
-    config, n, n_index, rep = args
-    model = _fit_one(config, n, n_index, rep)
+def _fitted_risk(config: ExperimentConfig, n_index: int, n: int, rep: int) -> float:
+    model = _fit_one(config, n_index, n, rep)
     return _risk_of_model(config, model, n_index, rep).value
 
 
@@ -711,34 +729,22 @@ def _loglog_slope(n_values: np.ndarray, y_values: np.ndarray) -> tuple[float, fl
 
 
 def cmd_rate(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
-    """Full rate sweep: synthesize, fit, and evaluate risk for every n; fit the slope."""
+    """Full rate sweep: synthesize, fit, and evaluate risk for every n; fit the slope.
+
+    Nothing is written unless every replication succeeded.
+    """
     if len(config.n_list) < 4:
         raise ConfigError("rate: n_list needs at least 4 sample sizes")
     if max(config.n_list) < 10 * min(config.n_list):
         raise ConfigError("rate: n_list should span at least one decade")
     started = time.time()
+    values = _replicate(_fitted_risk, config, threads)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [
-        (config, n, n_index, rep)
-        for n_index, n in enumerate(config.n_list)
-        for rep in range(config.replications)
-    ]
-    values = _parallel_map(_rate_task, tasks, threads)
-    per_n: dict[int, list[float]] = {n: [] for n in config.n_list}
-    for (c, n, i, r), value in zip(tasks, values):
-        per_n[n].append(value)
-    means = np.array([float(np.mean(per_n[n])) for n in config.n_list])
-    stds = np.array(
-        [float(np.std(per_n[n], ddof=1)) if len(per_n[n]) > 1 else 0.0 for n in config.n_list]
-    )
+    risk_csv = out_dir / "risk_by_n.csv"
+    means = _write_aggregates(risk_csv, config, values)
     slope, slope_stderr = _loglog_slope(np.array(config.n_list), means)
     theory = theoretical_rate_curve(config)
     theory_slope, _ = _loglog_slope(np.array(config.n_list), theory)
-    risk_csv = out_dir / "risk_by_n.csv"
-    with open(risk_csv, "w") as fp:
-        fp.write("n,mean_risk,std_risk,replications\n")
-        for n, mean, std in zip(config.n_list, means, stds):
-            fp.write(f"{n},{mean:.17g},{std:.17g},{config.replications}\n")
     report = {
         "slope": slope,
         "slope_stderr": slope_stderr,

@@ -135,9 +135,7 @@ def _chaos_from_parts(xi: Sequence, gram: np.ndarray):
     return rec(tuple(range(n)))
 
 
-def tensor_chaos_values(
-    gs: Sequence[Callable], increments: np.ndarray, quad_points: int = DEFAULT_QUAD_POINTS
-) -> np.ndarray:
+def tensor_chaos_values(gs: Sequence[Callable], increments: np.ndarray) -> np.ndarray:
     """Multiple Wiener integral of the (implicitly symmetrized) product g_1 x ... x g_l.
 
     One value per row of the (n, N) increment matrix, built from single Ito
@@ -149,17 +147,15 @@ def tensor_chaos_values(
     t_left = np.arange(increments.shape[1]) / increments.shape[1]
     g_at_left = np.stack([np.asarray(g(t_left), dtype=float) for g in gs])
     xi = g_at_left @ increments.T  # (len(gs), n)
-    gram = np.array([[l2_inner(g, g2, quad_points) for g2 in gs] for g in gs])
+    gram = np.array([[l2_inner(g, g2) for g2 in gs] for g in gs])
     return np.asarray(_chaos_from_parts(list(xi), gram))
 
 
-def hermite_chaos_values(
-    g: Callable, order: int, increments: np.ndarray, quad_points: int = DEFAULT_QUAD_POINTS
-) -> np.ndarray:
+def hermite_chaos_values(g: Callable, order: int, increments: np.ndarray) -> np.ndarray:
     """Equal-factor form ||g||^l He_l(I_1(g)/||g||) per row, He_l probabilists' Hermite."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    norm_sq = l2_inner(g, g, quad_points)
+    norm_sq = l2_inner(g, g)
     if norm_sq <= 0.0:
         raise DegenerateIntegrandError("hermite_chaos requires ||g|| > 0")
     norm = math.sqrt(norm_sq)
@@ -205,18 +201,14 @@ def gridded_chaos_values(f: GriddedFunction, increments: np.ndarray) -> np.ndarr
     return full - np.einsum("nk,nk->n", v2 @ pairs, v) + 2.0 * triple
 
 
-def tensor_chaos(
-    gs: Sequence[Callable], path: BrownianPath, quad_points: int = DEFAULT_QUAD_POINTS
-) -> float:
+def tensor_chaos(gs: Sequence[Callable], path: BrownianPath) -> float:
     """Row 0 of ``tensor_chaos_values`` for a single path."""
-    return float(tensor_chaos_values(gs, path.increments[None], quad_points)[0])
+    return float(tensor_chaos_values(gs, path.increments[None])[0])
 
 
-def hermite_chaos(
-    g: Callable, order: int, path: BrownianPath, quad_points: int = DEFAULT_QUAD_POINTS
-) -> float:
+def hermite_chaos(g: Callable, order: int, path: BrownianPath) -> float:
     """Row 0 of ``hermite_chaos_values`` for a single path."""
-    return float(hermite_chaos_values(g, order, path.increments[None], quad_points)[0])
+    return float(hermite_chaos_values(g, order, path.increments[None])[0])
 
 
 def brute_multiple_integral(f: GriddedFunction, path: BrownianPath) -> float:
@@ -289,9 +281,9 @@ def _increment_batches(n_mc: int, n_steps: int, seed: int, batch: int = _MC_BATC
         remaining -= size
 
 
-def _sym_product_inner(gs, gs_prime, quad_points: int) -> float:
+def _sym_product_inner(gs, gs_prime) -> float:
     """l! <sym tensor, sym tensor'> = permanent of the cross inner-product matrix."""
-    cross = np.array([[l2_inner(g, gp, quad_points) for gp in gs_prime] for g in gs])
+    cross = np.array([[l2_inner(g, gp) for gp in gs_prime] for g in gs])
     total = 0.0
     for perm in itertools.permutations(range(len(gs))):
         total += float(np.prod(cross[np.arange(len(gs)), perm]))
@@ -304,7 +296,6 @@ def isometry_report(
     n_mc: int,
     seed: int,
     n_steps: int = 512,
-    quad_points: int = DEFAULT_QUAD_POINTS,
 ) -> MomentReport:
     """Monte Carlo estimate of E[I_l I_l'] against the isometry target.
 
@@ -318,8 +309,8 @@ def isometry_report(
     total = 0.0
     total_sq = 0.0
     for dw in _increment_batches(n_mc, n_steps, seed):
-        a = tensor_chaos_values(gs, dw, quad_points)
-        b = tensor_chaos_values(gs_prime, dw, quad_points)
+        a = tensor_chaos_values(gs, dw)
+        b = tensor_chaos_values(gs_prime, dw)
         prod = a * b
         total += float(np.sum(prod))
         total_sq += float(np.sum(prod**2))
@@ -329,7 +320,7 @@ def isometry_report(
     if len(gs) != len(gs_prime):
         theoretical = 0.0
     else:
-        theoretical = _sym_product_inner(gs, gs_prime, quad_points)
+        theoretical = _sym_product_inner(gs, gs_prime)
     return MomentReport(mean, theoretical, stderr, n_mc, seed)
 
 
@@ -342,7 +333,6 @@ def moment_bound_report(
     kernel: MomentKernel,
     t: Sequence[float] | None = None,
     n_steps: int = 512,
-    quad_points: int = DEFAULT_QUAD_POINTS,
 ) -> BoundReport:
     """Check (E xi^2r)^(1/r) <= c_l^2(2r) 2^l l! ||k||^2l h^-l at an interior point.
 
@@ -361,7 +351,7 @@ def moment_bound_report(
     total = 0.0
     total_sq = 0.0
     for dw in _increment_batches(n_mc, n_steps, seed):
-        xi = tensor_chaos_values(gs, dw, quad_points)
+        xi = tensor_chaos_values(gs, dw)
         powed = xi ** (2 * r)
         total += float(np.sum(powed))
         total_sq += float(np.sum(powed**2))

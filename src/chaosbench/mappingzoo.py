@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from ._util import DEFAULT_QUAD_POINTS, derive_seed, midpoints
+from ._util import derive_seed, midpoints
 from .chaoscalc import GriddedFunction, gridded_chaos_values, hermite_chaos_values, l2_inner
 from .chaosreg import Sample
 from .pathlab import BrownianPath, TimeGrid, sample_brownian_paths
@@ -80,16 +80,16 @@ class ConstantComponent:
     order: int
     value: float
 
-    def l2_norm_sq(self, quad_points: int = DEFAULT_QUAD_POINTS) -> float:
+    def l2_norm_sq(self) -> float:
         return self.value**2
 
     def gridded(self, grid_size: int) -> np.ndarray:
         return np.full((grid_size,) * self.order, self.value)
 
-    def chaos_values(self, increments: np.ndarray, quad_points: int) -> np.ndarray:
+    def chaos_values(self, increments: np.ndarray) -> np.ndarray:
         if self.value == 0.0:
             return np.zeros(len(increments))
-        return self.value * hermite_chaos_values(np.ones_like, self.order, increments, quad_points)
+        return self.value * hermite_chaos_values(np.ones_like, self.order, increments)
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,8 @@ class EqualFactorComponent:
     order: int
     g: Callable = field(compare=False)
 
-    def l2_norm_sq(self, quad_points: int = DEFAULT_QUAD_POINTS) -> float:
-        return l2_inner(self.g, self.g, quad_points) ** self.order
+    def l2_norm_sq(self) -> float:
+        return l2_inner(self.g, self.g) ** self.order
 
     def gridded(self, grid_size: int) -> np.ndarray:
         row = np.asarray(self.g(midpoints(grid_size)), dtype=float)
@@ -109,8 +109,8 @@ class EqualFactorComponent:
             values = np.multiply.outer(values, row)
         return values
 
-    def chaos_values(self, increments: np.ndarray, quad_points: int) -> np.ndarray:
-        return hermite_chaos_values(self.g, self.order, increments, quad_points)
+    def chaos_values(self, increments: np.ndarray) -> np.ndarray:
+        return hermite_chaos_values(self.g, self.order, increments)
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ class GriddedComponent:
         if not self.gridded_function.is_symmetric():
             raise ValueError("gridded components must be symmetric")
 
-    def l2_norm_sq(self, quad_points: int = DEFAULT_QUAD_POINTS) -> float:
+    def l2_norm_sq(self) -> float:
         return self.gridded_function.l2_norm_sq()
 
     def gridded(self, grid_size: int) -> np.ndarray:
@@ -137,7 +137,7 @@ class GriddedComponent:
             )
         return self.gridded_function.values
 
-    def chaos_values(self, increments: np.ndarray, quad_points: int) -> np.ndarray:
+    def chaos_values(self, increments: np.ndarray) -> np.ndarray:
         return gridded_chaos_values(self.gridded_function, increments)
 
 
@@ -185,12 +185,11 @@ class MappingSpec:
         c = self.component_for(order)
         return None if c is None else c.gridded(grid_size)
 
-    def values(self, increments: np.ndarray,
-               quad_points: int = DEFAULT_QUAD_POINTS) -> np.ndarray:
+    def values(self, increments: np.ndarray) -> np.ndarray:
         """a + sum_l I_l(f_l)(W) / l! for each row of an (n, N) increment matrix."""
         values = np.full(len(increments), self.a)
         for comp in self.components:
-            values += comp.chaos_values(increments, quad_points) / math.factorial(comp.order)
+            values += comp.chaos_values(increments) / math.factorial(comp.order)
         return values
 
 
@@ -211,15 +210,12 @@ def quadratic_terminal(noise: NoiseSpec | None = None) -> MappingSpec:
     )
 
 
-def evaluate_mapping(
-    spec: MappingSpec, path: BrownianPath, quad_points: int = DEFAULT_QUAD_POINTS
-) -> float:
+def evaluate_mapping(spec: MappingSpec, path: BrownianPath) -> float:
     """Row 0 of ``MappingSpec.values`` for a single path."""
-    return float(spec.values(path.increments[None], quad_points)[0])
+    return float(spec.values(path.increments[None])[0])
 
 
-def synthesize(spec: MappingSpec, n: int, grid: TimeGrid, seed: int,
-               quad_points: int = DEFAULT_QUAD_POINTS) -> Sample:
+def synthesize(spec: MappingSpec, n: int, grid: TimeGrid, seed: int) -> Sample:
     """Draw n independent (W_i, Y_i = m(W_i) + eps_i) pairs, deterministic given seed.
 
     The n paths are one batch, ``sample_brownian_paths(grid, n, derive_seed(seed, 0))``;
@@ -230,7 +226,7 @@ def synthesize(spec: MappingSpec, n: int, grid: TimeGrid, seed: int,
         raise ValueError("need n >= 2")
     rows = sample_brownian_paths(grid, n, derive_seed(seed, 0))
     increments = np.diff(rows, axis=1)
-    m_values = spec.values(increments, quad_points)
+    m_values = spec.values(increments)
     noise_rng = np.random.default_rng(derive_seed(seed, 1))
     responses = m_values + spec.noise.sample(noise_rng, n)
     sample = Sample(grid, responses, rows)
@@ -265,7 +261,6 @@ def class_check(
     max_order: int | None = None,
     class_bound: float | None = None,
     gamma: float | None = None,
-    quad_points: int = DEFAULT_QUAD_POINTS,
 ) -> ClassCheckReport:
     """Check membership conditions for the finite-order or growth-controlled class.
 
@@ -283,7 +278,7 @@ def class_check(
     ok = True
     if kind == "finite":
         for comp in spec.components:
-            norm_sq = comp.l2_norm_sq(quad_points)
+            norm_sq = comp.l2_norm_sq()
             bound = m_bound**2 * math.factorial(comp.order)
             norm_ok = norm_sq <= bound and comp.order <= l_max
             ok = ok and norm_ok
@@ -297,7 +292,7 @@ def class_check(
     g = gamma if gamma is not None else (d.gamma if d.gamma is not None else 0.0)
     total = 0.0
     for comp in spec.components:
-        norm_sq = comp.l2_norm_sq(quad_points)
+        norm_sq = comp.l2_norm_sq()
         total += math.exp(2.0 * g * comp.order) * norm_sq / math.factorial(comp.order)
         entries.append(
             ClassCheckEntry(comp.order, norm_sq, None, None,

@@ -203,7 +203,7 @@ def test_rate_requires_enough_points():
         cmd_rate(config, None)
 
 
-def test_rate_smoke(tmp_path):
+def _rate_doc(**overrides):
     doc = _base_doc(
         truth={
             "a": 1.0,
@@ -217,7 +217,12 @@ def test_rate_smoke(tmp_path):
         bandwidths={"mode": "theoretical", "s": [1.0], "lam": [1.0]},
         replications=2,
     )
-    report = cmd_rate(parse_config(doc), tmp_path / "rate")
+    doc.update(overrides)
+    return doc
+
+
+def test_rate_smoke(tmp_path):
+    report = cmd_rate(parse_config(_rate_doc()), tmp_path / "rate")
     assert report["theoretical_slope"] == pytest.approx(-1.0 / 3.0, abs=1e-9)
     assert "slope" in report and "slope_stderr" in report
     assert (tmp_path / "rate" / "risk_by_n.csv").exists()
@@ -249,6 +254,22 @@ def test_main_exit_codes(tmp_path):
         tmp_path, _base_doc(check={"n_mc": 1500, "kernel_coeff_perturbation": 0.1}), "sab.json"
     )
     assert main(["check", "--config", str(sab), "--out", str(tmp_path / "sab")]) == 2
+    # risk checks its models tree before it writes anything
+    assert main(["risk", "--config", str(good), "--out", str(tmp_path / "risk"),
+                 "--models", str(tmp_path / "no_models")]) == 1
+    assert not (tmp_path / "risk").exists()
+
+
+def test_unfittable_bandwidth_plan_is_rejected_before_any_output(tmp_path):
+    # h = (1 / (lam^2 n))^(1/(2s + 1)) = 200^(1/3) = 5.85 at n = 50
+    doc = _rate_doc(bandwidths={"mode": "theoretical", "s": [1.0], "lam": [0.01]})
+    with pytest.raises(ConfigError, match=r"order 1 at n=50 "):
+        parse_config(doc)
+    cfg = _write_config(tmp_path, doc)
+    for command in ("simulate", "fit", "rate"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 def test_seed_override_changes_outputs(tmp_path):
@@ -295,27 +316,22 @@ def test_plot_rejects_unknown_header(tmp_path):
     assert main(["plot", "--csv", str(csv), "--out", str(tmp_path / "x.svg")]) == 1
 
 
-def test_fit_parallel_matches_serial(tmp_path):
-    config = parse_config(_base_doc(n_list=[30], replications=3))
-    serial = cmd_fit(config, tmp_path / "serial", threads=1)
-    parallel = cmd_fit(config, tmp_path / "parallel", threads=2)
-    for rep in range(3):
-        a = (serial / "n_000030" / f"rep_{rep:03d}" / "model.json").read_text()
-        b = (parallel / "n_000030" / f"rep_{rep:03d}" / "model.json").read_text()
-        assert a == b
-
-
 def _output_digests(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())["outputs"]
 
 
-def test_adapt_parallel_matches_serial(tmp_path):
-    config = parse_config(
-        _base_doc(n_list=[500], path_steps=256, s_star_hi=1.0,
-                  bandwidths={"mode": "adaptive"}, replications=2)
-    )
-    serial = cmd_adapt(config, tmp_path / "serial", threads=1)
-    parallel = cmd_adapt(config, tmp_path / "parallel", threads=2)
+@pytest.mark.parametrize("command", ["simulate", "fit", "adapt"])
+def test_replications_parallel_match_serial(tmp_path, command):
+    if command == "adapt":
+        config = parse_config(
+            _base_doc(n_list=[500], path_steps=256, s_star_hi=1.0,
+                      bandwidths={"mode": "adaptive"}, replications=2)
+        )
+    else:
+        config = parse_config(_base_doc(n_list=[30], replications=3))
+    run = {"simulate": cmd_simulate, "fit": cmd_fit, "adapt": cmd_adapt}[command]
+    serial = run(config, tmp_path / "serial", threads=1)
+    parallel = run(config, tmp_path / "parallel", threads=2)
     assert _output_digests(serial) == _output_digests(parallel)
 
 
@@ -336,6 +352,10 @@ def test_monte_carlo_risk_parallel_matches_serial(tmp_path, monkeypatch):
     monkeypatch.setattr(benchcli, "ProcessPoolExecutor", None)
     parallel = cmd_risk(iso, models, tmp_path / "iso_parallel", threads=2)
     assert _output_digests(serial) == _output_digests(parallel)
+    # and with one thread every other command runs in process too
+    cmd_fit(config, tmp_path / "refit", threads=1)
+    cmd_simulate(config, tmp_path / "data", threads=1)
+    cmd_rate(parse_config(_rate_doc()), tmp_path / "rate", threads=1)
 
 
 def test_empty_adaptive_bracket_is_rejected_before_any_output(tmp_path):

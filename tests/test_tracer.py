@@ -9,7 +9,7 @@ import importlib.util
 from pathlib import Path
 
 from chaosbench import benchcli, chaosreg, mappingzoo
-from chaosbench.benchcli import cmd_fit, cmd_risk, parse_config
+from chaosbench.benchcli import cmd_fit, cmd_risk, cmd_simulate, parse_config
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -64,3 +64,11 @@ def test_tracer_wraps_and_restores_program_names(tmp_path):
     assert summary["chaosreg.risk_monte_carlo.draws"] == 200
     assert summary.get("chaosreg.predict.calls", 0) == 0
     assert summary.get("chaoscalc.l2_inner.calls", 0) <= 4
+    # the --data route reads every dataset and synthesizes none: all paths
+    # come from simulate, n x reps = 30 x 2
+    with tracing.Tracer() as tracer:
+        data = cmd_simulate(config, tmp_path / "data")
+        cmd_fit(config, tmp_path / "fits_from_data", data_dir=data)
+    summary = tracer.summary()
+    assert summary["mappingzoo.synthesize.paths"] == 60
+    assert summary["benchcli.load_dataset.calls"] == 2
