@@ -28,7 +28,10 @@ Example config::
 Inline truths replace the string by an object with ``a``, ``components``
 (entries ``{"order", "kind": "constant"|"poly", ...}``), ``noise`` and
 ``class``; polynomial components give power-basis coefficients of the
-univariate factor, which must not all be zero.
+univariate factor, which must not all be zero.  The optional ``risk`` and
+``check`` objects take an integer ``n_mc``, at least
+``chaoscalc.MIN_MC_DRAWS`` (100) wherever it sets a Monte Carlo draw count:
+always for ``check``, for ``risk`` when its method is ``monte_carlo``.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ import numpy as np
 
 from . import __version__
 from ._util import derive_seed
-from .chaoscalc import GriddedFunction, chaos_constant, isometry_report, moment_bound_report
+from .chaoscalc import MIN_MC_DRAWS, GriddedFunction, chaos_constant
+from .chaoscalc import isometry_report, moment_bound_report
 from .chaosreg import (
     FittedModel,
     Sample,
@@ -139,6 +143,18 @@ def _require(doc: dict, key: str, kind, where: str):
     if not isinstance(value, kind):
         raise ConfigError(f"{where}.{key}: expected {kind.__name__}, got {value!r}")
     return value
+
+
+def _block(doc: dict, key: str) -> dict:
+    """The optional sub-object ``doc[key]``, empty when absent."""
+    block = doc.get(key, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{key}: expected an object, got {block!r}")
+    return block
+
+
+def _optional(doc: dict, key: str, kind, where: str, default):
+    return _require(doc, key, kind, where) if key in doc else default
 
 
 def _parse_noise(doc: dict):
@@ -263,7 +279,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     risk_p = float(doc.get("risk_p", 2.0))
     if risk_p < 2:
         raise ConfigError("risk_p: must be >= 2")
-    risk = doc.get("risk", {})
+    risk = _block(doc, "risk")
     risk_method = risk.get("method", "isometry" if risk_p == 2.0 else "monte_carlo")
     if risk_method not in ("isometry", "monte_carlo"):
         raise ConfigError(f"risk.method: unknown method '{risk_method}'")
@@ -274,12 +290,17 @@ def parse_config(doc: dict) -> ExperimentConfig:
             "risk.method: the growing-truncation bandwidth mode may fit orders "
             "beyond the predictor's reach; only isometry risk (p = 2) is supported"
         )
-    risk_n_mc = int(risk.get("n_mc", 400))
+    risk_n_mc = _optional(risk, "n_mc", int, "risk", 400)
+    if risk_method == "monte_carlo" and risk_n_mc < MIN_MC_DRAWS:
+        raise ConfigError(f"risk.n_mc: Monte Carlo risk needs >= {MIN_MC_DRAWS} draws")
     replications = _require(doc, "replications", int, "config")
     if replications < 1:
         raise ConfigError("replications: must be >= 1")
     seed = _require(doc, "seed", int, "config")
-    check = doc.get("check", {})
+    check = _block(doc, "check")
+    check_n_mc = _optional(check, "n_mc", int, "check", 10_000)
+    if check_n_mc < MIN_MC_DRAWS:
+        raise ConfigError(f"check.n_mc: the Monte Carlo checks need >= {MIN_MC_DRAWS} draws")
     config = ExperimentConfig(
         truth=truth,
         truth_doc=truth_doc,
@@ -297,8 +318,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
         risk_n_mc=risk_n_mc,
         replications=replications,
         seed=seed,
-        check_n_mc=int(check.get("n_mc", 10_000)),
-        check_kernel_perturbation=float(check.get("kernel_coeff_perturbation", 0.0)),
+        check_n_mc=check_n_mc,
+        check_kernel_perturbation=_optional(
+            check, "kernel_coeff_perturbation", float, "check", 0.0),
     )
     if plan.mode != "adaptive":
         for n in config.n_list:
@@ -490,9 +512,12 @@ def _write_manifest(out_dir: Path, command: str, config: ExperimentConfig,
         "wall_clock_s": round(time.time() - started, 3),
         "outputs": {str(p.relative_to(out_dir)): _sha256(p) for p in sorted(outputs)},
     }
-    path = out_dir / "manifest.json"
+    return _write_json(out_dir / "manifest.json", manifest)
+
+
+def _write_json(path: Path, doc: dict) -> Path:
     with open(path, "w") as fp:
-        json.dump(manifest, fp, indent=2, sort_keys=True)
+        json.dump(doc, fp, indent=2, sort_keys=True)
         fp.write("\n")
     return path
 
@@ -753,10 +778,7 @@ def cmd_rate(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
         "n_list": list(config.n_list),
         "mean_risk": means.tolist(),
     }
-    rate_json = out_dir / "rate.json"
-    with open(rate_json, "w") as fp:
-        json.dump(report, fp, indent=2, sort_keys=True)
-        fp.write("\n")
+    rate_json = _write_json(out_dir / "rate.json", report)
     _write_manifest(out_dir, "rate", config, started, [risk_csv, rate_json])
     return report
 
@@ -817,20 +839,20 @@ def run_checks(config: ExperimentConfig) -> dict:
                                      n_steps=config.path_steps)
         lhs = fourth.empirical ** 0.5  # (E xi^4)^(1/4)
         rhs = chaos_constant(order, 4) * second.empirical**0.5
+        # fourth.mc_stderr is in units of (E xi^4)^(1/2); carry it to lhs units
+        lhs_stderr = 0.5 * fourth.mc_stderr / lhs if lhs > 0 else 0.0
         record(
             f"hypercontractivity_l{order}",
-            lhs <= rhs + 3.0 * fourth.mc_stderr,
+            lhs <= rhs + 3.0 * lhs_stderr,
             lhs, rhs,
         )
     return {"passed": all(c["passed"] for c in checks), "checks": checks}
 
 
 def cmd_check(config: ExperimentConfig, out_dir: Path) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
     report = run_checks(config)
-    with open(out_dir / "check.json", "w") as fp:
-        json.dump(report, fp, indent=2, sort_keys=True)
-        fp.write("\n")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_json(out_dir / "check.json", report)
     return report
 
 

@@ -22,9 +22,10 @@ increments and returns one value per path (row):
 ``tensor_chaos``, ``hermite_chaos`` and ``brute_multiple_integral`` take one
 ``BrownianPath`` and evaluate row 0 of the matching batch.
 
-Monte Carlo validators check the Ito isometry, orthogonality of distinct
-orders, hypercontractive moment growth, and the second-moment bound
-(E xi^2r)^(1/r) <= c_l^2(2r) 2^l l! ||k||^2l h^-l for the estimator kernel.
+``monte_carlo_mean``, the one Monte Carlo estimator, serves the validators
+of the Ito isometry, orthogonality of distinct orders, hypercontractive
+moment growth and the second-moment bound
+(E xi^2r)^(1/r) <= c_l^2(2r) 2^l l! ||k||^2l h^-l, and the Monte Carlo risk.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from numpy.polynomial import hermite_e
 from ._util import DEFAULT_QUAD_POINTS, midpoints
 from .errors import AlignmentError, DegenerateIntegrandError, UnsupportedOrderError
 from .kernelkit import MomentKernel, slice_matrix
-from .pathlab import BrownianPath
+from .pathlab import BrownianPath, TimeGrid, brownian_increments
 
 
 @dataclass(frozen=True)
@@ -267,18 +268,30 @@ class BoundReport:
         )
 
 
-_MC_BATCH = 20_000
+MIN_MC_DRAWS = 100
+_MC_BATCH = 20_000  # rows per draw: bounds the (rows, N) increment matrix
 
 
-def _increment_batches(n_mc: int, n_steps: int, seed: int, batch: int = _MC_BATCH):
-    """Batched N(0, 1/N) increment matrices from one seeded generator."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    remaining = n_mc
-    scale = np.sqrt(1.0 / n_steps)
-    while remaining > 0:
-        size = min(batch, remaining)
-        yield rng.normal(0.0, scale, (size, n_steps))
-        remaining -= size
+def monte_carlo_mean(statistic: Callable[[np.ndarray], np.ndarray], n_mc: int, n_steps: int,
+                     seed: int, root: float = 1.0) -> tuple[float, float]:
+    """(E statistic(dW))^(1/root) over ``n_mc`` paths and its standard error.
+
+    ``statistic`` maps (m, N) increments to m values.  The paths are batches of
+    at most ``_MC_BATCH`` rows from one stream, ``default_rng(seed)``, so they
+    equal one (n_mc, N) draw.  The stderr std(ddof=1)/sqrt(n_mc) goes through
+    the delta method for x -> x^(1/root).
+    """
+    if n_mc < MIN_MC_DRAWS:
+        raise ValueError(f"n_mc must be >= {MIN_MC_DRAWS}, got {n_mc}")
+    grid, rng = TimeGrid(n_steps), np.random.default_rng(seed)
+    values = np.concatenate([statistic(brownian_increments(grid, min(_MC_BATCH, n_mc - i), rng))
+                             for i in range(0, n_mc, _MC_BATCH)])
+    mean = float(np.mean(values))
+    stderr = float(np.std(values, ddof=1) / np.sqrt(n_mc))
+    if root != 1.0:
+        stderr = stderr / root * mean ** (1.0 / root - 1.0) if mean > 0 else 0.0
+        mean = mean ** (1.0 / root)
+    return mean, stderr
 
 
 def _sym_product_inner(gs, gs_prime) -> float:
@@ -302,21 +315,11 @@ def isometry_report(
     The target is 0 for distinct orders and l! times the inner product of the
     symmetrized tensors otherwise (for equal-factor tensors, l! <g, g'>^l).
     """
-    if n_mc < 100:
-        raise ValueError("n_mc must be >= 100")
     if not gs or not gs_prime:
         raise ValueError("both tensors need at least one factor")
-    total = 0.0
-    total_sq = 0.0
-    for dw in _increment_batches(n_mc, n_steps, seed):
-        a = tensor_chaos_values(gs, dw)
-        b = tensor_chaos_values(gs_prime, dw)
-        prod = a * b
-        total += float(np.sum(prod))
-        total_sq += float(np.sum(prod**2))
-    mean = total / n_mc
-    var = max(total_sq / n_mc - mean**2, 0.0)
-    stderr = float(np.sqrt(var / n_mc))
+    mean, stderr = monte_carlo_mean(
+        lambda dw: tensor_chaos_values(gs, dw) * tensor_chaos_values(gs_prime, dw),
+        n_mc, n_steps, seed)
     if len(gs) != len(gs_prime):
         theoretical = 0.0
     else:
@@ -348,19 +351,8 @@ def moment_bound_report(
         raise ValueError("t must be interior: all coordinates in [h, 1-h]")
     # the slice factorization of K_h(t, .), the integrand of the xi variates
     gs = [lambda u, c=c: slice_matrix(kernel, [c], h, np.atleast_1d(u))[0] for c in t]
-    total = 0.0
-    total_sq = 0.0
-    for dw in _increment_batches(n_mc, n_steps, seed):
-        xi = tensor_chaos_values(gs, dw)
-        powed = xi ** (2 * r)
-        total += float(np.sum(powed))
-        total_sq += float(np.sum(powed**2))
-    mean = total / n_mc
-    var = max(total_sq / n_mc - mean**2, 0.0)
-    # delta method for x -> x^(1/r)
-    stderr_mean = np.sqrt(var / n_mc)
-    empirical = mean ** (1.0 / r)
-    stderr = float(stderr_mean / r * mean ** (1.0 / r - 1.0)) if mean > 0 else 0.0
+    empirical, stderr = monte_carlo_mean(
+        lambda dw: tensor_chaos_values(gs, dw) ** (2 * r), n_mc, n_steps, seed, root=r)
     b_lr = chaos_constant(order, 2 * r) ** 2 * 2.0**order
     b_lr *= float(math.factorial(order)) * kernel.l2_norm ** (2 * order)
     bound = b_lr * h ** (-order)

@@ -25,8 +25,8 @@ decomposition
 
     R_2^2 = (Ybar - a)^2 + sum_l ||fhat_l - f_l||^2 / l!
 
-valid for p = 2, and a plain Monte Carlo prediction error for any p >= 2,
-which predicts and evaluates the truth on all draws in one batch.
+valid for p = 2, and a plain Monte Carlo prediction error for any p >= 2
+(``chaoscalc.monte_carlo_mean`` over batches of raw increment rows).
 ``truth`` arguments are duck-typed: they need ``a``, ``orders``,
 ``component_values(order, grid_size)`` and ``values(increments)`` (see
 ``mappingzoo.MappingSpec``).
@@ -48,11 +48,11 @@ from ._util import midpoints
 # stay importable: the per-layer tracer in perfbench/tracing.py wraps them by
 # name in this module
 from ._util import derive_seed  # noqa: F401
-from .chaoscalc import GriddedFunction, _chaos_from_parts, gridded_chaos_values
+from .chaoscalc import GriddedFunction, _chaos_from_parts, gridded_chaos_values, monte_carlo_mean
 from .chaoscalc import brute_multiple_integral  # noqa: F401
 from .errors import UnsupportedOrderError
 from .kernelkit import MomentKernel, boundary_sign, slice_matrix
-from .pathlab import BrownianPath, TimeGrid, sample_brownian_paths
+from .pathlab import BrownianPath, TimeGrid
 from .pathlab import sample_brownian  # noqa: F401
 
 
@@ -282,7 +282,11 @@ def smoothed_truth(
 ) -> GriddedFunction:
     """Kernel-smoothed truth int f(u) K_h(t, u) du on the evaluation grid.
 
-    This is the exact expectation of the fitted surface.  ``f`` must accept
+    This is the continuum (N -> infinity) limit of the fitted surface's
+    expectation.  At finite N the fit smooths on the path grid: for f = 1 at
+    order 1 its expectation at centre c_a is sum_j K_h(c_a, t_j) / N over the
+    left grid points, not 1.
+    ``f`` must accept
     ``order`` broadcastable coordinate arrays.  Quadrature is Gauss-Legendre
     on each slice window, so the kernel factor is integrated to float
     precision and only the smoothness of ``f`` limits accuracy.
@@ -396,21 +400,15 @@ def risk_monte_carlo(
 ) -> RiskReport:
     """Monte Carlo prediction risk (E |mhat(W) - m(W)|^p)^(1/p) over fresh paths.
 
-    The ``n_mc`` paths are one batch, ``sample_brownian_paths(grid, n_mc, seed)``,
-    and model and truth are evaluated on all of them at once.
+    ``chaoscalc.monte_carlo_mean`` with ``root=p`` evaluates model and truth on
+    raw increment batches from ``default_rng(seed)``; ``mc_stderr`` is its stderr.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
-    if n_mc < 100:
-        raise ValueError("n_mc must be >= 100")
-    increments = np.diff(sample_brownian_paths(TimeGrid(n_steps), n_mc, seed), axis=1)
-    diffs = predict_values(model, increments, grid_size) - truth.values(increments)
-    powered = np.abs(diffs) ** p
-    mean_pow = float(np.mean(powered))
-    value = mean_pow ** (1.0 / p)
-    stderr_mean = float(np.std(powered, ddof=1) / np.sqrt(n_mc))
-    stderr = stderr_mean / p * mean_pow ** (1.0 / p - 1.0) if mean_pow > 0 else 0.0
-    return RiskReport(float(p), value, "monte_carlo", float(stderr), {})
+    value, stderr = monte_carlo_mean(
+        lambda dw: np.abs(predict_values(model, dw, grid_size) - truth.values(dw)) ** p,
+        n_mc, n_steps, seed, root=p)
+    return RiskReport(float(p), value, "monte_carlo", stderr, {})
 
 
 MODEL_FORMAT = "chaosbench.fitted-model/1"

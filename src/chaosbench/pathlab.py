@@ -128,17 +128,23 @@ def make_grid(n_steps: int) -> TimeGrid:
     return TimeGrid(int(n_steps))
 
 
+def brownian_increments(grid: TimeGrid, n: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, N) independent N(0, 1/N) increments, drawn row-major from ``rng`` in one call.
+
+    Successive calls continue the stream: k rows then m rows equal one k + m call.
+    """
+    return rng.normal(0.0, np.sqrt(grid.dt), (n, grid.n_steps))
+
+
 def sample_brownian_paths(grid: TimeGrid, n: int, seed: int) -> np.ndarray:
     """Sample ``n`` standard Brownian paths on ``grid`` as an (n, N+1) array.
 
-    All n*N increments are independent N(0, 1/N) draws from one generator,
-    ``numpy.random.default_rng(seed)``, taken in a single row-major call: row
-    i holds draws i*N .. (i+1)*N - 1.  Every row starts at 0.
+    Row i is 0 followed by the cumulative sum of row i of
+    ``brownian_increments(grid, n, numpy.random.default_rng(seed))``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    dw = rng.normal(0.0, np.sqrt(grid.dt), (n, grid.n_steps))
+    dw = brownian_increments(grid, n, np.random.default_rng(seed))
     values = np.empty((n, grid.n_steps + 1))
     values[:, 0] = 0.0
     np.cumsum(dw, axis=1, out=values[:, 1:])

@@ -21,6 +21,7 @@ from chaosbench.benchcli import (
     theoretical_bandwidth,
     truncation_order,
 )
+from chaosbench.chaoscalc import BoundReport
 from chaosbench.chaosreg import ChaosKernelEstimate, FittedModel, model_from_json, model_to_json
 from chaosbench.errors import ConfigError
 
@@ -56,6 +57,8 @@ def test_parse_config_valid():
     assert config.n_list == (40,)
     assert config.kernel().moment_order == 1
     assert config.majorant_params().kernel_l2 == 2.0
+    # isometry risk draws no paths, so its n_mc is not held to the Monte Carlo minimum
+    assert parse_config(_base_doc(risk={"n_mc": 50})).risk_n_mc == 50
 
 
 @pytest.mark.parametrize(
@@ -71,6 +74,12 @@ def test_parse_config_valid():
         ({"bandwidths": {"mode": "fixed", "values": {"1": 0.25}}}, "missing orders"),
         ({"bandwidths": {"mode": "warp"}}, "unknown mode"),
         ({"truth": "unknown_truth"}, "unknown named truth"),
+        ({"risk_p": 4.0, "risk": {"n_mc": 50}}, r"risk\.n_mc: Monte Carlo risk needs >= 100"),
+        ({"check": {"n_mc": 50}}, r"check\.n_mc: .* >= 100"),
+        ({"risk": "isometry"}, "risk: expected an object"),
+        ({"check": []}, "check: expected an object"),
+        ({"risk": {"n_mc": "many"}}, r"risk\.n_mc: expected an integer"),
+        ({"check": {"kernel_coeff_perturbation": "x"}}, "expected a number"),
     ],
 )
 def test_parse_config_rejects(overrides, fragment):
@@ -245,7 +254,24 @@ def test_check_passes_and_sabotage_fails(tmp_path):
     assert any("mass" in name for name in failed)
 
 
-def test_main_exit_codes(tmp_path):
+def test_hypercontractivity_slack_is_in_lhs_units(monkeypatch):
+    # lhs = (E xi^4)^(1/4) = 1.25 exceeds rhs = sqrt(3) (E xi^2)^(1/2) = 1 by five
+    # delta-method standard errors, 0.5 * 0.125 / 1.25 = 0.05 each, but by less
+    # than 3 * 0.125, the standard error of (E xi^4)^(1/2)
+    def fake_report(order, h, r, n_mc, seed, kernel, t=None, n_steps=512):
+        if r == 1:
+            return BoundReport(1.0 / 3.0, math.inf, True, 0.0, n_mc, seed)
+        return BoundReport(1.25**2, math.inf, True, 0.125, n_mc, seed)
+
+    monkeypatch.setattr(benchcli, "moment_bound_report", fake_report)
+    report = benchcli.run_checks(parse_config(_base_doc()))
+    hyper = {c["name"]: c for c in report["checks"]}["hypercontractivity_l1"]
+    assert hyper["measured"] == 1.25 and hyper["target"] == pytest.approx(1.0, rel=1e-12)
+    assert 1.25 - 1.0 < 3 * 0.125
+    assert not hyper["passed"]
+
+
+def test_main_exit_codes(tmp_path, monkeypatch):
     good = _write_config(tmp_path, _base_doc(check={"n_mc": 1500}))
     assert main(["check", "--config", str(good), "--out", str(tmp_path / "ok")]) == 0
     bad_cfg = _write_config(tmp_path, _base_doc(grid_size=15), "bad.json")
@@ -258,6 +284,31 @@ def test_main_exit_codes(tmp_path):
     assert main(["risk", "--config", str(good), "--out", str(tmp_path / "risk"),
                  "--models", str(tmp_path / "no_models")]) == 1
     assert not (tmp_path / "risk").exists()
+    # malformed or too small risk and check blocks fail validation in every command
+    bad_blocks = [
+        {"risk_p": 4.0, "risk": {"n_mc": 50}},
+        {"check": {"n_mc": 50}},
+        {"risk": "isometry"},
+        {"check": []},
+        {"risk": {"n_mc": "many"}},
+    ]
+    for i, overrides in enumerate(bad_blocks):
+        cfg = _write_config(tmp_path, _base_doc(**overrides), f"block{i}.json")
+        for command in ("simulate", "fit", "adapt", "risk", "rate", "check"):
+            out = tmp_path / f"out_{i}_{command}"
+            argv = [command, "--config", str(cfg), "--out", str(out)]
+            if command == "risk":
+                argv += ["--models", str(tmp_path / "ok")]
+            assert main(argv) == 1, (overrides, command)
+            assert not out.exists()
+
+    # check writes nothing when its checks raise
+    def broken(config):
+        raise RuntimeError("planted failure")
+
+    monkeypatch.setattr(benchcli, "run_checks", broken)
+    assert main(["check", "--config", str(good), "--out", str(tmp_path / "raised")]) == 3
+    assert not (tmp_path / "raised").exists()
 
 
 def test_unfittable_bandwidth_plan_is_rejected_before_any_output(tmp_path):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from chaosbench import chaoscalc
 from chaosbench.chaoscalc import (
     GriddedFunction,
     brute_multiple_integral,
@@ -15,6 +16,7 @@ from chaosbench.chaoscalc import (
     ito_integral_1,
     l2_inner,
     moment_bound_report,
+    monte_carlo_mean,
     tensor_chaos,
     tensor_chaos_values,
 )
@@ -179,6 +181,28 @@ def test_isometry_report_input_validation():
         isometry_report([ONE], [ONE], n_mc=50, seed=0)
     with pytest.raises(ValueError):
         isometry_report([], [ONE], n_mc=200, seed=0)
+
+
+def test_monte_carlo_mean_batches_continue_one_stream():
+    # a run just over one batch equals the statistics of a single (n_mc, N) draw
+    n_mc, n_steps, seed = chaoscalc._MC_BATCH + 37, 4, 2718
+    rows = []
+
+    def statistic(dw):
+        rows.append(len(dw))
+        return dw.sum(axis=1) ** 2
+
+    mean, stderr = monte_carlo_mean(statistic, n_mc, n_steps, seed)
+    assert rows == [chaoscalc._MC_BATCH, 37]
+    values = statistic(np.random.default_rng(seed).normal(0.0, 0.5, (n_mc, n_steps)))
+    assert mean == np.mean(values)
+    assert stderr == np.std(values, ddof=1) / np.sqrt(n_mc)
+    # the root goes through the delta method for x -> x^(1/root)
+    root_mean, root_stderr = monte_carlo_mean(statistic, n_mc, n_steps, seed, root=2.0)
+    assert root_mean == mean**0.5
+    assert root_stderr == pytest.approx(stderr / 2.0 / mean**0.5, rel=1e-15)
+    with pytest.raises(ValueError, match=">= 100"):
+        monte_carlo_mean(statistic, 99, n_steps, seed)
 
 
 def test_orthogonality_of_kernel_slice_tensors():

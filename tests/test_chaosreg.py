@@ -373,4 +373,9 @@ def test_risk_monte_carlo_equals_explicit_per_draw_formula():
     draws = [BrownianPath(grid, v) for v in sample_brownian_paths(grid, n_mc, seed)]
     diffs = np.array([predict(model, w) - evaluate_mapping(truth, w) for w in draws])
     report = risk_monte_carlo(model, truth, p, n_mc, seed, n_steps=128)
-    assert report.value == pytest.approx(np.mean(np.abs(diffs) ** p) ** (1 / p), rel=1e-12)
+    powered = np.abs(diffs) ** p
+    mean = np.mean(powered)
+    assert report.value == pytest.approx(mean ** (1 / p), rel=1e-12)
+    # delta method for x -> x^(1/p) applied to the ddof-1 standard error of the mean
+    stderr = np.std(powered, ddof=1) / np.sqrt(n_mc) / p * mean ** (1 / p - 1)
+    assert report.mc_stderr == pytest.approx(stderr, rel=1e-12)

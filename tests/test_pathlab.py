@@ -9,6 +9,7 @@ from chaosbench.pathlab import (
     GenericDiffusion,
     GeometricBM,
     OrnsteinUhlenbeck,
+    brownian_increments,
     make_grid,
     read_path_csv,
     reconstruct_coprocess,
@@ -63,6 +64,8 @@ def test_batch_shape_and_validation():
     assert batch.shape == (3, 17)
     assert np.all(batch[:, 0] == 0.0)
     assert np.array_equal(batch, sample_brownian_paths(make_grid(16), 3, 1))
+    dw = brownian_increments(make_grid(16), 3, np.random.default_rng(1))
+    assert np.array_equal(batch[:, 1:], np.cumsum(dw, axis=1))
     with pytest.raises(ValueError):
         sample_brownian_paths(make_grid(16), 0, 1)
 
