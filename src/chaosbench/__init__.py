@@ -41,9 +41,9 @@ from .chaoscalc import (  # noqa: F401
     hermite_chaos,
     hermite_chaos_values,
     isometry_report,
-    ito_integral_1,
     l2_inner,
     moment_bound_report,
+    moment_bound_reports,
     tensor_chaos,
     tensor_chaos_values,
 )
@@ -68,7 +68,6 @@ from .glselect import (  # noqa: F401
     bandwidth_grid,
     bias_proxy,
     majorant,
-    select_bandwidth,
 )
 from .mappingzoo import (  # noqa: F401
     GaussianNoise,
@@ -79,6 +78,5 @@ from .mappingzoo import (  # noqa: F401
     class_check,
     evaluate_mapping,
     quadratic_terminal,
-    spec_to_config_doc,
     synthesize,
 )

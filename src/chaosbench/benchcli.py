@@ -26,12 +26,16 @@ Example config::
     }
 
 Inline truths replace the string by an object with ``a``, ``components``
-(entries ``{"order", "kind": "constant"|"poly", ...}``), ``noise`` and
-``class``; polynomial components give power-basis coefficients of the
-univariate factor, which must not all be zero.  The optional ``risk`` and
-``check`` objects take an integer ``n_mc``, at least
-``chaoscalc.MIN_MC_DRAWS`` (100) wherever it sets a Monte Carlo draw count:
-always for ``check``, for ``risk`` when its method is ``monte_carlo``.
+(entries ``{"order", "kind": "constant"|"poly"|"gridded", ...}``), ``noise``
+and ``class``; polynomial components give power-basis coefficients of the
+univariate factor, which must not all be zero.  A gridded component's
+``grid_size`` must divide ``path_steps`` and, under isometry risk, equal the
+config's.  The optional ``risk`` and ``check`` objects take an integer
+``n_mc``, at least ``chaoscalc.MIN_MC_DRAWS`` (100) wherever it sets a Monte
+Carlo draw count: always for ``check``, for ``risk`` when its method is
+``monte_carlo``.  Every value is read through one typed reader
+(``_require``/``_optional``/``_block``; a bool is never a number), so any
+config that cannot run is a ConfigError before a command writes anything.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ import numpy as np
 from . import __version__
 from ._util import derive_seed
 from .chaoscalc import MIN_MC_DRAWS, GriddedFunction, chaos_constant
-from .chaoscalc import isometry_report, moment_bound_report
+from .chaoscalc import isometry_report, moment_bound_reports
 from .chaosreg import (
     FittedModel,
     Sample,
@@ -128,62 +132,84 @@ class ExperimentConfig:
         return derive_seed(self.seed, n_index, rep)
 
 
-def _require(doc: dict, key: str, kind, where: str):
+_KINDS = {float: "a number", int: "an integer", bool: "true or false", str: "a string",
+          dict: "an object", list: "a list"}
+
+
+def _typed(value, kind, name: str):
+    """``value`` checked as a ``_KINDS`` key, or as a list of one (``[float]``, a tuple).
+
+    A number is a finite int or float, returned as a float; a bool is never one.
+    """
+    if isinstance(kind, list):
+        items = _typed(value, list, name)
+        return tuple(_typed(v, kind[0], f"{name}[{i}]") for i, v in enumerate(items))
+    if isinstance(value, bool):
+        ok = kind is bool
+    elif kind is float:
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{name}: expected {_KINDS[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _require(doc: dict, key: str, kind, where: str = ""):
+    name = f"{where}.{key}" if where else key
     if key not in doc:
-        raise ConfigError(f"{where}: missing required key '{key}'")
-    value = doc[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
-        return float(value)
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
-        return value
-    if not isinstance(value, kind):
-        raise ConfigError(f"{where}.{key}: expected {kind.__name__}, got {value!r}")
-    return value
-
-
-def _block(doc: dict, key: str) -> dict:
-    """The optional sub-object ``doc[key]``, empty when absent."""
-    block = doc.get(key, {})
-    if not isinstance(block, dict):
-        raise ConfigError(f"{key}: expected an object, got {block!r}")
-    return block
+        raise ConfigError(f"{name}: missing required key")
+    return _typed(doc[key], kind, name)
 
 
 def _optional(doc: dict, key: str, kind, where: str, default):
     return _require(doc, key, kind, where) if key in doc else default
 
 
+def _block(doc: dict, key: str, where: str = "") -> dict:
+    """The optional sub-object ``doc[key]``, empty when absent."""
+    return _optional(doc, key, dict, where, {})
+
+
+def _build(name: str, constructor, *args):
+    """``constructor(*args)``, with its ValueError raised as a ConfigError naming ``name``."""
+    try:
+        return constructor(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def _parse_noise(doc: dict):
     kind = _require(doc, "kind", str, "truth.noise")
     if kind == "gaussian":
-        return GaussianNoise(_require(doc, "sigma", float, "truth.noise"))
+        return _build("truth.noise", GaussianNoise, _require(doc, "sigma", float, "truth.noise"))
     if kind == "uniform":
-        return UniformNoise(_require(doc, "half_width", float, "truth.noise"))
+        return _build("truth.noise", UniformNoise,
+                      _require(doc, "half_width", float, "truth.noise"))
     raise ConfigError(f"truth.noise.kind: unknown noise '{kind}'")
 
 
-def _parse_component(doc: dict, i: int):
-    where = f"truth.components[{i}]"
+def _parse_component(doc: dict, where: str):
     order = _require(doc, "order", int, where)
+    if order < 1:
+        raise ConfigError(f"{where}.order: must be >= 1")
     kind = _require(doc, "kind", str, where)
     if kind == "constant":
         return ConstantComponent(order, _require(doc, "value", float, where))
     if kind == "poly":
-        coeffs = _require(doc, "coeffs", list, where)
+        coeffs = _require(doc, "coeffs", [float], where)
         if not any(coeffs):
             raise ConfigError(f"{where}.coeffs: the factor must not be identically zero")
         return EqualFactorComponent(order, np.polynomial.Polynomial(coeffs))
     if kind == "gridded":
         g = _require(doc, "grid_size", int, where)
-        flat = _require(doc, "values", list, where)
+        if g < 1 or order > 3:
+            raise ConfigError(f"{where}: gridded components need grid_size >= 1 and order <= 3")
+        flat = _require(doc, "values", [float], where)
         if len(flat) != g**order:
             raise ConfigError(f"{where}.values: expected {g**order} entries, got {len(flat)}")
-        values = np.asarray(flat, dtype=float).reshape((g,) * order)
-        return GriddedComponent(order, GriddedFunction(order, g, values))
+        values = np.asarray(flat).reshape((g,) * order)
+        return _build(where, GriddedComponent, order, GriddedFunction(order, g, values))
     raise ConfigError(f"{where}.kind: unknown component kind '{kind}'")
 
 
@@ -195,19 +221,23 @@ def _parse_truth(doc) -> MappingSpec:
     if not isinstance(doc, dict):
         raise ConfigError("truth: expected a name or an object")
     a = _require(doc, "a", float, "truth")
-    comps = tuple(
-        _parse_component(c, i) for i, c in enumerate(_require(doc, "components", list, "truth"))
-    )
+    comps = tuple(_parse_component(c, f"truth.components[{i}]")
+                  for i, c in enumerate(_require(doc, "components", [dict], "truth")))
     noise = _parse_noise(_require(doc, "noise", dict, "truth"))
-    cls = doc.get("class", {})
+    cls = _block(doc, "class", "truth")
+    s = _optional(cls, "s", [float], "truth.class", ())
+    lam = _optional(cls, "lam", [float], "truth.class", ())
+    if any(v <= 0 for v in s + lam):
+        raise ConfigError("truth.class: 's' and 'lam' entries must be positive")
     declared = ClassParams(
-        s=tuple(cls.get("s", ())),
-        lam=tuple(cls.get("lam", ())),
-        max_order=int(cls.get("max_order", max((c.order for c in comps), default=0))),
-        class_bound=float(cls.get("class_bound", 1.0)),
-        gamma=cls.get("gamma"),
+        s=s,
+        lam=lam,
+        max_order=_optional(cls, "max_order", int, "truth.class",
+                            max((c.order for c in comps), default=0)),
+        class_bound=_optional(cls, "class_bound", float, "truth.class", 1.0),
+        gamma=_optional(cls, "gamma", float, "truth.class", None),
     )
-    return MappingSpec(a, comps, noise, declared)
+    return _build("truth.components", MappingSpec, a, comps, noise, declared)
 
 
 def _parse_bandwidths(doc: dict, max_order: int) -> BandwidthPlan:
@@ -216,23 +246,26 @@ def _parse_bandwidths(doc: dict, max_order: int) -> BandwidthPlan:
         raw = _require(doc, "values", dict, "bandwidths")
         fixed = {}
         for key, value in raw.items():
-            order = int(key)
-            h = float(value)
+            name = f"bandwidths.values[{key}]"
+            if not str(key).isdecimal() or not 1 <= int(key) <= max_order:
+                raise ConfigError(f"{name}: keys must be orders in 1..max_order = {max_order}")
+            h = _typed(value, float, name)
             if not 0.0 < h < 1.0:
-                raise ConfigError(f"bandwidths.values[{key}]: bandwidth must lie in (0, 1)")
-            fixed[order] = h
+                raise ConfigError(f"{name}: bandwidth must lie in (0, 1)")
+            fixed[int(key)] = h
         missing = [o for o in range(1, max_order + 1) if o not in fixed]
         if missing:
             raise ConfigError(f"bandwidths.values: missing orders {missing}")
         return BandwidthPlan("fixed", fixed=fixed)
     if mode in ("theoretical", "theorem41"):
-        s = tuple(float(v) for v in _require(doc, "s", list, "bandwidths"))
-        lam = tuple(float(v) for v in _require(doc, "lam", list, "bandwidths"))
+        s = _require(doc, "s", [float], "bandwidths")
+        lam = _require(doc, "lam", [float], "bandwidths")
         if not s or not lam:
             raise ConfigError("bandwidths: 's' and 'lam' must be non-empty")
         if any(v <= 0 for v in s) or any(v <= 0 for v in lam):
             raise ConfigError("bandwidths: 's' and 'lam' entries must be positive")
-        return BandwidthPlan(mode, s=s, lam=lam, practical=bool(doc.get("practical", False)))
+        practical = _optional(doc, "practical", bool, "bandwidths", False)
+        return BandwidthPlan(mode, s=s, lam=lam, practical=practical)
     if mode == "adaptive":
         return BandwidthPlan("adaptive")
     raise ConfigError(f"bandwidths.mode: unknown mode '{mode}'")
@@ -244,43 +277,42 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("config: expected a JSON object")
     truth_doc = doc.get("truth", "quadratic_terminal")
     truth = _parse_truth(truth_doc)
-    n_list = _require(doc, "n_list", list, "config")
+    n_list = _require(doc, "n_list", [int])
     if not n_list:
         raise ConfigError("n_list: must be non-empty")
-    if any(not isinstance(n, int) or n < 2 for n in n_list):
+    if any(n < 2 for n in n_list):
         raise ConfigError("n_list: entries must be integers >= 2")
     if list(n_list) != sorted(set(n_list)):
         raise ConfigError("n_list: must be strictly increasing")
-    path_steps = _require(doc, "path_steps", int, "config")
-    grid_size = doc.get("grid_size", 64)  # default evaluation grid, 64 per axis
-    if not isinstance(grid_size, int) or isinstance(grid_size, bool):
-        raise ConfigError(f"grid_size: expected an integer, got {grid_size!r}")
+    path_steps = _require(doc, "path_steps", int)
+    grid_size = _optional(doc, "grid_size", int, "", 64)  # default evaluation grid, 64 per axis
     if path_steps < 1 or grid_size < 2:
         raise ConfigError("path_steps must be >= 1 and grid_size >= 2")
     if path_steps % grid_size != 0:
         raise ConfigError(
             f"grid_size: {grid_size} does not divide path_steps {path_steps}"
         )
-    max_order = _require(doc, "max_order", int, "config")
+    max_order = _require(doc, "max_order", int)
     if max_order < 1:
         raise ConfigError("max_order: must be >= 1")
-    s_star_hi = _require(doc, "s_star_hi", float, "config")
-    s_star_lo = float(doc.get("s_star_lo", 0.5))
+    s_star_hi = _require(doc, "s_star_hi", float)
+    s_star_lo = _optional(doc, "s_star_lo", float, "", 0.5)
     if s_star_hi <= 0 or s_star_lo <= 0:
         raise ConfigError("s_star_hi and s_star_lo must be positive")
-    maj = _require(doc, "majorant", dict, "config")
+    maj = _require(doc, "majorant", dict)
     mu4 = _require(maj, "mu4", float, "majorant")
     bound = _require(maj, "class_bound", float, "majorant")
     if mu4 <= 0 or bound <= 0:
         raise ConfigError("majorant: mu4 and class_bound must be positive")
-    plan = _parse_bandwidths(_require(doc, "bandwidths", dict, "config"), max_order)
+    plan = _parse_bandwidths(_require(doc, "bandwidths", dict), max_order)
     if plan.mode == "adaptive":
         _check_adaptive_brackets(n_list, max_order, s_star_lo)
-    risk_p = float(doc.get("risk_p", 2.0))
+    risk_p = _optional(doc, "risk_p", float, "", 2.0)
     if risk_p < 2:
         raise ConfigError("risk_p: must be >= 2")
     risk = _block(doc, "risk")
-    risk_method = risk.get("method", "isometry" if risk_p == 2.0 else "monte_carlo")
+    risk_method = _optional(risk, "method", str, "risk",
+                            "isometry" if risk_p == 2.0 else "monte_carlo")
     if risk_method not in ("isometry", "monte_carlo"):
         raise ConfigError(f"risk.method: unknown method '{risk_method}'")
     if risk_method == "isometry" and risk_p != 2.0:
@@ -290,13 +322,25 @@ def parse_config(doc: dict) -> ExperimentConfig:
             "risk.method: the growing-truncation bandwidth mode may fit orders "
             "beyond the predictor's reach; only isometry risk (p = 2) is supported"
         )
+    if risk_method == "monte_carlo" and max_order > 3:
+        raise ConfigError("max_order: the Monte Carlo risk predictor supports orders <= 3")
     risk_n_mc = _optional(risk, "n_mc", int, "risk", 400)
     if risk_method == "monte_carlo" and risk_n_mc < MIN_MC_DRAWS:
         raise ConfigError(f"risk.n_mc: Monte Carlo risk needs >= {MIN_MC_DRAWS} draws")
-    replications = _require(doc, "replications", int, "config")
+    for i, comp in enumerate(truth.components):  # summed on path cells, compared on G
+        g = comp.gridded_function.grid_size if isinstance(comp, GriddedComponent) else 0
+        if g and path_steps % g != 0:
+            raise ConfigError(f"truth.components[{i}].grid_size: {g} does not divide "
+                              f"path_steps {path_steps}")
+        if g and risk_method == "isometry" and g != grid_size:
+            raise ConfigError(f"truth.components[{i}].grid_size: isometry risk compares "
+                              f"surfaces on grid_size {grid_size}, not {g}")
+    replications = _require(doc, "replications", int)
     if replications < 1:
         raise ConfigError("replications: must be >= 1")
-    seed = _require(doc, "seed", int, "config")
+    seed = _require(doc, "seed", int)
+    if seed < 0:
+        raise ConfigError("seed: must be >= 0")
     check = _block(doc, "check")
     check_n_mc = _optional(check, "n_mc", int, "check", 10_000)
     if check_n_mc < MIN_MC_DRAWS:
@@ -304,7 +348,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     config = ExperimentConfig(
         truth=truth,
         truth_doc=truth_doc,
-        n_list=tuple(n_list),
+        n_list=n_list,
         path_steps=path_steps,
         grid_size=grid_size,
         max_order=max_order,
@@ -350,9 +394,8 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
             raise ConfigError(f"config: invalid JSON ({exc})") from exc
     if isinstance(doc, dict) and "command" in doc and "config" in doc:
         doc = doc["config"]
-    if seed_override is not None:
-        doc = dict(doc)
-        doc["seed"] = seed_override
+    if seed_override is not None and isinstance(doc, dict):
+        doc = dict(doc, seed=seed_override)
     return parse_config(doc)
 
 
@@ -485,8 +528,7 @@ def _risk_of_model(config: ExperimentConfig, model: FittedModel, n_index: int, r
         return risk_isometry(model, config.truth, config.grid_size)
     return risk_monte_carlo(
         model, config.truth, config.risk_p, config.risk_n_mc,
-        derive_seed(config.seed, 1_000_000 + n_index, rep),
-        config.grid_size, config.path_steps,
+        derive_seed(config.seed, 1_000_000 + n_index, rep), config.path_steps,
     )
 
 
@@ -663,8 +705,13 @@ def cmd_adapt(config: ExperimentConfig, out_dir: Path, threads: int = 1,
 
 
 def _stored_risk(config: ExperimentConfig, n_index: int, n: int, rep: int, models_dir: Path):
-    with open(_rep_dir(models_dir, n, rep) / "model.json") as fp:
+    path = _rep_dir(models_dir, n, rep) / "model.json"
+    with open(path) as fp:
         model = model_from_json(fp.read())
+    for est in model.estimates:
+        if est.grid_size != config.grid_size:
+            raise ConfigError(f"{path}: order-{est.order} surface on grid_size "
+                              f"{est.grid_size}, the config has grid_size {config.grid_size}")
     return _risk_of_model(config, model, n_index, rep)
 
 
@@ -821,22 +868,18 @@ def run_checks(config: ExperimentConfig) -> dict:
     for order in (1, 2):
         for k_exp in (2, 3):
             h = math.exp(-k_exp)
-            bound = moment_bound_report(
-                order, h, 1, n_mc, derive_seed(config.seed, 8, order, k_exp), kernel,
+            (bound,) = moment_bound_reports(
+                order, h, (1,), n_mc, derive_seed(config.seed, 8, order, k_exp), kernel,
                 n_steps=config.path_steps,
             )
             record(
                 f"second_moment_bound_l{order}_h_e-{k_exp}",
                 bound.within_bound, bound.empirical, bound.bound,
             )
-        # hypercontractivity: fourth-moment growth of the same variates
-        h = math.exp(-2)
-        second = moment_bound_report(order, h, 1, n_mc,
-                                     derive_seed(config.seed, 9, order), kernel,
-                                     n_steps=config.path_steps)
-        fourth = moment_bound_report(order, h, 2, n_mc,
-                                     derive_seed(config.seed, 9, order), kernel,
-                                     n_steps=config.path_steps)
+        # hypercontractivity: second and fourth moments of one draw of variates
+        second, fourth = moment_bound_reports(order, math.exp(-2), (1, 2), n_mc,
+                                              derive_seed(config.seed, 9, order), kernel,
+                                              n_steps=config.path_steps)
         lhs = fourth.empirical ** 0.5  # (E xi^4)^(1/4)
         rhs = chaos_constant(order, 4) * second.empirical**0.5
         # fourth.mc_stderr is in units of (E xi^4)^(1/2); carry it to lhs units

@@ -26,12 +26,12 @@ increments and returns one value per path (row):
 of the Ito isometry, orthogonality of distinct orders, hypercontractive
 moment growth and the second-moment bound
 (E xi^2r)^(1/r) <= c_l^2(2r) 2^l l! ||k||^2l h^-l, and the Monte Carlo risk.
+``moment_bound_reports`` takes several moments of one draw of xi.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -65,10 +65,6 @@ class GriddedFunction:
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
 
-    @property
-    def centers(self) -> np.ndarray:
-        return midpoints(self.grid_size)
-
     def l2_norm_sq(self) -> float:
         """Midpoint tensor quadrature of the squared function (weight G^-dim)."""
         return float(np.mean(self.values**2))
@@ -96,12 +92,6 @@ def chaos_constant(order: int, q: float) -> float:
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     return float((q - 1.0) ** (order / 2.0))
-
-
-def ito_integral_1(g: Callable, path: BrownianPath) -> float:
-    """Left-point Ito sum sum_j g(t_j) (W_{j+1} - W_j)."""
-    t_left = path.grid.points[:-1]
-    return float(np.dot(np.asarray(g(t_left), dtype=float), path.increments))
 
 
 def l2_inner(g: Callable, g2: Callable, quad_points: int = DEFAULT_QUAD_POINTS) -> float:
@@ -230,18 +220,6 @@ class MomentReport:
     def within(self, n_sigma: float = 3.0) -> bool:
         return abs(self.empirical - self.theoretical) <= n_sigma * self.mc_stderr
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "empirical": self.empirical,
-                "theoretical": self.theoretical,
-                "mc_stderr": self.mc_stderr,
-                "n_mc": self.n_mc,
-                "seed": self.seed,
-            },
-            sort_keys=True,
-        )
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -253,19 +231,6 @@ class BoundReport:
     mc_stderr: float
     n_mc: int
     seed: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "empirical": self.empirical,
-                "theoretical": self.bound,
-                "within_bound": self.within_bound,
-                "mc_stderr": self.mc_stderr,
-                "n_mc": self.n_mc,
-                "seed": self.seed,
-            },
-            sort_keys=True,
-        )
 
 
 MIN_MC_DRAWS = 100
@@ -281,13 +246,21 @@ def monte_carlo_mean(statistic: Callable[[np.ndarray], np.ndarray], n_mc: int, n
     equal one (n_mc, N) draw.  The stderr std(ddof=1)/sqrt(n_mc) goes through
     the delta method for x -> x^(1/root).
     """
+    return _mean_and_stderr(_monte_carlo_values(statistic, n_mc, n_steps, seed), root)
+
+
+def _monte_carlo_values(statistic, n_mc: int, n_steps: int, seed: int) -> np.ndarray:
+    """``statistic`` on the ``n_mc`` paths of ``monte_carlo_mean``, one value per path."""
     if n_mc < MIN_MC_DRAWS:
         raise ValueError(f"n_mc must be >= {MIN_MC_DRAWS}, got {n_mc}")
     grid, rng = TimeGrid(n_steps), np.random.default_rng(seed)
-    values = np.concatenate([statistic(brownian_increments(grid, min(_MC_BATCH, n_mc - i), rng))
-                             for i in range(0, n_mc, _MC_BATCH)])
+    return np.concatenate([statistic(brownian_increments(grid, min(_MC_BATCH, n_mc - i), rng))
+                           for i in range(0, n_mc, _MC_BATCH)])
+
+
+def _mean_and_stderr(values: np.ndarray, root: float) -> tuple[float, float]:
     mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / np.sqrt(n_mc))
+    stderr = float(np.std(values, ddof=1) / np.sqrt(len(values)))
     if root != 1.0:
         stderr = stderr / root * mean ** (1.0 / root - 1.0) if mean > 0 else 0.0
         mean = mean ** (1.0 / root)
@@ -327,20 +300,21 @@ def isometry_report(
     return MomentReport(mean, theoretical, stderr, n_mc, seed)
 
 
-def moment_bound_report(
+def moment_bound_reports(
     order: int,
     h: float,
-    r: int,
+    rs: Sequence[int],
     n_mc: int,
     seed: int,
     kernel: MomentKernel,
     t: Sequence[float] | None = None,
     n_steps: int = 512,
-) -> BoundReport:
+) -> tuple[BoundReport, ...]:
     """Check (E xi^2r)^(1/r) <= c_l^2(2r) 2^l l! ||k||^2l h^-l at an interior point.
 
     xi is the multiple integral of K_h(t, .) for a fixed t whose coordinates
-    must lie in [h, 1-h]; the default is t = (0.45, ..., 0.45).
+    must lie in [h, 1-h]; the default is t = (0.45, ..., 0.45).  One report
+    per r in ``rs``, all from the same ``n_mc`` draws of xi.
     """
     if not 0.0 < h < 1.0:
         raise ValueError("h must lie in (0, 1)")
@@ -351,9 +325,19 @@ def moment_bound_report(
         raise ValueError("t must be interior: all coordinates in [h, 1-h]")
     # the slice factorization of K_h(t, .), the integrand of the xi variates
     gs = [lambda u, c=c: slice_matrix(kernel, [c], h, np.atleast_1d(u))[0] for c in t]
-    empirical, stderr = monte_carlo_mean(
-        lambda dw: tensor_chaos_values(gs, dw) ** (2 * r), n_mc, n_steps, seed, root=r)
-    b_lr = chaos_constant(order, 2 * r) ** 2 * 2.0**order
-    b_lr *= float(math.factorial(order)) * kernel.l2_norm ** (2 * order)
-    bound = b_lr * h ** (-order)
-    return BoundReport(empirical, bound, empirical <= bound, stderr, n_mc, seed)
+    xi = _monte_carlo_values(lambda dw: tensor_chaos_values(gs, dw), n_mc, n_steps, seed)
+    reports = []
+    for r in rs:
+        empirical, stderr = _mean_and_stderr(xi ** (2 * r), root=r)
+        b_lr = chaos_constant(order, 2 * r) ** 2 * 2.0**order
+        b_lr *= float(math.factorial(order)) * kernel.l2_norm ** (2 * order)
+        bound = b_lr * h ** (-order)
+        reports.append(BoundReport(empirical, bound, empirical <= bound, stderr, n_mc, seed))
+    return tuple(reports)
+
+
+def moment_bound_report(order: int, h: float, r: int, n_mc: int, seed: int,
+                        kernel: MomentKernel, t: Sequence[float] | None = None,
+                        n_steps: int = 512) -> BoundReport:
+    """The ``moment_bound_reports`` entry of a single r."""
+    return moment_bound_reports(order, h, (r,), n_mc, seed, kernel, t, n_steps)[0]

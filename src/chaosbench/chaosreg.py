@@ -93,9 +93,6 @@ class Sample:
         """
         return np.diff(self.path_values, axis=1)
 
-    def path(self, i: int) -> BrownianPath:
-        return BrownianPath(self.grid, self.path_values[i])
-
 
 @dataclass(frozen=True)
 class ChaosKernelEstimate:
@@ -119,9 +116,6 @@ class ChaosKernelEstimate:
     def as_gridded(self) -> GriddedFunction:
         return GriddedFunction(self.order, self.grid_size, self.values)
 
-    def l2_norm_sq(self) -> float:
-        return float(np.mean(self.values**2))
-
 
 @dataclass(frozen=True)
 class FittedModel:
@@ -142,10 +136,6 @@ class FittedModel:
     def chaos_orders(self) -> tuple[int, ...]:
         return tuple(e.order for e in self.estimates)
 
-    @property
-    def bandwidths(self) -> tuple[float, ...]:
-        return tuple(e.bandwidth for e in self.estimates)
-
     def estimate_for(self, order: int) -> ChaosKernelEstimate | None:
         for e in self.estimates:
             if e.order == order:
@@ -163,23 +153,9 @@ class RiskReport:
     mc_stderr: float
     breakdown: dict
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.p,
-                "value": self.value,
-                "method": self.method,
-                "mc_stderr": self.mc_stderr,
-                "breakdown": {str(k): v for k, v in self.breakdown.items()},
-            },
-            sort_keys=True,
-        )
-
 
 def estimate_mean(sample: Sample) -> float:
-    """Arithmetic mean of the responses."""
-    if sample.n < 1:
-        raise ValueError("empty sample")
+    """Arithmetic mean of the responses (a Sample holds at least two)."""
     return float(np.mean(sample.responses))
 
 
@@ -326,33 +302,17 @@ def smoothed_truth(
     return GriddedFunction(order, grid_size, values)
 
 
-def _regrid(estimate: ChaosKernelEstimate, grid_size: int) -> GriddedFunction:
-    if grid_size == estimate.grid_size:
-        return estimate.as_gridded()
-    # nearest-midpoint resampling per axis
-    old = midpoints(estimate.grid_size)
-    new = midpoints(grid_size)
-    idx = np.clip(np.searchsorted(old, new), 1, len(old) - 1)
-    idx = np.where(np.abs(old[idx - 1] - new) <= np.abs(old[idx] - new), idx - 1, idx)
-    values = estimate.values
-    for axis in range(estimate.order):
-        values = np.take(values, idx, axis=axis)
-    return GriddedFunction(estimate.order, grid_size, values)
-
-
-def predict_values(model: FittedModel, increments: np.ndarray,
-                   grid_size: int | None = None) -> np.ndarray:
+def predict_values(model: FittedModel, increments: np.ndarray) -> np.ndarray:
     """Plugin prediction Ybar + sum_l I_l(fhat_l)(W) / l! per increment row (orders <= 3)."""
     values = np.full(len(increments), model.mean_hat)
     for est in model.estimates:
-        gridded = _regrid(est, grid_size) if grid_size else est.as_gridded()
-        values += gridded_chaos_values(gridded, increments) / math.factorial(est.order)
+        values += gridded_chaos_values(est.as_gridded(), increments) / math.factorial(est.order)
     return values
 
 
-def predict(model: FittedModel, path: BrownianPath, grid_size: int | None = None) -> float:
+def predict(model: FittedModel, path: BrownianPath) -> float:
     """Row 0 of ``predict_values`` for a single path."""
-    return float(predict_values(model, path.increments[None], grid_size)[0])
+    return float(predict_values(model, path.increments[None])[0])
 
 
 def risk_isometry(model: FittedModel, truth, grid_size: int | None = None,
@@ -360,7 +320,8 @@ def risk_isometry(model: FittedModel, truth, grid_size: int | None = None,
     """Exact conditional R_2 from the per-order surface errors.
 
     Orders present on only one side contribute the other side's norm.  Only
-    p = 2 admits this decomposition.
+    p = 2 admits this decomposition.  The truth is tabulated at ``grid_size``
+    (default: the estimates' grid), and every estimate must lie on that grid.
     """
     if p != 2.0:
         raise ValueError("the isometry decomposition is only valid for p = 2")
@@ -373,7 +334,10 @@ def risk_isometry(model: FittedModel, truth, grid_size: int | None = None,
     total = mean_term
     for order in orders:
         est = model.estimate_for(order)
-        model_vals = _regrid(est, grid_size).values if est is not None else None
+        if est is not None and est.grid_size != grid_size:
+            raise ValueError(
+                f"order-{order} estimate on G={est.grid_size}, truth on G={grid_size}")
+        model_vals = est.values if est is not None else None
         truth_vals = truth.component_values(order, grid_size)
         if model_vals is None and truth_vals is None:
             diff = None
@@ -395,7 +359,6 @@ def risk_monte_carlo(
     p: float,
     n_mc: int,
     seed: int,
-    grid_size: int | None = None,
     n_steps: int = 512,
 ) -> RiskReport:
     """Monte Carlo prediction risk (E |mhat(W) - m(W)|^p)^(1/p) over fresh paths.
@@ -406,7 +369,7 @@ def risk_monte_carlo(
     if p < 2:
         raise ValueError("p must be >= 2")
     value, stderr = monte_carlo_mean(
-        lambda dw: np.abs(predict_values(model, dw, grid_size) - truth.values(dw)) ** p,
+        lambda dw: np.abs(predict_values(model, dw) - truth.values(dw)) ** p,
         n_mc, n_steps, seed, root=p)
     return RiskReport(float(p), value, "monte_carlo", stderr, {})
 

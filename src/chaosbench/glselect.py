@@ -178,19 +178,6 @@ def _select_with_fits(
     return trace, fits
 
 
-def select_bandwidth(
-    order: int,
-    sample: Sample,
-    grid: BandwidthGrid,
-    params: MajorantParams,
-    grid_size: int,
-    kernel: MomentKernel,
-) -> SelectionTrace:
-    """Fit all grid bandwidths once and return the B + M minimizer with its trace."""
-    trace, _ = _select_with_fits(order, sample, grid, params, grid_size, kernel)
-    return trace
-
-
 def adaptive_fit(
     sample: Sample,
     max_order: int,

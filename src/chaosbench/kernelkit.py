@@ -15,10 +15,8 @@ at a set of centres on a set of points.  The window flip s(t) = +1 on
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -120,22 +118,3 @@ def kernel_moment(kernel: MomentKernel, s: int, n_points: int = 10_000) -> float
     nodes = 8
     pts, wts = gauss_legendre_panels(0.0, 1.0, panels=max(1, n_points // nodes), nodes=nodes)
     return float(np.dot(pts**s * eval_univariate(kernel, pts), wts))
-
-
-def kernel_to_json(kernel: MomentKernel, fp: IO[str] | None = None) -> str:
-    doc = {
-        "moment_order": kernel.moment_order,
-        "poly_coeffs": kernel.poly_coeffs.tolist(),
-        "l2_norm": kernel.l2_norm,
-    }
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if fp is not None:
-        fp.write(text)
-    return text
-
-
-def kernel_from_json(text: str) -> MomentKernel:
-    doc = json.loads(text)
-    return MomentKernel(
-        int(doc["moment_order"]), np.asarray(doc["poly_coeffs"]), float(doc["l2_norm"])
-    )

@@ -302,50 +302,6 @@ def class_check(
     return ClassCheckReport(kind, tuple(entries), total, m_bound**2, ok)
 
 
-def spec_to_config_doc(spec: MappingSpec) -> dict:
-    """Serialize a mapping spec to the experiment-config truth format.
-
-    Constants and polynomial equal-factor components round-trip exactly;
-    gridded components are stored flat in row-major order.  Equal-factor
-    components with non-polynomial callables cannot be serialized.
-    """
-    components = []
-    for comp in spec.components:
-        if isinstance(comp, ConstantComponent):
-            components.append({"order": comp.order, "kind": "constant", "value": comp.value})
-        elif isinstance(comp, EqualFactorComponent):
-            if not isinstance(comp.g, np.polynomial.Polynomial):
-                raise ValueError(
-                    "only polynomial equal-factor components are serializable"
-                )
-            components.append(
-                {"order": comp.order, "kind": "poly", "coeffs": comp.g.coef.tolist()}
-            )
-        else:
-            gf = comp.gridded_function
-            components.append(
-                {
-                    "order": comp.order,
-                    "kind": "gridded",
-                    "grid_size": gf.grid_size,
-                    "values": gf.values.ravel(order="C").tolist(),
-                }
-            )
-    if isinstance(spec.noise, GaussianNoise):
-        noise = {"kind": "gaussian", "sigma": spec.noise.sigma}
-    else:
-        noise = {"kind": "uniform", "half_width": spec.noise.half_width}
-    d = spec.declared
-    cls: dict = {"max_order": d.max_order, "class_bound": d.class_bound}
-    if d.s:
-        cls["s"] = list(d.s)
-    if d.lam:
-        cls["lam"] = list(d.lam)
-    if d.gamma is not None:
-        cls["gamma"] = d.gamma
-    return {"a": spec.a, "components": components, "noise": noise, "class": cls}
-
-
 def bump_psi(u):
     """The smooth compactly supported bump exp(-1/(1-u^2)) on (-1, 1), 0 outside."""
     arr = np.asarray(u, dtype=float)

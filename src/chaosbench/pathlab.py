@@ -9,7 +9,6 @@ back into the driving Brownian path.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -241,20 +240,3 @@ def reconstruct_coprocess(spec: DiffusionSpec, x: DiffusionPath) -> BrownianPath
         w = np.concatenate([[0.0], np.cumsum((dx - b * grid.dt) / sig)])
         return BrownianPath(grid, w)
     raise TypeError(f"unknown diffusion spec {type(spec).__name__}")
-
-
-def write_path_csv(path: Union[BrownianPath, DiffusionPath], fp: io.TextIOBase) -> None:
-    """Write a path as CSV with header ``t,value`` and >= 15 significant digits."""
-    fp.write("t,value\n")
-    for t, v in zip(path.grid.points, path.values):
-        fp.write(f"{t:.17g},{v:.17g}\n")
-
-
-def read_path_csv(fp: io.TextIOBase) -> BrownianPath:
-    """Read a path written by :func:`write_path_csv` back as a BrownianPath."""
-    header = fp.readline().strip()
-    if header != "t,value":
-        raise ValueError(f"unexpected CSV header {header!r}")
-    rows = [line.strip().split(",") for line in fp if line.strip()]
-    values = np.array([float(v) for _, v in rows])
-    return BrownianPath(make_grid(len(values) - 1), values)

@@ -61,6 +61,70 @@ def test_parse_config_valid():
     assert parse_config(_base_doc(risk={"n_mc": 50})).risk_n_mc == 50
 
 
+def _truth(**overrides):
+    """A valid inline order-2 truth with ``overrides`` applied."""
+    doc = {
+        "a": 1.0,
+        "components": [{"order": 2, "kind": "constant", "value": 1.0}],
+        "noise": {"kind": "gaussian", "sigma": 0.5},
+        "class": {"s": [1.0, 1.0], "lam": [1.0, 1.0], "max_order": 2, "class_bound": 1.0},
+    }
+    doc.update(overrides)
+    return doc
+
+
+def _gridded(order, g, values):
+    return {"order": order, "kind": "gridded", "grid_size": g, "values": values}
+
+
+# malformed configs that must exit 1 in every command, before any output
+MALFORMED = [
+    ({"bandwidths": {"mode": "theorem41", "s": [1.0], "lam": [1.0], "practical": "no"}},
+     r"bandwidths\.practical: expected true or false"),
+    ({"s_star_lo": True}, r"s_star_lo: expected a number, got True"),
+    ({"risk_p": "four"}, r"risk_p: expected a number"),
+    ({"s_star_lo": "half"}, r"s_star_lo: expected a number"),
+    ({"bandwidths": {"mode": "fixed", "values": {"one": 0.25, "2": 0.25}}},
+     r"bandwidths\.values\[one\]: keys must be orders"),
+    ({"bandwidths": {"mode": "fixed", "values": {"1": "x", "2": 0.25}}},
+     r"bandwidths\.values\[1\]: expected a number"),
+    ({"bandwidths": {"mode": "fixed", "values": {"1": 0.25, "2": 0.25, "5": 0.25}}},
+     r"bandwidths\.values\[5\]: keys must be orders in 1\.\.max_order = 2"),
+    ({"bandwidths": {"mode": "theoretical", "s": ["a"], "lam": [1.0]}},
+     r"bandwidths\.s\[0\]: expected a number"),
+    ({"truth": _truth(**{"class": [1]})}, r"truth\.class: expected an object"),
+    ({"truth": _truth(**{"class": {"class_bound": "x"}})},
+     r"truth\.class\.class_bound: expected a number"),
+    ({"truth": _truth(**{"class": {"s": "ab"}})}, r"truth\.class\.s: expected a list"),
+    ({"truth": _truth(**{"class": {"max_order": "3"}})},
+     r"truth\.class\.max_order: expected an integer"),
+    ({"truth": _truth(**{"class": {"gamma": "x"}})}, r"truth\.class\.gamma: expected a number"),
+    ({"truth": _truth(components=[{"order": 2, "kind": "poly", "coeffs": ["a"]}])},
+     r"truth\.components\[0\]\.coeffs\[0\]: expected a number"),
+    ({"truth": _truth(components=[{"order": 2, "kind": "poly", "coeffs": [[1.0]]}])},
+     r"truth\.components\[0\]\.coeffs\[0\]: expected a number"),
+    ({"truth": _truth(components=[_gridded(1, 2, ["a", 1])])},
+     r"truth\.components\[0\]\.values\[0\]: expected a number"),
+    ({"truth": _truth(noise={"kind": "gaussian", "sigma": -1})},
+     r"truth\.noise: sigma must be >= 0"),
+    ({"truth": _truth(components=[{"order": 1, "kind": "constant", "value": 1.0}] * 2)},
+     r"truth\.components: at most one component per order"),
+    ({"truth": _truth(components=[{"order": 0, "kind": "constant", "value": 1.0}])},
+     r"truth\.components\[0\]\.order: must be >= 1"),
+    ({"truth": _truth(components=[_gridded(2, 2, [1.0, 2.0, 3.0, 4.0])])},
+     r"truth\.components\[0\]: gridded components must be symmetric"),
+    ({"seed": -1}, r"seed: must be >= 0"),
+    ({"truth": _truth(components=[_gridded(2, 16, [1.0] * 256)]), "grid_size": 8},
+     r"truth\.components\[0\]\.grid_size: isometry risk compares surfaces on grid_size 8"),
+    ({"truth": _truth(components=[_gridded(1, 3, [1.0] * 3)]), "path_steps": 64},
+     r"truth\.components\[0\]\.grid_size: 3 does not divide path_steps 64"),
+    ({"s_star_hi": math.inf}, r"s_star_hi: expected a number, got inf"),
+    ({"risk_p": 4.0, "max_order": 4,
+      "bandwidths": {"mode": "fixed", "values": {str(o): 0.25 for o in range(1, 5)}}},
+     r"max_order: the Monte Carlo risk predictor supports orders <= 3"),
+]
+
+
 @pytest.mark.parametrize(
     "overrides,fragment",
     [
@@ -80,6 +144,7 @@ def test_parse_config_valid():
         ({"check": []}, "check: expected an object"),
         ({"risk": {"n_mc": "many"}}, r"risk\.n_mc: expected an integer"),
         ({"check": {"kernel_coeff_perturbation": "x"}}, "expected a number"),
+        *MALFORMED,
     ],
 )
 def test_parse_config_rejects(overrides, fragment):
@@ -258,12 +323,12 @@ def test_hypercontractivity_slack_is_in_lhs_units(monkeypatch):
     # lhs = (E xi^4)^(1/4) = 1.25 exceeds rhs = sqrt(3) (E xi^2)^(1/2) = 1 by five
     # delta-method standard errors, 0.5 * 0.125 / 1.25 = 0.05 each, but by less
     # than 3 * 0.125, the standard error of (E xi^4)^(1/2)
-    def fake_report(order, h, r, n_mc, seed, kernel, t=None, n_steps=512):
-        if r == 1:
-            return BoundReport(1.0 / 3.0, math.inf, True, 0.0, n_mc, seed)
-        return BoundReport(1.25**2, math.inf, True, 0.125, n_mc, seed)
+    def fake_reports(order, h, rs, n_mc, seed, kernel, t=None, n_steps=512):
+        reports = {1: BoundReport(1.0 / 3.0, math.inf, True, 0.0, n_mc, seed),
+                   2: BoundReport(1.25**2, math.inf, True, 0.125, n_mc, seed)}
+        return tuple(reports[r] for r in rs)
 
-    monkeypatch.setattr(benchcli, "moment_bound_report", fake_report)
+    monkeypatch.setattr(benchcli, "moment_bound_reports", fake_reports)
     report = benchcli.run_checks(parse_config(_base_doc()))
     hyper = {c["name"]: c for c in report["checks"]}["hypercontractivity_l1"]
     assert hyper["measured"] == 1.25 and hyper["target"] == pytest.approx(1.0, rel=1e-12)
@@ -284,22 +349,26 @@ def test_main_exit_codes(tmp_path, monkeypatch):
     assert main(["risk", "--config", str(good), "--out", str(tmp_path / "risk"),
                  "--models", str(tmp_path / "no_models")]) == 1
     assert not (tmp_path / "risk").exists()
-    # malformed or too small risk and check blocks fail validation in every command
+    # malformed or too small risk and check blocks, and every malformed value,
+    # fail validation in every command
     bad_blocks = [
         {"risk_p": 4.0, "risk": {"n_mc": 50}},
         {"check": {"n_mc": 50}},
         {"risk": "isometry"},
         {"check": []},
         {"risk": {"n_mc": "many"}},
+        *(overrides for overrides, _ in MALFORMED),
     ]
-    for i, overrides in enumerate(bad_blocks):
-        cfg = _write_config(tmp_path, _base_doc(**overrides), f"block{i}.json")
+    runs = [(_base_doc(**overrides), []) for overrides in bad_blocks]
+    runs.append(([_base_doc()], ["--seed", "5"]))  # a top-level list, with --seed
+    for i, (doc, seed) in enumerate(runs):
+        cfg = _write_config(tmp_path, doc, f"block{i}.json")
         for command in ("simulate", "fit", "adapt", "risk", "rate", "check"):
             out = tmp_path / f"out_{i}_{command}"
-            argv = [command, "--config", str(cfg), "--out", str(out)]
+            argv = [command, "--config", str(cfg), "--out", str(out), *seed]
             if command == "risk":
                 argv += ["--models", str(tmp_path / "ok")]
-            assert main(argv) == 1, (overrides, command)
+            assert main(argv) == 1, (doc, command)
             assert not out.exists()
 
     # check writes nothing when its checks raise
@@ -499,18 +568,16 @@ def test_manifest_replays_as_config(tmp_path):
 
 
 def test_truth_config_round_trip_including_gridded():
-    from chaosbench.mappingzoo import bump_instance, spec_to_config_doc
+    from chaosbench.mappingzoo import bump_instance
 
-    _, bump_spec = bump_instance(2, 0.25, [(0, 1), (1, 0)], rho=0.5, grid_size=16)
-    doc = _base_doc(truth=spec_to_config_doc(bump_spec), grid_size=16, max_order=2)
-    config = parse_config(doc)
+    bump, _ = bump_instance(2, 0.25, [(0, 1), (1, 0)], rho=0.5, grid_size=16)
+    truth = _truth(a=0.0, components=[_gridded(2, 16, bump.values.ravel().tolist())],
+                   noise={"kind": "gaussian", "sigma": 0.0})
+    config = parse_config(_base_doc(truth=truth, grid_size=16, max_order=2))
     assert config.truth.orders == (2,)
-    assert np.allclose(
-        config.truth.component_values(2, 16), bump_spec.component_values(2, 16)
-    )
-    qt_doc = spec_to_config_doc(parse_config(_base_doc()).truth)
-    back = parse_config(_base_doc(truth=qt_doc))
-    assert back.truth.a == 1.0 and back.truth.orders == (2,)
+    assert np.array_equal(config.truth.component_values(2, 16), bump.values)
+    back = parse_config(_base_doc(truth=_truth()))
+    assert back.truth == parse_config(_base_doc()).truth
 
 
 def test_theorem41_mode_rejects_monte_carlo_risk():
@@ -548,3 +615,24 @@ def test_adapt_manifest_records_the_configured_bandwidth_mode(tmp_path):
     assert manifest["command"] == "adapt"
     assert manifest["config"]["bandwidths"]["mode"] == "fixed"
     assert "n_000500/rep_000/trace_order2.csv" in manifest["outputs"]
+
+
+def test_rate_with_a_malformed_class_writes_nothing(tmp_path):
+    # the declared class feeds only the theoretical rate curve, after every fit
+    truth = dict(_rate_doc()["truth"], **{"class": {"s": "ab"}})
+    doc = _rate_doc(truth=truth, bandwidths={"mode": "fixed", "values": {"1": 0.25}})
+    cfg = _write_config(tmp_path, doc)
+    assert main(["rate", "--config", str(cfg), "--out", str(tmp_path / "rate")]) == 1
+    assert not (tmp_path / "rate").exists()
+
+
+def test_risk_rejects_models_fit_at_another_grid_size(tmp_path, capsys):
+    coarse = parse_config(_base_doc(grid_size=8))
+    models = cmd_fit(coarse, tmp_path / "fits")
+    for i, overrides in enumerate([{}, {"risk_p": 4.0, "risk": {"n_mc": 100}}]):
+        cfg = _write_config(tmp_path, _base_doc(**overrides), f"cfg{i}.json")
+        out = tmp_path / f"risk{i}"
+        assert main(["risk", "--config", str(cfg), "--out", str(out),
+                     "--models", str(models), "--threads", "2"]) == 1
+        assert not out.exists()
+        assert "grid_size 8, the config has grid_size 16" in capsys.readouterr().err

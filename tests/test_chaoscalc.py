@@ -13,7 +13,6 @@ from chaosbench.chaoscalc import (
     hermite_chaos,
     hermite_chaos_values,
     isometry_report,
-    ito_integral_1,
     l2_inner,
     moment_bound_report,
     monte_carlo_mean,
@@ -43,12 +42,12 @@ def path():
 
 
 def test_ito_integral_of_one_telescopes(path):
-    assert ito_integral_1(ONE, path) == pytest.approx(path.values[-1], abs=1e-12)
+    assert tensor_chaos([ONE], path) == pytest.approx(path.values[-1], abs=1e-12)
 
 
 def test_ito_integral_of_half_indicator(path):
     g = lambda u: np.where(u < 0.5, 1.0, 0.0)  # noqa: E731
-    assert ito_integral_1(g, path) == pytest.approx(path.values[256], abs=1e-12)
+    assert tensor_chaos([g], path) == pytest.approx(path.values[256], abs=1e-12)
 
 
 def test_ito_isometry_for_ramp():
@@ -65,12 +64,14 @@ def test_l2_inner_values():
 
 
 def test_tensor_chaos_order_one_is_ito(path):
-    assert tensor_chaos([RAMP], path) == pytest.approx(ito_integral_1(RAMP, path), abs=1e-14)
+    # the left-point Ito sum sum_j g(t_j) (W_{j+1} - W_j)
+    left_sum = np.dot(RAMP(path.grid.points[:-1]), path.increments)
+    assert tensor_chaos([RAMP], path) == pytest.approx(left_sum, abs=1e-14)
 
 
 def test_tensor_chaos_hermite_identities(path):
     g = np.polynomial.Polynomial([0.5, 1.0])
-    xi = ito_integral_1(g, path)
+    xi = tensor_chaos([g], path)
     norm_sq = l2_inner(g, g)
     assert tensor_chaos([g, g], path) == pytest.approx(xi**2 - norm_sq, rel=1e-12)
     assert tensor_chaos([g, g, g], path) == pytest.approx(
@@ -92,7 +93,7 @@ def test_tensor_chaos_matches_hermite_up_to_order_five():
 
 def test_hermite_chaos_base_cases(path):
     g = np.polynomial.Polynomial([1.0, -0.5])
-    xi = ito_integral_1(g, path)
+    xi = tensor_chaos([g], path)
     assert hermite_chaos(g, 1, path) == pytest.approx(xi, rel=1e-12)
     assert hermite_chaos(g, 2, path) == pytest.approx(xi**2 - l2_inner(g, g), rel=1e-12)
 
@@ -105,13 +106,12 @@ def test_hermite_chaos_rejects_zero_integrand(path):
 
 def test_brute_order_one_equals_left_sum(path):
     f = GriddedFunction.from_callable(1, 64, lambda u: 1.0 + u / 2)
-    centers = f.centers
     # piecewise-constant representative of the gridded function
     g = lambda u: f.values[np.minimum((np.asarray(u) * 64).astype(int), 63)]  # noqa: E731
     assert brute_multiple_integral(f, path) == pytest.approx(
-        ito_integral_1(g, path), abs=1e-12
+        tensor_chaos([g], path), abs=1e-12
     )
-    assert np.array_equal(centers, (np.arange(64) + 0.5) / 64)
+    assert np.array_equal(f.values, 1.0 + (np.arange(64) + 0.5) / 64 / 2)
 
 
 def test_brute_quadratic_variation_limit():
@@ -168,12 +168,6 @@ def test_isometry_report_distinct_orders_orthogonal():
     report = isometry_report([ONE], [ONE, ONE], n_mc=10_000, seed=6, n_steps=256)
     assert report.theoretical == 0.0
     assert report.within(3.0)
-
-
-def test_isometry_report_serialization():
-    report = isometry_report([ONE], [ONE], n_mc=200, seed=1, n_steps=64)
-    doc = report.to_json()
-    assert '"empirical"' in doc and '"mc_stderr"' in doc and '"seed": 1' in doc
 
 
 def test_isometry_report_input_validation():

@@ -258,7 +258,7 @@ def test_risk_monte_carlo_agrees_with_isometry():
     est = fit_chaos_kernel(sample, 2, 0.25, 64, K1)
     model = FittedModel(estimate_mean(sample), (est,))
     iso = risk_isometry(model, truth)
-    mc = risk_monte_carlo(model, truth, 2.0, 400, 777, 64, 512)
+    mc = risk_monte_carlo(model, truth, 2.0, 400, 777, 512)
     assert abs(iso.value - mc.value) <= 3 * mc.mc_stderr
 
 
@@ -268,7 +268,7 @@ def test_risk_monte_carlo_self_comparison_is_discretization_floor():
     truth = quadratic_terminal()
     values = truth.component_values(2, 64)
     perfect = _model_with({2: values}, truth.a)
-    floor = risk_monte_carlo(perfect, truth, 2.0, 300, 11, 64, 512)
+    floor = risk_monte_carlo(perfect, truth, 2.0, 300, 11, 512)
     sample = synthesize(truth, 500, make_grid(512), 13)
     fitted = FittedModel(
         estimate_mean(sample), (fit_chaos_kernel(sample, 2, 0.25, 64, K1),)
@@ -282,8 +282,8 @@ def test_risk_monte_carlo_moment_monotonicity():
     sample = synthesize(truth, 500, make_grid(256), 9)
     est = fit_chaos_kernel(sample, 2, 0.25, 32, K1)
     model = FittedModel(estimate_mean(sample), (est,))
-    r2 = risk_monte_carlo(model, truth, 2.0, 200, 4, 32, 256)
-    r4 = risk_monte_carlo(model, truth, 4.0, 200, 4, 32, 256)
+    r2 = risk_monte_carlo(model, truth, 2.0, 200, 4, 256)
+    r4 = risk_monte_carlo(model, truth, 4.0, 200, 4, 256)
     assert r4.value >= r2.value
 
 
@@ -326,11 +326,12 @@ def test_model_rejects_duplicate_orders():
         )
 
 
-def test_risk_report_serialization():
+def test_risk_isometry_rejects_an_estimate_on_another_grid():
     truth = quadratic_terminal()
-    report = risk_isometry(FittedModel(truth.a, ()), truth, grid_size=8)
-    doc = report.to_json()
-    assert '"method": "isometry"' in doc and '"breakdown"' in doc
+    model = _model_with({2: truth.component_values(2, 16)}, truth.a)
+    assert risk_isometry(model, truth, 16).value == 0.0
+    with pytest.raises(ValueError, match="G=16"):
+        risk_isometry(model, truth, 8)
 
 
 def test_sample_rejects_non_finite_responses():
@@ -356,8 +357,6 @@ def test_predict_values_match_predict_row_by_row():
     batch = predict_values(model, np.diff(rows, axis=1))
     for values, value in zip(rows, batch):
         assert value == pytest.approx(predict(model, BrownianPath(grid, values)), rel=1e-12)
-    coarse = predict_values(model, np.diff(rows, axis=1), grid_size=8)
-    assert coarse[3] == pytest.approx(predict(model, BrownianPath(grid, rows[3]), 8), rel=1e-12)
 
 
 def test_risk_monte_carlo_equals_explicit_per_draw_formula():

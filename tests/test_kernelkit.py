@@ -7,9 +7,7 @@ from chaosbench.kernelkit import (
     boundary_sign,
     build_kernel,
     eval_univariate,
-    kernel_from_json,
     kernel_moment,
-    kernel_to_json,
     slice_matrix,
 )
 
@@ -142,10 +140,3 @@ def test_bandwidth_validation():
         with pytest.raises(ValueError):
             slice_matrix(base, [0.5], h, np.array([0.5]))
 
-
-def test_json_round_trip():
-    k = build_kernel(3.0)
-    back = kernel_from_json(kernel_to_json(k))
-    assert back.moment_order == k.moment_order
-    assert np.array_equal(back.poly_coeffs, k.poly_coeffs)
-    assert back.l2_norm == k.l2_norm

@@ -60,6 +60,11 @@ def test_mean_of_mapping_matches_constant_term():
     assert abs(sample.responses.mean() - 1.0) <= 3 * stderr
 
 
+def _path(sample, i):
+    """Row i of a sample as a single path."""
+    return BrownianPath(sample.grid, sample.path_values[i])
+
+
 def test_synthesize_zero_noise_and_determinism():
     spec = quadratic_terminal(noise=GaussianNoise(0.0))
     grid = make_grid(64)
@@ -68,7 +73,7 @@ def test_synthesize_zero_noise_and_determinism():
     assert np.array_equal(a.responses, b.responses)
     assert np.array_equal(a.path_values, b.path_values)
     for i in range(16):
-        assert a.responses[i] == pytest.approx(evaluate_mapping(spec, a.path(i)), rel=1e-12)
+        assert a.responses[i] == pytest.approx(evaluate_mapping(spec, _path(a, i)), rel=1e-12)
 
 
 def test_synthesize_batch_matches_per_path_evaluation_for_poly():
@@ -77,7 +82,7 @@ def test_synthesize_batch_matches_per_path_evaluation_for_poly():
     sample = synthesize(spec, 8, make_grid(128), 21)
     for i in range(8):
         assert sample.responses[i] == pytest.approx(
-            evaluate_mapping(spec, sample.path(i)), rel=1e-10
+            evaluate_mapping(spec, _path(sample, i)), rel=1e-10
         )
 
 
@@ -85,7 +90,7 @@ def test_synthesize_noise_independent_of_paths():
     spec = quadratic_terminal(noise=GaussianNoise(1.0))
     n = 4000
     sample = synthesize(spec, n, make_grid(32), 17)
-    m_values = np.array([evaluate_mapping(spec, sample.path(i)) for i in range(n)])
+    m_values = np.array([evaluate_mapping(spec, _path(sample, i)) for i in range(n)])
     eps = sample.responses - m_values
     terminal = sample.path_values[:, -1]
     corr = np.corrcoef(eps, terminal)[0, 1]

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -11,12 +9,10 @@ from chaosbench.pathlab import (
     OrnsteinUhlenbeck,
     brownian_increments,
     make_grid,
-    read_path_csv,
     reconstruct_coprocess,
     sample_brownian,
     sample_brownian_paths,
     simulate_diffusion,
-    write_path_csv,
 )
 
 
@@ -211,26 +207,3 @@ def test_ou_round_trip_error_halves_with_resolution():
     ratio = np.mean(sup_err[512]) / np.mean(sup_err[1024])
     assert 1.5 <= ratio <= 3.0, ratio
 
-
-def test_csv_round_trip_bit_exact():
-    grid = make_grid(32)
-    w = sample_brownian(grid, 77)
-    buffer = io.StringIO()
-    write_path_csv(w, buffer)
-    buffer.seek(0)
-    back = read_path_csv(buffer)
-    assert np.array_equal(back.values, w.values)
-    assert back.grid == w.grid
-
-
-def test_csv_header_and_digits():
-    grid = make_grid(2)
-    w = BrownianPath(grid, np.array([0.0, 1 / 3, -2 / 7]))
-    buffer = io.StringIO()
-    write_path_csv(w, buffer)
-    lines = buffer.getvalue().splitlines()
-    assert lines[0] == "t,value"
-    # 17 significant digits reproduce doubles exactly
-    assert float(lines[1].split(",")[1]) == 0.0
-    assert float(lines[2].split(",")[1]) == 1 / 3
-    assert float(lines[3].split(",")[1]) == -2 / 7
