@@ -4,7 +4,7 @@ Subpackages:
 
 * ``pathlab``    - path and diffusion simulation, coprocess reconstruction
 * ``kernelkit``  - vanishing-moment kernels and boundary-corrected slices
-* ``chaoscalc``  - multiple Wiener integrals, oracles, and MC validators
+* ``chaoscalc``  - multiple Wiener integrals, chaos expansions, oracles, MC validators
 * ``chaosreg``   - chaos-kernel surface estimates and the plugin regression
 * ``glselect``   - data-driven bandwidth selection
 * ``mappingzoo`` - ground-truth mappings, synthesis, class checks, bumps
@@ -34,6 +34,7 @@ from .kernelkit import (  # noqa: F401
     slice_matrix,
 )
 from .chaoscalc import (  # noqa: F401
+    ChaosExpansion,
     GriddedFunction,
     brute_multiple_integral,
     chaos_constant,
@@ -55,7 +56,6 @@ from .chaosreg import (  # noqa: F401
     estimate_mean,
     fit_chaos_kernel,
     predict,
-    predict_values,
     risk_isometry,
     risk_monte_carlo,
     smoothed_truth,

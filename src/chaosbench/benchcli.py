@@ -327,8 +327,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     risk_n_mc = _optional(risk, "n_mc", int, "risk", 400)
     if risk_method == "monte_carlo" and risk_n_mc < MIN_MC_DRAWS:
         raise ConfigError(f"risk.n_mc: Monte Carlo risk needs >= {MIN_MC_DRAWS} draws")
-    for i, comp in enumerate(truth.components):  # summed on path cells, compared on G
-        g = comp.gridded_function.grid_size if isinstance(comp, GriddedComponent) else 0
+    # the listed components, which MappingSpec keeps sorted by order, name the entry
+    listed = truth_doc["components"] if isinstance(truth_doc, dict) else []
+    for i, comp in enumerate(listed):  # summed on path cells, compared on G
+        g = comp["grid_size"] if comp["kind"] == "gridded" else 0
         if g and path_steps % g != 0:
             raise ConfigError(f"truth.components[{i}].grid_size: {g} does not divide "
                               f"path_steps {path_steps}")
@@ -708,7 +710,7 @@ def _stored_risk(config: ExperimentConfig, n_index: int, n: int, rep: int, model
     path = _rep_dir(models_dir, n, rep) / "model.json"
     with open(path) as fp:
         model = model_from_json(fp.read())
-    for est in model.estimates:
+    for est in model.components:
         if est.grid_size != config.grid_size:
             raise ConfigError(f"{path}: order-{est.order} surface on grid_size "
                               f"{est.grid_size}, the config has grid_size {config.grid_size}")
@@ -999,6 +1001,8 @@ def plot_trace_csv(csv_path: Path, out_path: Path) -> None:
 
 
 def cmd_plot(csv_path: Path, out_path: Path) -> Path:
+    if not csv_path.is_file():
+        raise ConfigError(f"plot: missing CSV file {csv_path}")
     with open(csv_path) as fp:
         header = fp.readline().strip()
     if header.startswith("ell,"):

@@ -22,6 +22,9 @@ increments and returns one value per path (row):
 ``tensor_chaos``, ``hermite_chaos`` and ``brute_multiple_integral`` take one
 ``BrownianPath`` and evaluate row 0 of the matching batch.
 
+``ChaosExpansion`` is a + sum_l I_l(f_l)(W) / l!, the one type of synthetic
+truths and fitted models, and ``ChaosExpansion.values`` evaluates both.
+
 ``monte_carlo_mean``, the one Monte Carlo estimator, serves the validators
 of the Ito isometry, orthogonality of distinct orders, hypercontractive
 moment growth and the second-moment bound
@@ -83,6 +86,46 @@ class GriddedFunction:
             np.asarray(f(*grids), dtype=float), (grid_size,) * dim
         ).copy()
         return cls(dim, grid_size, values)
+
+
+@dataclass(frozen=True)
+class ChaosExpansion:
+    """a + sum_l I_l(f_l)(W) / l!, with at most one component per order l >= 1.
+
+    A component has an ``order``, ``gridded(grid_size)`` (f_l on the G-per-axis
+    midpoint grid) and ``chaos_values(increments)`` (I_l(f_l) per increment
+    row).  Components are kept sorted by order.
+    """
+
+    a: float
+    components: tuple
+
+    def __post_init__(self):
+        components = tuple(sorted(self.components, key=lambda c: c.order))
+        object.__setattr__(self, "components", components)
+        orders = self.orders
+        if len(set(orders)) != len(orders):
+            raise ValueError("at most one component per order")
+        if orders and orders[0] < 1:
+            raise ValueError("component orders must be >= 1")
+
+    @property
+    def orders(self) -> tuple[int, ...]:
+        return tuple(c.order for c in self.components)
+
+    def component_values(self, order: int, grid_size: int) -> np.ndarray:
+        """f_l on the G-per-axis midpoint grid; zero for an order without a component."""
+        for c in self.components:
+            if c.order == order:
+                return c.gridded(grid_size)
+        return np.zeros((grid_size,) * order)
+
+    def values(self, increments: np.ndarray) -> np.ndarray:
+        """a + sum_l I_l(f_l)(W) / l! for each row of an (n, N) increment matrix."""
+        values = np.full(len(increments), self.a)
+        for c in self.components:
+            values += c.chaos_values(increments) / math.factorial(c.order)
+        return values
 
 
 def chaos_constant(order: int, q: float) -> float:

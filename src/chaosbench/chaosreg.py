@@ -13,23 +13,21 @@ slice gram sl sl^T / N taken on the same path grid as x, so the Ito
 correction removes exactly the expected diagonal of the left-point sums.
 One slice matrix sl, evaluated at the left grid points, gives both.
 
-The plugin regression adds the response mean and the per-order multiple
-integrals of the fitted surfaces, evaluated with the batched gridded
-off-diagonal sum
-(``chaoscalc.gridded_chaos_values``): ``predict_values`` predicts every row
-of an (n, N) increment matrix at once, and ``predict`` is its row 0 for a
+The plugin regression is the chaos expansion (``chaoscalc.ChaosExpansion``)
+with Ybar in place of a and the fitted surfaces in place of f_l, whose
+multiple integrals are the batched gridded off-diagonal sum
+(``chaoscalc.gridded_chaos_values``).  ``FittedModel.values`` predicts every
+row of an (n, N) increment matrix at once, and ``predict`` is its row 0 for a
 single path.
 
-Risk against a known truth is computed two ways: the exact conditional
-decomposition
+Risk against a truth expansion (``mappingzoo.MappingSpec``) is computed two
+ways: the exact conditional decomposition
 
     R_2^2 = (Ybar - a)^2 + sum_l ||fhat_l - f_l||^2 / l!
 
-valid for p = 2, and a plain Monte Carlo prediction error for any p >= 2
-(``chaoscalc.monte_carlo_mean`` over batches of raw increment rows).
-``truth`` arguments are duck-typed: they need ``a``, ``orders``,
-``component_values(order, grid_size)`` and ``values(increments)`` (see
-``mappingzoo.MappingSpec``).
+valid for p = 2, and a plain Monte Carlo prediction error
+E |mhat(W) - m(W)|^p for any p >= 2 (``chaoscalc.monte_carlo_mean`` over
+batches of raw increment rows).
 """
 
 from __future__ import annotations
@@ -48,7 +46,8 @@ from ._util import midpoints
 # stay importable: the per-layer tracer in perfbench/tracing.py wraps them by
 # name in this module
 from ._util import derive_seed  # noqa: F401
-from .chaoscalc import GriddedFunction, _chaos_from_parts, gridded_chaos_values, monte_carlo_mean
+from .chaoscalc import ChaosExpansion, GriddedFunction, _chaos_from_parts, gridded_chaos_values
+from .chaoscalc import monte_carlo_mean
 from .chaoscalc import brute_multiple_integral  # noqa: F401
 from .errors import UnsupportedOrderError
 from .kernelkit import MomentKernel, boundary_sign, slice_matrix
@@ -113,34 +112,22 @@ class ChaosKernelEstimate:
                 f"values must have shape {(self.grid_size,) * self.order}, got {values.shape}"
             )
 
-    def as_gridded(self) -> GriddedFunction:
-        return GriddedFunction(self.order, self.grid_size, self.values)
+    def gridded(self, grid_size: int) -> np.ndarray:
+        if grid_size != self.grid_size:
+            raise ValueError(
+                f"order-{self.order} estimate on G={self.grid_size}, requested G={grid_size}")
+        return self.values
+
+    def chaos_values(self, increments: np.ndarray) -> np.ndarray:
+        f = GriddedFunction(self.order, self.grid_size, self.values)
+        return gridded_chaos_values(f, increments)
 
 
 @dataclass(frozen=True)
-class FittedModel:
-    """Response mean plus one chaos-kernel estimate per order."""
+class FittedModel(ChaosExpansion):
+    """Response mean ``a`` plus one chaos-kernel estimate per order in ``components``."""
 
-    mean_hat: float
-    estimates: tuple[ChaosKernelEstimate, ...]
     selection_traces: tuple = field(default=(), compare=False)
-
-    def __post_init__(self):
-        estimates = tuple(sorted(self.estimates, key=lambda e: e.order))
-        object.__setattr__(self, "estimates", estimates)
-        orders = [e.order for e in estimates]
-        if len(set(orders)) != len(orders):
-            raise ValueError("at most one estimate per order")
-
-    @property
-    def chaos_orders(self) -> tuple[int, ...]:
-        return tuple(e.order for e in self.estimates)
-
-    def estimate_for(self, order: int) -> ChaosKernelEstimate | None:
-        for e in self.estimates:
-            if e.order == order:
-                return e
-        return None
 
 
 @dataclass(frozen=True)
@@ -302,54 +289,27 @@ def smoothed_truth(
     return GriddedFunction(order, grid_size, values)
 
 
-def predict_values(model: FittedModel, increments: np.ndarray) -> np.ndarray:
-    """Plugin prediction Ybar + sum_l I_l(fhat_l)(W) / l! per increment row (orders <= 3)."""
-    values = np.full(len(increments), model.mean_hat)
-    for est in model.estimates:
-        values += gridded_chaos_values(est.as_gridded(), increments) / math.factorial(est.order)
-    return values
-
-
 def predict(model: FittedModel, path: BrownianPath) -> float:
-    """Row 0 of ``predict_values`` for a single path."""
-    return float(predict_values(model, path.increments[None])[0])
+    """Row 0 of ``model.values`` for a single path."""
+    return float(model.values(path.increments[None])[0])
 
 
-def risk_isometry(model: FittedModel, truth, grid_size: int | None = None,
-                  p: float = 2.0) -> RiskReport:
-    """Exact conditional R_2 from the per-order surface errors.
+def risk_isometry(model: FittedModel, truth: ChaosExpansion,
+                  grid_size: int | None = None) -> RiskReport:
+    """Exact conditional R_2, the isometry distance between two expansions.
 
-    Orders present on only one side contribute the other side's norm.  Only
-    p = 2 admits this decomposition.  The truth is tabulated at ``grid_size``
-    (default: the estimates' grid), and every estimate must lie on that grid.
+    An order present on one side only contributes the other side's norm.
+    Both sides are tabulated at ``grid_size`` (default: the model's grid), so
+    every estimate must lie on that grid.
     """
-    if p != 2.0:
-        raise ValueError("the isometry decomposition is only valid for p = 2")
     if grid_size is None:
-        grid_size = model.estimates[0].grid_size if model.estimates else 64
-    breakdown: dict = {}
-    mean_term = (model.mean_hat - truth.a) ** 2
-    breakdown["mean"] = float(mean_term)
-    orders = sorted(set(model.chaos_orders) | set(truth.orders))
-    total = mean_term
-    for order in orders:
-        est = model.estimate_for(order)
-        if est is not None and est.grid_size != grid_size:
-            raise ValueError(
-                f"order-{order} estimate on G={est.grid_size}, truth on G={grid_size}")
-        model_vals = est.values if est is not None else None
-        truth_vals = truth.component_values(order, grid_size)
-        if model_vals is None and truth_vals is None:
-            diff = None
-        elif model_vals is None:
-            diff = -np.asarray(truth_vals)
-        elif truth_vals is None:
-            diff = model_vals
-        else:
-            diff = model_vals - np.asarray(truth_vals)
-        term = 0.0 if diff is None else float(np.mean(diff**2)) / math.factorial(order)
-        breakdown[order] = term
-        total += term
+        grid_size = model.components[0].grid_size if model.components else 64
+    total = (model.a - truth.a) ** 2
+    breakdown: dict = {"mean": float(total)}
+    for order in sorted(set(model.orders) | set(truth.orders)):
+        diff = model.component_values(order, grid_size) - truth.component_values(order, grid_size)
+        breakdown[order] = float(np.mean(diff**2)) / math.factorial(order)
+        total += breakdown[order]
     return RiskReport(2.0, float(np.sqrt(total)), "isometry", 0.0, breakdown)
 
 
@@ -369,7 +329,7 @@ def risk_monte_carlo(
     if p < 2:
         raise ValueError("p must be >= 2")
     value, stderr = monte_carlo_mean(
-        lambda dw: np.abs(predict_values(model, dw) - truth.values(dw)) ** p,
+        lambda dw: np.abs(model.values(dw) - truth.values(dw)) ** p,
         n_mc, n_steps, seed, root=p)
     return RiskReport(float(p), value, "monte_carlo", stderr, {})
 
@@ -380,7 +340,7 @@ MODEL_FORMAT = "chaosbench.fitted-model/1"
 def model_to_json(model: FittedModel, fp: IO[str] | None = None) -> str:
     doc = {
         "format": MODEL_FORMAT,
-        "mean_hat": model.mean_hat,
+        "mean_hat": model.a,
         "orders": [
             {
                 "order": e.order,
@@ -388,7 +348,7 @@ def model_to_json(model: FittedModel, fp: IO[str] | None = None) -> str:
                 "grid_size": e.grid_size,
                 "values": e.values.ravel(order="C").tolist(),
             }
-            for e in model.estimates
+            for e in model.components
         ],
     }
     text = json.dumps(doc, sort_keys=True)

@@ -38,7 +38,6 @@ class BandwidthGrid:
 
     order: int
     values: tuple[float, ...]
-    s_star_lo: float
 
     def __post_init__(self):
         if not self.values:
@@ -115,7 +114,7 @@ def bandwidth_grid(n: int, order: int, s_star_lo: float) -> BandwidthGrid:
         k += 1
     if not values:
         raise GridEmptyError(order, lower, upper)
-    return BandwidthGrid(order, tuple(values), s_star_lo)
+    return BandwidthGrid(order, tuple(values))
 
 
 def majorant(order: int, h: float, n: int, params: MajorantParams) -> float:

@@ -1,6 +1,6 @@
 """Ground-truth mappings: finite-chaos specs, synthesis, class checks, bumps.
 
-A mapping is represented as a constant plus per-order components f_l,
+A mapping is a ``chaoscalc.ChaosExpansion``, a constant plus per-order f_l,
 
     m(W) = a + sum_l I_l(f_l)(W) / l!,
 
@@ -21,12 +21,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
 from ._util import derive_seed, midpoints
-from .chaoscalc import GriddedFunction, gridded_chaos_values, hermite_chaos_values, l2_inner
+from .chaoscalc import ChaosExpansion, GriddedFunction, gridded_chaos_values
+from .chaoscalc import hermite_chaos_values, l2_inner
 from .chaosreg import Sample
 from .pathlab import BrownianPath, TimeGrid, sample_brownian_paths
 # unused here but importable: the per-layer tracer in perfbench/tracing.py
@@ -141,9 +142,6 @@ class GriddedComponent:
         return gridded_chaos_values(self.gridded_function, increments)
 
 
-Component = Union[ConstantComponent, EqualFactorComponent, GriddedComponent]
-
-
 @dataclass(frozen=True)
 class ClassParams:
     """Declared smoothness/size parameters of the mapping."""
@@ -156,41 +154,11 @@ class ClassParams:
 
 
 @dataclass(frozen=True)
-class MappingSpec:
-    """Constant term, per-order components, noise law, and declared class."""
+class MappingSpec(ChaosExpansion):
+    """Chaos expansion of the truth, its noise law and its declared class."""
 
-    a: float
-    components: tuple[Component, ...]
     noise: NoiseSpec
     declared: ClassParams = ClassParams()
-
-    def __post_init__(self):
-        orders = [c.order for c in self.components]
-        if len(set(orders)) != len(orders):
-            raise ValueError("at most one component per order")
-        if any(o < 1 for o in orders):
-            raise ValueError("component orders must be >= 1")
-
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(c.order for c in self.components)
-
-    def component_for(self, order: int) -> Component | None:
-        for c in self.components:
-            if c.order == order:
-                return c
-        return None
-
-    def component_values(self, order: int, grid_size: int) -> np.ndarray | None:
-        c = self.component_for(order)
-        return None if c is None else c.gridded(grid_size)
-
-    def values(self, increments: np.ndarray) -> np.ndarray:
-        """a + sum_l I_l(f_l)(W) / l! for each row of an (n, N) increment matrix."""
-        values = np.full(len(increments), self.a)
-        for comp in self.components:
-            values += comp.chaos_values(increments) / math.factorial(comp.order)
-        return values
 
 
 def quadratic_terminal(noise: NoiseSpec | None = None) -> MappingSpec:
@@ -256,8 +224,6 @@ class ClassCheckReport:
 def class_check(
     spec: MappingSpec,
     kind: str,
-    s: Sequence[float] | None = None,
-    lam: Sequence[float] | None = None,
     max_order: int | None = None,
     class_bound: float | None = None,
     gamma: float | None = None,

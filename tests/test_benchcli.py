@@ -122,6 +122,9 @@ MALFORMED = [
     ({"risk_p": 4.0, "max_order": 4,
       "bandwidths": {"mode": "fixed", "values": {str(o): 0.25 for o in range(1, 5)}}},
      r"max_order: the Monte Carlo risk predictor supports orders <= 3"),
+    ({"truth": _truth(components=[{"order": 2, "kind": "constant", "value": 1.0},
+                                  _gridded(1, 3, [1.0] * 3)]), "path_steps": 64},
+     r"truth\.components\[1\]\.grid_size: 3 does not divide path_steps 64"),
 ]
 
 
@@ -229,7 +232,7 @@ def test_fit_and_risk_pipeline(tmp_path):
     fits = cmd_fit(config, tmp_path / "fits")
     model_path = fits / "n_000040" / "rep_000" / "model.json"
     model = model_from_json(model_path.read_text())
-    assert model.chaos_orders == (1, 2)
+    assert model.orders == (1, 2)
     risks = cmd_risk(config, fits, tmp_path / "risks")
     rows = (risks / "risk.csv").read_text().splitlines()
     assert rows[0] == "n,rep,p,method,value,mc_stderr"
@@ -436,6 +439,12 @@ def test_plot_rejects_unknown_header(tmp_path):
     assert main(["plot", "--csv", str(csv), "--out", str(tmp_path / "x.svg")]) == 1
 
 
+def test_plot_rejects_a_missing_csv(tmp_path):
+    out = tmp_path / "x.svg"
+    assert main(["plot", "--csv", str(tmp_path / "missing.csv"), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def _output_digests(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())["outputs"]
 
@@ -516,7 +525,7 @@ def test_theorem41_mode_fits_growing_orders(tmp_path):
     out = cmd_fit(config, tmp_path / "t41")
     model = model_from_json((out / "n_008104" / "rep_000" / "model.json").read_text())
     # L_n = integer part of sqrt(log 8104) = 3
-    assert model.chaos_orders == (1, 2, 3)
+    assert model.orders == (1, 2, 3)
     risks = cmd_risk(config, out, tmp_path / "t41risk")
     row = (risks / "risk.csv").read_text().splitlines()[1]
     assert row.split(",")[3] == "isometry"

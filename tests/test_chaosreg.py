@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chaosbench._util import derive_seed, midpoints
+from chaosbench.chaoscalc import GriddedFunction
 from chaosbench.chaosreg import (
     ChaosKernelEstimate,
     FittedModel,
@@ -16,7 +17,6 @@ from chaosbench.chaosreg import (
     model_from_json,
     model_to_json,
     predict,
-    predict_values,
     risk_isometry,
     risk_monte_carlo,
     smoothed_truth,
@@ -26,6 +26,7 @@ from chaosbench.mappingzoo import (
     ConstantComponent,
     EqualFactorComponent,
     GaussianNoise,
+    GriddedComponent,
     MappingSpec,
     evaluate_mapping,
     quadratic_terminal,
@@ -84,7 +85,7 @@ def test_fit_is_linear_in_responses():
 def test_fitted_surface_is_symmetric(order):
     sample = _toy_sample(12, seed=7)
     est = fit_chaos_kernel(sample, order, 0.3, 6, K1)
-    gridded = est.as_gridded()
+    gridded = GriddedFunction(order, 6, est.gridded(6))
     assert gridded.is_symmetric(tol=1e-10)
 
 
@@ -191,12 +192,12 @@ def test_fit_is_centered_on_smoothed_truth():
     assert abs(gaps.mean()) <= 3.0 * gaps.std(ddof=1) / np.sqrt(reps)
 
 
-def _model_with(values_by_order: dict, mean_hat: float, h=0.25) -> FittedModel:
+def _model_with(values_by_order: dict, a: float, h=0.25) -> FittedModel:
     estimates = tuple(
         ChaosKernelEstimate(order, h, values.shape[0], values)
         for order, values in values_by_order.items()
     )
-    return FittedModel(mean_hat, estimates)
+    return FittedModel(a, estimates)
 
 
 def test_predict_mean_only():
@@ -245,11 +246,6 @@ def test_risk_isometry_missing_order_breakdown():
     # || f_2 ||^2 / 2! = 1/2 for the unit constant component
     assert report.breakdown[2] == pytest.approx(0.5, abs=1e-12)
     assert report.value == pytest.approx(np.sqrt(0.5), abs=1e-12)
-
-
-def test_risk_isometry_rejects_other_p():
-    with pytest.raises(ValueError):
-        risk_isometry(FittedModel(0.0, ()), quadratic_terminal(), p=4.0)
 
 
 def test_risk_monte_carlo_agrees_with_isometry():
@@ -307,23 +303,41 @@ def test_model_json_round_trip():
     values = (values + values.T) / 2
     model = _model_with({1: np.arange(4.0), 2: values}, 1.25)
     back = model_from_json(model_to_json(model))
-    assert back.mean_hat == model.mean_hat
-    assert back.chaos_orders == (1, 2)
-    for a, b in zip(back.estimates, model.estimates):
+    assert back.a == model.a
+    assert back.orders == (1, 2)
+    for a, b in zip(back.components, model.components):
         assert a.order == b.order and a.bandwidth == b.bandwidth
         assert np.array_equal(a.values, b.values)
 
 
-def test_model_rejects_duplicate_orders():
-    with pytest.raises(ValueError):
-        _model_with({1: np.ones(4)}, 0.0).estimates + ()
-        FittedModel(
-            0.0,
-            (
-                ChaosKernelEstimate(1, 0.25, 4, np.ones(4)),
-                ChaosKernelEstimate(1, 0.5, 4, np.ones(4)),
-            ),
-        )
+@pytest.mark.parametrize("build, component", [
+    (lambda comps: MappingSpec(0.0, comps, GaussianNoise(0.0)),
+     lambda order: ConstantComponent(order, 1.0)),
+    (lambda comps: FittedModel(0.0, comps),
+     lambda order: ChaosKernelEstimate(order, 0.25, 4, np.ones((4,) * order))),
+], ids=["MappingSpec", "FittedModel"])
+def test_expansion_order_rules(build, component):
+    with pytest.raises(ValueError, match="at most one component per order"):
+        build((component(1), component(1)))
+    with pytest.raises(ValueError, match="orders must be >= 1"):
+        build((component(0),))
+    assert build((component(3), component(1), component(2))).orders == (1, 2, 3)
+
+
+def test_model_of_a_gridded_truth_reproduces_it_exactly():
+    g = 8
+    rng = np.random.default_rng(3)
+    surfaces = {order: _symmetrize(rng.normal(size=(g,) * order)) for order in (1, 2, 3)}
+    truth = MappingSpec(0.5, tuple(
+        GriddedComponent(order, GriddedFunction(order, g, values))
+        for order, values in surfaces.items()), GaussianNoise(0.0))
+    model = FittedModel(truth.a, tuple(
+        ChaosKernelEstimate(order, 0.25, g, truth.component_values(order, g))
+        for order in truth.orders))
+    increments = np.diff(sample_brownian_paths(make_grid(64), 50, 5), axis=1)
+    assert np.array_equal(model.values(increments), truth.values(increments))
+    assert risk_isometry(model, truth).value == 0.0
+    assert risk_monte_carlo(model, truth, 2.0, 200, 9, 64).value == 0.0
 
 
 def test_risk_isometry_rejects_an_estimate_on_another_grid():
@@ -350,11 +364,11 @@ def _order_three_model(g=16):
     return _model_with(sym, 0.7)
 
 
-def test_predict_values_match_predict_row_by_row():
+def test_model_values_match_predict_row_by_row():
     model = _order_three_model()
     grid = make_grid(128)
     rows = sample_brownian_paths(grid, 7, 31)
-    batch = predict_values(model, np.diff(rows, axis=1))
+    batch = model.values(np.diff(rows, axis=1))
     for values, value in zip(rows, batch):
         assert value == pytest.approx(predict(model, BrownianPath(grid, values)), rel=1e-12)
 

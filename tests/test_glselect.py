@@ -110,7 +110,7 @@ def test_bias_proxy_nonnegative_and_complete_inputs():
 def test_select_singleton_grid_returns_it():
     truth = quadratic_terminal()
     sample = synthesize(truth, 100, make_grid(128), 6)
-    grid = BandwidthGrid(1, (math.exp(-2),), 0.5)
+    grid = BandwidthGrid(1, (math.exp(-2),))
     params = MajorantParams(mu4=0.66, class_bound=1.0, max_order=1, kernel_l2=1.0)
     trace = _select_with_fits(1, sample, grid, params, 8, K0)[0]
     assert trace.chosen == math.exp(-2)
@@ -122,7 +122,7 @@ def test_select_prefers_largest_h_on_easy_truth():
     # which decreases in h, so the largest bandwidth wins
     truth = quadratic_terminal(noise=GaussianNoise(0.0))
     params = MajorantParams(mu4=0.66, class_bound=1.0, max_order=1, kernel_l2=1.0)
-    grid = BandwidthGrid(1, (math.exp(-2), math.exp(-3)), 0.5)
+    grid = BandwidthGrid(1, (math.exp(-2), math.exp(-3)))
     votes = []
     for rep in range(20):
         sample = synthesize(truth, 400, make_grid(128), derive_seed(70, rep))
@@ -148,8 +148,8 @@ def test_adaptive_fit_is_deterministic():
     params = MajorantParams(mu4=0.66, class_bound=1.0, max_order=2, kernel_l2=1.0)
     a = adaptive_fit(sample, 2, params, 0.5, 16, K0)
     b = adaptive_fit(sample, 2, params, 0.5, 16, K0)
-    assert [e.bandwidth for e in a.estimates] == [e.bandwidth for e in b.estimates]
-    for ea, eb in zip(a.estimates, b.estimates):
+    assert [e.bandwidth for e in a.components] == [e.bandwidth for e in b.components]
+    for ea, eb in zip(a.components, b.components):
         assert np.array_equal(ea.values, eb.values)
 
 
@@ -158,7 +158,7 @@ def test_adaptive_fit_membership_and_traces():
     sample = synthesize(truth, 1000, make_grid(256), 13)
     params = MajorantParams(mu4=0.66, class_bound=1.0, max_order=2, kernel_l2=1.0)
     model = adaptive_fit(sample, 2, params, 0.5, 16, K0)
-    assert model.chaos_orders == (1, 2)
+    assert model.orders == (1, 2)
     for order, trace in zip((1, 2), model.selection_traces):
         grid = bandwidth_grid(1000, order, 0.5)
         assert trace.chosen in grid.values
