@@ -56,7 +56,7 @@ import numpy as np
 
 from . import __version__
 from ._util import derive_seed
-from .chaoscalc import MIN_MC_DRAWS, GriddedFunction, chaos_constant
+from .chaoscalc import MIN_MC_DRAWS, chaos_constant
 from .chaoscalc import isometry_report, moment_bound_reports
 from .chaosreg import (
     FittedModel,
@@ -209,7 +209,7 @@ def _parse_component(doc: dict, where: str):
         if len(flat) != g**order:
             raise ConfigError(f"{where}.values: expected {g**order} entries, got {len(flat)}")
         values = np.asarray(flat).reshape((g,) * order)
-        return _build(where, GriddedComponent, order, GriddedFunction(order, g, values))
+        return _build(where, GriddedComponent, order, g, values)
     raise ConfigError(f"{where}.kind: unknown component kind '{kind}'")
 
 

@@ -15,9 +15,11 @@ increments and returns one value per path (row):
 * ``hermite_chaos_values`` is the equal-factor case of the recursion, the
   Hermite identity I_l(g x ... x g) = ||g||^l He_l(I_1(g)/||g||).
 
-* ``gridded_chaos_values`` sums a gridded integrand over multi-indices with
-  pairwise-distinct coordinates against coarse-cell increments.  It is the
-  off-diagonal Riemann discretization and the oracle for the recursion.
+* ``gridded_chaos_values`` is the exact multiple integral of a gridded
+  integrand read as a step function on G cells: the Wick-ordered sum of the
+  tabulated values against coarse-cell increments.  Tabulating a smooth
+  integrand on finer grids approaches its integral, so it is the oracle for
+  the recursion.
 
 ``tensor_chaos``, ``hermite_chaos`` and ``brute_multiple_integral`` take one
 ``BrownianPath`` and evaluate row 0 of the matching batch.
@@ -50,51 +52,65 @@ from .pathlab import BrownianPath, TimeGrid, brownian_increments
 
 @dataclass(frozen=True)
 class GriddedFunction:
-    """A function on [0,1]^dim tabulated at the midpoint grid, G points per axis."""
+    """An order-l integrand tabulated at the midpoint grid of [0,1]^l, G points per axis.
 
-    dim: int
+    It is an expansion component in the gridded form: ``chaos_values`` is
+    ``gridded_chaos_values``.
+    """
+
+    order: int
     grid_size: int
     values: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if values.shape != (self.grid_size,) * self.dim:
+        if values.shape != (self.grid_size,) * self.order:
             raise ValueError(
-                f"values must have shape {(self.grid_size,) * self.dim}, got {values.shape}"
+                f"values must have shape {(self.grid_size,) * self.order}, got {values.shape}"
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
 
     def l2_norm_sq(self) -> float:
-        """Midpoint tensor quadrature of the squared function (weight G^-dim)."""
+        """Midpoint tensor quadrature of the squared function (weight G^-l)."""
         return float(np.mean(self.values**2))
 
     def is_symmetric(self, tol: float = 1e-10) -> bool:
-        for perm in itertools.permutations(range(self.dim)):
+        for perm in itertools.permutations(range(self.order)):
             if np.max(np.abs(self.values - np.transpose(self.values, perm))) > tol:
                 return False
         return True
 
+    def gridded(self, grid_size: int) -> np.ndarray:
+        """The tabulated values; only its own grid can be asked for."""
+        if grid_size != self.grid_size:
+            raise ValueError(
+                f"order-{self.order} surface on G={self.grid_size}, requested G={grid_size}")
+        return self.values
+
+    def chaos_values(self, increments: np.ndarray) -> np.ndarray:
+        return gridded_chaos_values(self, increments)
+
     @classmethod
-    def from_callable(cls, dim: int, grid_size: int, f: Callable) -> "GriddedFunction":
+    def from_callable(cls, order: int, grid_size: int, f: Callable) -> "GriddedFunction":
         c = midpoints(grid_size)
-        grids = np.meshgrid(*([c] * dim), indexing="ij", sparse=True)
+        grids = np.meshgrid(*([c] * order), indexing="ij", sparse=True)
         values = np.broadcast_to(
-            np.asarray(f(*grids), dtype=float), (grid_size,) * dim
+            np.asarray(f(*grids), dtype=float), (grid_size,) * order
         ).copy()
-        return cls(dim, grid_size, values)
+        return cls(order, grid_size, values)
 
 
 @dataclass(frozen=True)
 class ChaosExpansion:
     """a + sum_l I_l(f_l)(W) / l!, with at most one component per order l >= 1.
 
-    A component has an ``order``, ``gridded(grid_size)`` (f_l on the G-per-axis
-    midpoint grid) and ``chaos_values(increments)`` (I_l(f_l) per increment
-    row).  Components are kept sorted by order.
+    A component is one of the two integrand forms, a ``GriddedFunction`` or a
+    ``mappingzoo.EqualFactorComponent``.  It has an ``order``,
+    ``gridded(grid_size)`` (f_l on the G-per-axis midpoint grid) and
+    ``chaos_values(increments)`` (I_l(f_l) per increment row).  Components
+    are kept sorted by order.
     """
 
     a: float
@@ -204,15 +220,22 @@ _ROW_BLOCK = 512  # rows per block: bounds the (rows, G^2) order-3 temporary
 
 
 def gridded_chaos_values(f: GriddedFunction, increments: np.ndarray) -> np.ndarray:
-    """Off-diagonal Riemann-Ito sum of the gridded integrand per increment row.
+    """Exact multiple integral I_l(F) of the gridded integrand per increment row.
 
-    Sums f at cell centers times products of coarse-cell increments (cell
-    sums of the fine increments) over multi-indices with pairwise-distinct
-    coordinates.  Supports dim <= 3; exact diagonals are excluded and no
-    Ito-correction terms are added.
+    F is read as the step function equal to f at the cell centres, and v holds
+    the coarse-cell increments (cell sums of the fine increments, variance
+    1/G each).  I_l(F) is the Wick-ordered sum of F against v:
+
+        l = 1:  v.F
+        l = 2:  v.Fv - tr F / G
+        l = 3:  sum_abc F_abc v_a v_b v_c - v.p / G,
+                p_c = sum_j (F_jjc + F_jcj + F_cjj).
+
+    These hold for a non-symmetric F too, because I_l(F) = I_l(Sym F).
+    Supports orders 1 to 3.
     """
-    if f.dim > 3:
-        raise UnsupportedOrderError(f"gridded integrals support order <= 3, got {f.dim}")
+    if not 1 <= f.order <= 3:
+        raise UnsupportedOrderError(f"gridded integrals support orders 1 to 3, got {f.order}")
     n, n_steps = increments.shape
     g = f.grid_size
     if n_steps % g != 0:
@@ -222,17 +245,15 @@ def gridded_chaos_values(f: GriddedFunction, increments: np.ndarray) -> np.ndarr
                                for i in range(0, n, _ROW_BLOCK)])
     v = increments.reshape(n, g, n_steps // g).sum(axis=2)
     fv = f.values
-    if f.dim == 1:
+    if f.order == 1:
         return v @ fv
-    v2 = v**2
-    if f.dim == 2:
-        return np.einsum("nb,nb->n", v @ fv, v) - v2 @ np.diagonal(fv)
-    # sum_abc f_abc v_a v_b v_c as one matrix product and two small contractions
+    if f.order == 2:
+        return np.einsum("nb,nb->n", v @ fv, v) - np.trace(fv) / g
+    # sum_abc F_abc v_a v_b v_c as one matrix product and two small contractions
     full = np.einsum("nbc,nc->nb", (v @ fv.reshape(g, g * g)).reshape(n, g, g), v)
     full = np.einsum("nb,nb->n", full, v)
-    pairs = np.einsum("jjk->jk", fv) + np.einsum("jkj->jk", fv) + np.einsum("kjj->jk", fv)
-    triple = (v2 * v) @ np.einsum("jjj->j", fv)
-    return full - np.einsum("nk,nk->n", v2 @ pairs, v) + 2.0 * triple
+    p = np.einsum("jjc->c", fv) + np.einsum("jcj->c", fv) + np.einsum("cjj->c", fv)
+    return full - v @ p / g
 
 
 def tensor_chaos(gs: Sequence[Callable], path: BrownianPath) -> float:

@@ -14,9 +14,10 @@ correction removes exactly the expected diagonal of the left-point sums.
 One slice matrix sl, evaluated at the left grid points, gives both.
 
 The plugin regression is the chaos expansion (``chaoscalc.ChaosExpansion``)
-with Ybar in place of a and the fitted surfaces in place of f_l, whose
-multiple integrals are the batched gridded off-diagonal sum
-(``chaoscalc.gridded_chaos_values``).  ``FittedModel.values`` predicts every
+with Ybar in place of a and the fitted surfaces in place of f_l.  A fitted
+surface, ``ChaosKernelEstimate``, is a ``chaoscalc.GriddedFunction`` with a
+bandwidth, so its multiple integral is the exact step-function integral
+``chaoscalc.gridded_chaos_values``.  ``FittedModel.values`` predicts every
 row of an (n, N) increment matrix at once, and ``predict`` is its row 0 for a
 single path.
 
@@ -25,7 +26,7 @@ ways: the exact conditional decomposition
 
     R_2^2 = (Ybar - a)^2 + sum_l ||fhat_l - f_l||^2 / l!
 
-valid for p = 2, and a plain Monte Carlo prediction error
+valid for p = 2 (norms on the G grid), and a plain Monte Carlo prediction error
 E |mhat(W) - m(W)|^p for any p >= 2 (``chaoscalc.monte_carlo_mean`` over
 batches of raw increment rows).
 """
@@ -46,7 +47,7 @@ from ._util import midpoints
 # stay importable: the per-layer tracer in perfbench/tracing.py wraps them by
 # name in this module
 from ._util import derive_seed  # noqa: F401
-from .chaoscalc import ChaosExpansion, GriddedFunction, _chaos_from_parts, gridded_chaos_values
+from .chaoscalc import ChaosExpansion, GriddedFunction, _chaos_from_parts
 from .chaoscalc import monte_carlo_mean
 from .chaoscalc import brute_multiple_integral  # noqa: F401
 from .errors import UnsupportedOrderError
@@ -94,33 +95,15 @@ class Sample:
 
 
 @dataclass(frozen=True)
-class ChaosKernelEstimate:
+class ChaosKernelEstimate(GriddedFunction):
     """Fitted order-l surface on the midpoint grid, with its bandwidth."""
 
-    order: int
-    bandwidth: float
-    grid_size: int
-    values: np.ndarray
+    bandwidth: float = field(kw_only=True)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
+        super().__post_init__()
         if not 0.0 < self.bandwidth < 1.0:
             raise ValueError(f"bandwidth must lie in (0, 1), got {self.bandwidth}")
-        if values.shape != (self.grid_size,) * self.order:
-            raise ValueError(
-                f"values must have shape {(self.grid_size,) * self.order}, got {values.shape}"
-            )
-
-    def gridded(self, grid_size: int) -> np.ndarray:
-        if grid_size != self.grid_size:
-            raise ValueError(
-                f"order-{self.order} estimate on G={self.grid_size}, requested G={grid_size}")
-        return self.values
-
-    def chaos_values(self, increments: np.ndarray) -> np.ndarray:
-        f = GriddedFunction(self.order, self.grid_size, self.values)
-        return gridded_chaos_values(f, increments)
 
 
 @dataclass(frozen=True)
@@ -201,10 +184,9 @@ def fit_chaos_kernel(
 ) -> ChaosKernelEstimate:
     """Fit the order-l surface on the G-per-axis midpoint grid of [0,1]^l.
 
-    Linear in the responses; the returned tensor is exactly symmetric.
+    Linear in the responses; the returned tensor is exactly symmetric.  The
+    slice matrix rejects a bandwidth outside (0, 1) before any work is done.
     """
-    if not 0.0 < bandwidth < 1.0:
-        raise ValueError(f"bandwidth must lie in (0, 1), got {bandwidth}")
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     if order < 1:
@@ -219,7 +201,7 @@ def fit_chaos_kernel(
         coeff = (-1) ** p * math.factorial(order) // (
             2**p * math.factorial(p) * math.factorial(order - 2 * p))
         values = values + coeff * term
-    return ChaosKernelEstimate(order, bandwidth, grid_size, _symmetrize(values))
+    return ChaosKernelEstimate(order, grid_size, _symmetrize(values), bandwidth=bandwidth)
 
 
 def _fit_generic(x, gram, y, order, grid_size):
@@ -235,13 +217,15 @@ def _fit_generic(x, gram, y, order, grid_size):
     return values
 
 
+_GL_NODES = 32  # Gauss-Legendre nodes per slice window of ``smoothed_truth``
+
+
 def smoothed_truth(
     order: int,
     bandwidth: float,
     f: Callable,
     grid_size: int,
     kernel: MomentKernel,
-    gl_nodes: int = 32,
 ) -> GriddedFunction:
     """Kernel-smoothed truth int f(u) K_h(t, u) du on the evaluation grid.
 
@@ -260,7 +244,7 @@ def smoothed_truth(
     hi = np.where(signs > 0, centers, centers + bandwidth)
     lo = np.clip(lo, 0.0, 1.0)
     hi = np.clip(hi, 0.0, 1.0)
-    gx, gw = np.polynomial.legendre.leggauss(gl_nodes)
+    gx, gw = np.polynomial.legendre.leggauss(_GL_NODES)
     half = (hi - lo) / 2.0
     mid = (hi + lo) / 2.0
     u = mid[:, None] + half[:, None] * gx[None, :]  # (G, q) nodes per window
@@ -268,7 +252,7 @@ def smoothed_truth(
     slice_vals = slice_matrix(kernel, centers, bandwidth, u.ravel())
     # row a evaluated at its own window nodes
     a_idx = np.arange(grid_size)
-    sv = slice_vals.reshape(grid_size, grid_size, gl_nodes)[a_idx, a_idx, :]
+    sv = slice_vals.reshape(grid_size, grid_size, _GL_NODES)[a_idx, a_idx, :]
     aw = sv * w  # slice values times quadrature weights
     if order == 1:
         values = np.einsum("ar,ar->a", aw, np.asarray(f(u), dtype=float))
@@ -366,5 +350,5 @@ def model_from_json(text: str) -> FittedModel:
         order = int(entry["order"])
         g = int(entry["grid_size"])
         values = np.asarray(entry["values"], dtype=float).reshape((g,) * order)
-        estimates.append(ChaosKernelEstimate(order, float(entry["bandwidth"]), g, values))
+        estimates.append(ChaosKernelEstimate(order, g, values, bandwidth=float(entry["bandwidth"])))
     return FittedModel(float(doc["mean_hat"]), tuple(estimates))

@@ -136,12 +136,11 @@ def majorant(order: int, h: float, n: int, params: MajorantParams) -> float:
 
 
 def bias_proxy(
-    order: int,
     h: float,
     fits: dict[float, ChaosKernelEstimate],
     majorants: dict[float, float],
 ) -> float:
-    """Empirical bias surrogate B(l, h); exactly 0 at the smallest grid bandwidth."""
+    """Bias surrogate B(l, h) from one order's fits; 0 at the smallest grid bandwidth."""
     best = 0.0
     for h_prime in majorants:
         h_max = max(h, h_prime)
@@ -168,7 +167,7 @@ def _select_with_fits(
     majorants = {h: majorant(order, h, n, params) for h in grid.values}
     records = []
     for h in grid.values:  # decreasing, so ties keep the largest h
-        records.append(SelectionRecord(h, majorants[h], bias_proxy(order, h, fits, majorants)))
+        records.append(SelectionRecord(h, majorants[h], bias_proxy(h, fits, majorants)))
     chosen = records[0]
     for rec in records[1:]:
         if rec.objective < chosen.objective:

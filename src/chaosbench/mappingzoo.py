@@ -4,12 +4,14 @@ A mapping is a ``chaoscalc.ChaosExpansion``, a constant plus per-order f_l,
 
     m(W) = a + sum_l I_l(f_l)(W) / l!,
 
-with each component stored as a constant, an equal-factor product g x ... x g
-of a univariate g, or a gridded symmetric tensor.  ``MappingSpec.values``
-evaluates m on every row of an (n, N) increment matrix at once: the first
-two representations go through the batched Hermite identity, the third
-through the batched gridded off-diagonal sum.  ``evaluate_mapping`` is its
-row 0 for a single path.
+with each component in one of two integrand forms: ``EqualFactorComponent``,
+a scaled equal-factor product scale g x ... x g of a univariate g (a
+constant is scale 1 x ... x 1, built by ``ConstantComponent``), or
+``GriddedComponent``, a symmetric tensor on the midpoint grid.
+``MappingSpec.values`` evaluates m on every row of an (n, N) increment matrix
+at once: the first form through the batched Hermite identity, the second
+through the exact step-function integral of the gridded form.
+``evaluate_mapping`` is its row 0 for a single path.
 
 The bump family implements the disjoint-support construction used for hard
 instances: scaled copies of psi(u) = exp(-1/(1-u^2)) centered at
@@ -18,6 +20,7 @@ x_i = (2 r_i + 1) h, combined by a 0/1 selector and an amplitude rho.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -26,7 +29,7 @@ from typing import Callable, Iterable, Union
 import numpy as np
 
 from ._util import derive_seed, midpoints
-from .chaoscalc import ChaosExpansion, GriddedFunction, gridded_chaos_values
+from .chaoscalc import ChaosExpansion, GriddedFunction
 from .chaoscalc import hermite_chaos_values, l2_inner
 from .chaosreg import Sample
 from .pathlab import BrownianPath, TimeGrid, sample_brownian_paths
@@ -75,71 +78,37 @@ NoiseSpec = Union[GaussianNoise, UniformNoise]
 
 
 @dataclass(frozen=True)
-class ConstantComponent:
-    """f_l identically equal to ``value`` on [0,1]^l."""
-
-    order: int
-    value: float
-
-    def l2_norm_sq(self) -> float:
-        return self.value**2
-
-    def gridded(self, grid_size: int) -> np.ndarray:
-        return np.full((grid_size,) * self.order, self.value)
-
-    def chaos_values(self, increments: np.ndarray) -> np.ndarray:
-        if self.value == 0.0:
-            return np.zeros(len(increments))
-        return self.value * hermite_chaos_values(np.ones_like, self.order, increments)
-
-
-@dataclass(frozen=True)
 class EqualFactorComponent:
-    """f_l = g x ... x g for a univariate g (vectorized callable)."""
+    """f_l = scale g x ... x g for a univariate g (vectorized callable)."""
 
     order: int
     g: Callable = field(compare=False)
+    scale: float = 1.0
 
     def l2_norm_sq(self) -> float:
-        return l2_inner(self.g, self.g) ** self.order
+        return self.scale**2 * l2_inner(self.g, self.g) ** self.order
 
     def gridded(self, grid_size: int) -> np.ndarray:
         row = np.asarray(self.g(midpoints(grid_size)), dtype=float)
-        values = row
-        for _ in range(self.order - 1):
-            values = np.multiply.outer(values, row)
-        return values
+        return self.scale * functools.reduce(np.multiply.outer, [row] * self.order)
 
     def chaos_values(self, increments: np.ndarray) -> np.ndarray:
-        return hermite_chaos_values(self.g, self.order, increments)
+        return self.scale * hermite_chaos_values(self.g, self.order, increments)
+
+
+def ConstantComponent(order: int, value: float) -> EqualFactorComponent:  # noqa: N802
+    """f_l identically equal to ``value`` on [0,1]^l: ``value`` times 1 x ... x 1."""
+    return EqualFactorComponent(order, np.ones_like, value)
 
 
 @dataclass(frozen=True)
-class GriddedComponent:
+class GriddedComponent(GriddedFunction):
     """f_l tabulated as a symmetric tensor on the midpoint grid."""
 
-    order: int
-    gridded_function: GriddedFunction
-
     def __post_init__(self):
-        if self.gridded_function.dim != self.order:
-            raise ValueError("tensor dimension must equal the component order")
-        if not self.gridded_function.is_symmetric():
+        super().__post_init__()
+        if not self.is_symmetric():
             raise ValueError("gridded components must be symmetric")
-
-    def l2_norm_sq(self) -> float:
-        return self.gridded_function.l2_norm_sq()
-
-    def gridded(self, grid_size: int) -> np.ndarray:
-        if grid_size != self.gridded_function.grid_size:
-            raise ValueError(
-                f"component tabulated at G={self.gridded_function.grid_size}, "
-                f"requested G={grid_size}"
-            )
-        return self.gridded_function.values
-
-    def chaos_values(self, increments: np.ndarray) -> np.ndarray:
-        return gridded_chaos_values(self.gridded_function, increments)
 
 
 @dataclass(frozen=True)
@@ -209,7 +178,6 @@ class ClassCheckEntry:
     norm_sq: float
     norm_bound: float | None
     norm_ok: bool | None
-    holder_checked: bool
 
 
 @dataclass(frozen=True)
@@ -231,9 +199,8 @@ def class_check(
     """Check membership conditions for the finite-order or growth-controlled class.
 
     ``kind`` is "finite" (per-order bound ||f_l||^2 <= M^2 l!, orders <= L) or
-    "growth" (sum_l e^(2 gamma l) ||f_l||^2 / l! <= M^2).  Smoothness is only
-    certified for representations with closed-form Hoelder constants
-    (constants are C-infinity); other components are reported as unchecked.
+    "growth" (sum_l e^(2 gamma l) ||f_l||^2 / l! <= M^2).  Only the norms are
+    checked; smoothness is not certified for any component.
     """
     if kind not in ("finite", "growth"):
         raise ValueError("kind must be 'finite' or 'growth'")
@@ -248,22 +215,14 @@ def class_check(
             bound = m_bound**2 * math.factorial(comp.order)
             norm_ok = norm_sq <= bound and comp.order <= l_max
             ok = ok and norm_ok
-            entries.append(
-                ClassCheckEntry(
-                    comp.order, norm_sq, bound, norm_ok,
-                    holder_checked=isinstance(comp, ConstantComponent),
-                )
-            )
+            entries.append(ClassCheckEntry(comp.order, norm_sq, bound, norm_ok))
         return ClassCheckReport(kind, tuple(entries), None, None, ok)
     g = gamma if gamma is not None else (d.gamma if d.gamma is not None else 0.0)
     total = 0.0
     for comp in spec.components:
         norm_sq = comp.l2_norm_sq()
         total += math.exp(2.0 * g * comp.order) * norm_sq / math.factorial(comp.order)
-        entries.append(
-            ClassCheckEntry(comp.order, norm_sq, None, None,
-                            holder_checked=isinstance(comp, ConstantComponent))
-        )
+        entries.append(ClassCheckEntry(comp.order, norm_sq, None, None))
     ok = total <= m_bound**2
     return ClassCheckReport(kind, tuple(entries), total, m_bound**2, ok)
 
@@ -294,13 +253,13 @@ def bump_instance(
     noise: NoiseSpec | None = None,
     s: float | None = None,
     lam: float | None = None,
-) -> tuple[GriddedFunction, MappingSpec]:
+) -> tuple[GriddedComponent, MappingSpec]:
     """Gridded bump combination g_w = rho sum_{r in w} prod_i psi((y_i - x_i^r)/h).
 
     1/(2h) must be an integer R; bump centers x_i = (2 r_i + 1) h are spaced
     2h apart so supports are disjoint.  The selector must be closed under
     coordinate permutations so the tensor is symmetric.  Returns the gridded
-    tensor and a MappingSpec wrapping it as the single order-l component.
+    component and a MappingSpec with it as its single order-l component.
     """
     r_cells = 1.0 / (2.0 * h)
     n_cells = round(r_cells)
@@ -318,12 +277,9 @@ def bump_instance(
     profiles = np.stack([bump_psi((y - (2 * r + 1) * h) / h) for r in range(n_cells)])
     values = np.zeros((grid_size,) * order)
     for r in set(cells):
-        term = profiles[r[0]]
-        for i in r[1:]:
-            term = np.multiply.outer(term, profiles[i])
-        values += term
+        values += functools.reduce(np.multiply.outer, profiles[list(r)])
     values *= rho
-    gridded = GriddedFunction(order, grid_size, values)
+    component = GriddedComponent(order, grid_size, values)
     declared = ClassParams(
         s=(float(s),) * order if s is not None else (),
         lam=(float(lam),) * order if lam is not None else (),
@@ -332,8 +288,8 @@ def bump_instance(
     )
     spec = MappingSpec(
         a=0.0,
-        components=(GriddedComponent(order, gridded),),
+        components=(component,),
         noise=noise if noise is not None else GaussianNoise(0.0),
         declared=declared,
     )
-    return gridded, spec
+    return component, spec

@@ -1,6 +1,7 @@
 import json
 import math
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +51,14 @@ def _write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def test_documented_config_examples_parse():
+    # the README's JSON example and the benchcli module docstring's example
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for text, marker in ((readme, "```json"), (benchcli.__doc__, "Example config::")):
+        example = text.split(marker, 1)[1].lstrip()
+        parse_config(json.JSONDecoder().raw_decode(example)[0])
 
 
 def test_parse_config_valid():
@@ -246,7 +255,8 @@ def test_risk_zero_for_perfect_model(tmp_path):
     config = parse_config(_base_doc(replications=1))
     truth = config.truth
     values = truth.component_values(2, config.grid_size)
-    model = FittedModel(truth.a, (ChaosKernelEstimate(2, 0.25, config.grid_size, values),))
+    estimate = ChaosKernelEstimate(2, config.grid_size, values, bandwidth=0.25)
+    model = FittedModel(truth.a, (estimate,))
     rep_dir = tmp_path / "models" / "n_000040" / "rep_000"
     rep_dir.mkdir(parents=True)
     (rep_dir / "model.json").write_text(model_to_json(model))

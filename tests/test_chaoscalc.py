@@ -115,17 +115,14 @@ def test_brute_order_one_equals_left_sum(path):
 
 
 def test_brute_quadratic_variation_limit():
-    # order 2, f = 1: value is W(1)^2 - sum of squared cell increments,
-    # approaching W(1)^2 - 1 as the grid refines
+    # order 2, f = 1: the step-function integral is W(1)^2 - 1 on every grid
     grid = make_grid(512)
-    diffs = {g: [] for g in (16, 256)}
     for seed in range(100):
         w = sample_brownian(grid, seed)
         target = w.values[-1] ** 2 - 1.0
-        for g_size in diffs:
+        for g_size in (16, 256):
             f = GriddedFunction(2, g_size, np.ones((g_size, g_size)))
-            diffs[g_size].append(abs(brute_multiple_integral(f, w) - target))
-    assert np.mean(diffs[256]) < np.mean(diffs[16])
+            assert brute_multiple_integral(f, w) == pytest.approx(target, abs=1e-12)
 
 
 def test_brute_alignment_and_order_errors(path):
@@ -263,19 +260,39 @@ def _increment_rows(n_rows, n_steps, seed):
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_gridded_batch_matches_explicit_distinct_index_sum(order):
+    # I_l(F) = sum over all index tuples of F_idx times the multiple integral of
+    # the product of the cell indicators, whose pairwise inner products are
+    # diag(1/G)
     g_size, n_steps = 4, 8
     rng = np.random.default_rng(order)
     f = GriddedFunction(order, g_size, rng.normal(size=(g_size,) * order))  # not symmetric
     rows = _increment_rows(5, n_steps, 10 + order)
     batch = gridded_chaos_values(f, rows)
+    gram = np.eye(g_size) / g_size
     for row, value in zip(rows, batch):
         levels = np.concatenate([[0.0], np.cumsum(row)])
         v = levels[2::2] - levels[:-2:2]  # coarse increments over two fine steps
         expected = sum(
-            f.values[idx] * np.prod(v[list(idx)])
-            for idx in itertools.permutations(range(g_size), order)
+            f.values[idx] * chaoscalc._chaos_from_parts(v[list(idx)], gram[np.ix_(idx, idx)])
+            for idx in itertools.product(range(g_size), repeat=order)
         )
-        assert value == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        assert value == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("g_size", [4, 8])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_gridded_form_equals_hermite_form_on_a_step_function(order, g_size):
+    # g is the step function with value u_a on cell a; the midpoint quadrature
+    # of ||g||^2 is exact for it, so the two integrand forms of g^(x l) agree
+    u = np.random.default_rng(g_size).uniform(0.5, 1.5, g_size)
+
+    def g(t):
+        return u[np.minimum((np.asarray(t) * g_size).astype(int), g_size - 1)]
+
+    f = GriddedFunction.from_callable(order, g_size, lambda *xs: math.prod(g(x) for x in xs))
+    rows = _increment_rows(50, 64, 20 + order)
+    assert np.allclose(gridded_chaos_values(f, rows), hermite_chaos_values(g, order, rows),
+                       rtol=0.0, atol=1e-12)
 
 
 def test_batches_match_single_path_wrappers_row_by_row():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from chaosbench._util import derive_seed, midpoints
-from chaosbench.chaoscalc import GriddedFunction
 from chaosbench.chaosreg import (
     ChaosKernelEstimate,
     FittedModel,
@@ -84,9 +83,7 @@ def test_fit_is_linear_in_responses():
 @pytest.mark.parametrize("order", [2, 3])
 def test_fitted_surface_is_symmetric(order):
     sample = _toy_sample(12, seed=7)
-    est = fit_chaos_kernel(sample, order, 0.3, 6, K1)
-    gridded = GriddedFunction(order, 6, est.gridded(6))
-    assert gridded.is_symmetric(tol=1e-10)
+    assert fit_chaos_kernel(sample, order, 0.3, 6, K1).is_symmetric(tol=1e-10)
 
 
 def test_order_three_fit_is_exactly_symmetric():
@@ -194,7 +191,7 @@ def test_fit_is_centered_on_smoothed_truth():
 
 def _model_with(values_by_order: dict, a: float, h=0.25) -> FittedModel:
     estimates = tuple(
-        ChaosKernelEstimate(order, h, values.shape[0], values)
+        ChaosKernelEstimate(order, values.shape[0], values, bandwidth=h)
         for order, values in values_by_order.items()
     )
     return FittedModel(a, estimates)
@@ -213,13 +210,12 @@ def test_predict_order_one_telescopes():
 
 
 def test_predict_order_two_quadratic_variation():
+    # the unit order-2 surface integrates exactly to W(1)^2 - 1 on every grid
     w = sample_brownian(make_grid(512), 3)
     target = (w.values[-1] ** 2 - 1.0) / 2.0
-    gaps = []
     for g in (8, 64, 512):
         model = _model_with({2: np.ones((g, g))}, 0.0)
-        gaps.append(abs(predict(model, w) - target))
-    assert gaps[2] < gaps[0]
+        assert predict(model, w) == pytest.approx(target, abs=1e-12)
 
 
 def test_predict_rejects_high_orders():
@@ -259,18 +255,12 @@ def test_risk_monte_carlo_agrees_with_isometry():
 
 
 def test_risk_monte_carlo_self_comparison_is_discretization_floor():
-    # the truth pushed through the gridded predictor differs from its own
-    # evaluation only by discretization, well below any non-degenerate fit
-    truth = quadratic_terminal()
-    values = truth.component_values(2, 64)
-    perfect = _model_with({2: values}, truth.a)
-    floor = risk_monte_carlo(perfect, truth, 2.0, 300, 11, 512)
-    sample = synthesize(truth, 500, make_grid(512), 13)
-    fitted = FittedModel(
-        estimate_mean(sample), (fit_chaos_kernel(sample, 2, 0.25, 64, K1),)
-    )
-    fitted_iso = risk_isometry(fitted, truth)
-    assert floor.value < fitted_iso.value
+    # a constant surface integrates exactly on any grid, so a perfect model of
+    # a constant-surface truth has no discretization floor under Monte Carlo risk
+    for order in (2, 3):
+        truth = MappingSpec(1.0, (ConstantComponent(order, 1.0),), GaussianNoise(0.0))
+        perfect = _model_with({order: truth.component_values(order, 64)}, truth.a)
+        assert risk_monte_carlo(perfect, truth, 2.0, 300, 11, 512).value < 1e-12
 
 
 def test_risk_monte_carlo_moment_monotonicity():
@@ -314,7 +304,7 @@ def test_model_json_round_trip():
     (lambda comps: MappingSpec(0.0, comps, GaussianNoise(0.0)),
      lambda order: ConstantComponent(order, 1.0)),
     (lambda comps: FittedModel(0.0, comps),
-     lambda order: ChaosKernelEstimate(order, 0.25, 4, np.ones((4,) * order))),
+     lambda order: ChaosKernelEstimate(order, 4, np.ones((4,) * order), bandwidth=0.25)),
 ], ids=["MappingSpec", "FittedModel"])
 def test_expansion_order_rules(build, component):
     with pytest.raises(ValueError, match="at most one component per order"):
@@ -329,10 +319,10 @@ def test_model_of_a_gridded_truth_reproduces_it_exactly():
     rng = np.random.default_rng(3)
     surfaces = {order: _symmetrize(rng.normal(size=(g,) * order)) for order in (1, 2, 3)}
     truth = MappingSpec(0.5, tuple(
-        GriddedComponent(order, GriddedFunction(order, g, values))
+        GriddedComponent(order, g, values)
         for order, values in surfaces.items()), GaussianNoise(0.0))
     model = FittedModel(truth.a, tuple(
-        ChaosKernelEstimate(order, 0.25, g, truth.component_values(order, g))
+        ChaosKernelEstimate(order, g, truth.component_values(order, g), bandwidth=0.25)
         for order in truth.orders))
     increments = np.diff(sample_brownian_paths(make_grid(64), 50, 5), axis=1)
     assert np.array_equal(model.values(increments), truth.values(increments))

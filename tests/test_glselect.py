@@ -85,14 +85,14 @@ def test_bias_proxy_zero_at_smallest_bandwidth():
     grid_values = (math.exp(-2), math.exp(-3))
     fits = _fits_for(grid_values, sample)
     majorants = {h: 1.0 for h in grid_values}
-    assert bias_proxy(1, grid_values[-1], fits, majorants) == 0.0
+    assert bias_proxy(grid_values[-1], fits, majorants) == 0.0
 
 
 def test_bias_proxy_zero_for_singleton_grid():
     truth = quadratic_terminal()
     sample = synthesize(truth, 50, make_grid(128), 4)
     fits = _fits_for((math.exp(-2),), sample)
-    assert bias_proxy(1, math.exp(-2), fits, {math.exp(-2): 0.5}) == 0.0
+    assert bias_proxy(math.exp(-2), fits, {math.exp(-2): 0.5}) == 0.0
 
 
 def test_bias_proxy_nonnegative_and_complete_inputs():
@@ -102,9 +102,9 @@ def test_bias_proxy_nonnegative_and_complete_inputs():
     fits = _fits_for(grid_values, sample)
     majorants = {h: 0.0 for h in grid_values}
     for h in grid_values:
-        assert bias_proxy(1, h, fits, majorants) >= 0.0
+        assert bias_proxy(h, fits, majorants) >= 0.0
     with pytest.raises(IncompleteInputError):
-        bias_proxy(1, math.exp(-2), {math.exp(-2): fits[math.exp(-2)]}, majorants)
+        bias_proxy(math.exp(-2), {math.exp(-2): fits[math.exp(-2)]}, majorants)
 
 
 def test_select_singleton_grid_returns_it():

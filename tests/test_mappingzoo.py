@@ -222,7 +222,7 @@ def test_mapping_spec_validation():
         MappingSpec(0.0, (ConstantComponent(1, 1.0), ConstantComponent(1, 2.0)),
                     GaussianNoise(0.1))
     with pytest.raises(ValueError):
-        GriddedComponent(2, GriddedFunction.from_callable(2, 8, lambda a, b: a + 2 * b))
+        GriddedComponent.from_callable(2, 8, lambda a, b: a + 2 * b)
 
 
 def test_declared_class_params_round_trip():
@@ -234,10 +234,10 @@ def test_declared_class_params_round_trip():
 
 def test_mapping_values_match_evaluate_mapping_row_by_row():
     g = np.polynomial.Polynomial([0.2, -0.4, 1.0])
-    gridded, _ = bump_instance(2, 0.25, [(0, 1), (1, 0)], rho=2.0, grid_size=16)
+    bump, _ = bump_instance(2, 0.25, [(0, 1), (1, 0)], rho=2.0, grid_size=16)
     spec = MappingSpec(
         0.3,
-        (EqualFactorComponent(1, g), GriddedComponent(2, gridded), ConstantComponent(3, -1.5)),
+        (EqualFactorComponent(1, g), bump, ConstantComponent(3, -1.5)),
         GaussianNoise(0.0),
     )
     grid = make_grid(128)
