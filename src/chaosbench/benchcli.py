@@ -36,6 +36,12 @@ Carlo draw count: always for ``check``, for ``risk`` when its method is
 ``monte_carlo``.  Every value is read through one typed reader
 (``_require``/``_optional``/``_block``; a bool is never a number), so any
 config that cannot run is a ConfigError before a command writes anything.
+
+Every file a command reads (config, datasets, models, plot input) goes
+through one reader, ``_read``: a missing file, or one that does not parse,
+is a ConfigError naming it.  Every CSV table is written by ``_write_table``
+(numbers as ``%.17g``, so they read back bit-exactly) and read by
+``_read_table``, which requires the exact header the writer wrote.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ from .chaosreg import (
     risk_monte_carlo,
 )
 from .errors import ConfigError
-from .glselect import MajorantParams, adaptive_fit, bandwidth_grid, trace_to_csv
+from .glselect import MajorantParams, adaptive_fit, bandwidth_grid
 from .kernelkit import MomentKernel, build_kernel, kernel_moment
 from .mappingzoo import (
     ClassParams,
@@ -118,7 +124,6 @@ class ExperimentConfig:
     replications: int
     seed: int
     check_n_mc: int = 10_000
-    check_kernel_perturbation: float = 0.0
 
     def kernel(self) -> MomentKernel:
         return build_kernel(self.s_star_hi)
@@ -365,8 +370,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         replications=replications,
         seed=seed,
         check_n_mc=check_n_mc,
-        check_kernel_perturbation=_optional(
-            check, "kernel_coeff_perturbation", float, "check", 0.0),
     )
     if plan.mode != "adaptive":
         for n in config.n_list:
@@ -389,11 +392,7 @@ def _check_adaptive_brackets(n_list, max_order: int, s_star_lo: float) -> None:
 
 def load_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
     """Load a config file; a RunManifest is accepted and replays its config."""
-    with open(path) as fp:
-        try:
-            doc = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: invalid JSON ({exc})") from exc
+    doc = _read(Path(path), json.load)
     if isinstance(doc, dict) and "command" in doc and "config" in doc:
         doc = doc["config"]
     if seed_override is not None and isinstance(doc, dict):
@@ -498,8 +497,6 @@ def _sample_for(config: ExperimentConfig, n_index: int, n: int, rep: int,
                 data_dir: Path | None = None) -> Sample:
     if data_dir is not None:
         rep_dir = _rep_dir(data_dir, n, rep)
-        if not rep_dir.exists():
-            raise ConfigError(f"missing dataset directory {rep_dir}")
         sample = load_dataset(rep_dir, config.path_steps)
         if sample.n != n:
             raise ConfigError(f"dataset {rep_dir} holds {sample.n} paths, the config n is {n}")
@@ -532,6 +529,48 @@ def _risk_of_model(config: ExperimentConfig, model: FittedModel, n_index: int, r
         model, config.truth, config.risk_p, config.risk_n_mc,
         derive_seed(config.seed, 1_000_000 + n_index, rep), config.path_steps,
     )
+
+
+_AGGREGATES_HEADER = "n,mean_risk,std_risk,replications"
+_TRACE_HEADER = "ell,h,majorant,bias_proxy,objective,chosen"
+
+
+def _read(path: Path, parse):
+    """``parse`` applied to the open text file ``path``.
+
+    A file that cannot be opened, and any ValueError, KeyError or TypeError
+    raised while parsing it, is a ConfigError naming the file.
+    """
+    try:
+        with open(path) as fp:
+            return parse(fp)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{path}: malformed ({exc!r})") from exc
+
+
+def _read_table(path: Path, *headers: str) -> tuple[str, np.ndarray]:
+    """The header of a CSV table, which must be one of ``headers``, and its rows."""
+
+    def parse(fp):
+        header = fp.readline().rstrip("\n")
+        if header not in headers:
+            raise ValueError(f"unexpected header {header[:60]!r}")
+        table = np.loadtxt(fp, delimiter=",", ndmin=2)
+        if table.shape[1] != header.count(",") + 1:
+            raise ValueError(f"{table.shape[1]} columns under a header of {header.count(',') + 1}")
+        return header, table
+
+    return _read(path, parse)
+
+
+def _write_table(path: Path, header: str, fmt: str, rows) -> Path:
+    """Write a CSV table: ``header``, then ``fmt % tuple(row)`` for each row."""
+    with open(path, "w") as fp:
+        fp.write(header + "\n")
+        fp.writelines(fmt % tuple(row) + "\n" for row in rows)
+    return path
 
 
 def _sha256(path: Path) -> str:
@@ -590,10 +629,7 @@ def _config_doc(config: ExperimentConfig) -> dict:
         "risk": {"method": config.risk_method, "n_mc": config.risk_n_mc},
         "replications": config.replications,
         "seed": config.seed,
-        "check": {
-            "n_mc": config.check_n_mc,
-            "kernel_coeff_perturbation": config.check_kernel_perturbation,
-        },
+        "check": {"n_mc": config.check_n_mc},
     }
 
 
@@ -602,22 +638,21 @@ def _config_doc(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _paths_header(n: int) -> str:
+    return "t," + ",".join(f"w_{i:04d}" for i in range(n))
+
+
 def _simulate_one(config: ExperimentConfig, n_index: int, n: int, rep: int,
                   out_dir: Path) -> tuple[Path, Path]:
     sample = _sample_for(config, n_index, n, rep)
     rep_dir = _rep_dir(out_dir, n, rep)
     rep_dir.mkdir(parents=True, exist_ok=True)
-    responses = rep_dir / "responses.csv"
-    with open(responses, "w") as fp:
-        fp.write("index,y\n")
-        for i, y in enumerate(sample.responses):
-            fp.write(f"{i},{y:.17g}\n")
-    paths = rep_dir / "paths.csv"
-    with open(paths, "w") as fp:
-        fp.write("t," + ",".join(f"w_{i:04d}" for i in range(sample.n)) + "\n")
-        for t, column in zip(sample.grid.points, sample.path_values.T):
-            row = ",".join(f"{v:.17g}" for v in column)
-            fp.write(f"{t:.17g},{row}\n")
+    responses = _write_table(rep_dir / "responses.csv", "index,y", "%d,%.17g",
+                             enumerate(sample.responses))
+    # one row per grid time: t, then the value of every path at t
+    paths = _write_table(rep_dir / "paths.csv", _paths_header(n), ",".join(["%.17g"] * (n + 1)),
+                         ((t, *column) for t, column in
+                          zip(sample.grid.points, sample.path_values.T)))
     return responses, paths
 
 
@@ -636,14 +671,11 @@ def load_dataset(rep_dir: Path, grid_steps: int) -> Sample:
     """Read a dataset written by ``cmd_simulate``.
 
     Raises ConfigError unless it holds one path of ``grid_steps`` steps per
-    response.
+    response and makes a valid Sample.
     """
-    with open(rep_dir / "responses.csv") as fp:
-        fp.readline()
-        responses = np.array([float(line.split(",")[1]) for line in fp if line.strip()])
-    with open(rep_dir / "paths.csv") as fp:
-        fp.readline()
-        matrix = np.loadtxt(fp, delimiter=",")
+    _, table = _read_table(rep_dir / "responses.csv", "index,y")
+    responses = np.ascontiguousarray(table[:, 1])
+    _, matrix = _read_table(rep_dir / "paths.csv", _paths_header(len(responses)))
     # C-contiguous so downstream matrix products reduce in the same order as
     # freshly synthesized samples (bit-identical fits from either route)
     values = np.ascontiguousarray(matrix[:, 1:].T)
@@ -652,7 +684,7 @@ def load_dataset(rep_dir: Path, grid_steps: int) -> Sample:
             f"dataset {rep_dir} holds {len(responses)} responses and {values.shape[0]} "
             f"paths of {values.shape[1] - 1} steps, the config has path_steps {grid_steps}"
         )
-    return Sample(make_grid(grid_steps), responses, values)
+    return _build(f"dataset {rep_dir}", Sample, make_grid(grid_steps), responses, values)
 
 
 def _fit_and_write(command: str, config: ExperimentConfig, fit_config: ExperimentConfig,
@@ -668,14 +700,14 @@ def _fit_and_write(command: str, config: ExperimentConfig, fit_config: Experimen
         rep_dir = _rep_dir(out_dir, n, rep)
         rep_dir.mkdir(parents=True, exist_ok=True)
         path = rep_dir / "model.json"
-        with open(path, "w") as fp:
-            model_to_json(model, fp)
+        path.write_text(model_to_json(model))
         outputs.append(path)
         for trace in model.selection_traces:
-            tpath = rep_dir / f"trace_order{trace.order}.csv"
-            with open(tpath, "w") as fp:
-                trace_to_csv(trace, fp)
-            outputs.append(tpath)
+            outputs.append(_write_table(
+                rep_dir / f"trace_order{trace.order}.csv", _TRACE_HEADER,
+                "%d,%.17g,%.17g,%.17g,%.17g,%d",
+                ((trace.order, r.h, r.majorant, r.bias_proxy, r.objective, r.h == trace.chosen)
+                 for r in trace.records)))
     _write_manifest(out_dir, command, config, started, outputs)
     return out_dir
 
@@ -708,8 +740,7 @@ def cmd_adapt(config: ExperimentConfig, out_dir: Path, threads: int = 1,
 
 def _stored_risk(config: ExperimentConfig, n_index: int, n: int, rep: int, models_dir: Path):
     path = _rep_dir(models_dir, n, rep) / "model.json"
-    with open(path) as fp:
-        model = model_from_json(fp.read())
+    model = _read(path, lambda fp: model_from_json(fp.read()))
     for est in model.components:
         if est.grid_size != config.grid_size:
             raise ConfigError(f"{path}: order-{est.order} surface on grid_size "
@@ -721,11 +752,9 @@ def _write_aggregates(path: Path, config: ExperimentConfig, values) -> np.ndarra
     """Write the per-n mean and std of n-major replication values; return the means."""
     table = np.reshape(values, (len(config.n_list), config.replications))
     means = np.array([float(np.mean(row)) for row in table])
-    with open(path, "w") as fp:
-        fp.write("n,mean_risk,std_risk,replications\n")
-        for n, mean, row in zip(config.n_list, means, table):
-            std = float(np.std(row, ddof=1)) if len(row) > 1 else 0.0
-            fp.write(f"{n},{mean:.17g},{std:.17g},{len(row)}\n")
+    _write_table(path, _AGGREGATES_HEADER, "%d,%.17g,%.17g,%d",
+                 ((n, mean, np.std(row, ddof=1) if len(row) > 1 else 0.0, len(row))
+                  for n, mean, row in zip(config.n_list, means, table)))
     return means
 
 
@@ -738,21 +767,13 @@ def cmd_risk(config: ExperimentConfig, models_dir: Path, out_dir: Path,
     (less than a worker pool costs to start), runs in this process.
     """
     started = time.time()
-    for _, n, rep in _replications(config):
-        model_path = _rep_dir(models_dir, n, rep) / "model.json"
-        if not model_path.exists():
-            raise ConfigError(f"missing model file {model_path}")
     reports = _replicate(partial(_stored_risk, models_dir=models_dir), config,
                          threads if config.risk_method == "monte_carlo" else 1)
     out_dir.mkdir(parents=True, exist_ok=True)
-    risk_csv = out_dir / "risk.csv"
-    with open(risk_csv, "w") as fp:
-        fp.write("n,rep,p,method,value,mc_stderr\n")
-        for (_, n, rep), report in zip(_replications(config), reports):
-            fp.write(
-                f"{n},{rep},{report.p:.17g},{report.method},"
-                f"{report.value:.17g},{report.mc_stderr:.17g}\n"
-            )
+    risk_csv = _write_table(
+        out_dir / "risk.csv", "n,rep,p,method,value,mc_stderr", "%d,%d,%.17g,%s,%.17g,%.17g",
+        ((n, rep, r.p, r.method, r.value, r.mc_stderr)
+         for (_, n, rep), r in zip(_replications(config), reports)))
     agg_csv = out_dir / "aggregates.csv"
     _write_aggregates(agg_csv, config, [report.value for report in reports])
     _write_manifest(out_dir, "risk", config, started, [risk_csv, agg_csv])
@@ -844,9 +865,6 @@ def run_checks(config: ExperimentConfig) -> dict:
     # kernel moment identities for m = 0..3
     for m in range(4):
         kernel = build_kernel(m + 0.5)
-        if config.check_kernel_perturbation:
-            coeffs = kernel.poly_coeffs + config.check_kernel_perturbation
-            kernel = MomentKernel(kernel.moment_order, coeffs, kernel.l2_norm)
         mass = kernel_moment(kernel, 0)
         record(f"kernel_m{m}_mass", abs(mass - 1.0) <= 1e-10, mass, 1.0)
         for s in range(1, m + 1):
@@ -940,13 +958,9 @@ def _text(x: float, y: float, s: str, size: int = 12, color: str = "black") -> s
     return f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" fill="{color}">{s}</text>'
 
 
-def plot_risk_csv(csv_path: Path, out_path: Path) -> None:
-    """Log-log risk-vs-n chart with the fitted slope annotated."""
-    with open(csv_path) as fp:
-        header = fp.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fp if line.strip()]
-    n = np.array([float(r[0]) for r in rows])
-    risk = np.array([float(r[1]) for r in rows])
+def plot_risk(table: np.ndarray, out_path: Path) -> None:
+    """Log-log risk-vs-n chart of an aggregates table, with the fitted slope annotated."""
+    n, risk = table[:, 0], table[:, 1]
     slope, stderr = _loglog_slope(n, risk)
     lx, ly = np.log10(n), np.log10(risk)
     to_x, *_ = _scale(lx, _SVG_PAD, _SVG_W - _SVG_PAD)
@@ -965,20 +979,10 @@ def plot_risk_csv(csv_path: Path, out_path: Path) -> None:
     out_path.write_text("\n".join(parts) + "\n")
 
 
-def plot_trace_csv(csv_path: Path, out_path: Path) -> None:
+def plot_trace(table: np.ndarray, out_path: Path) -> None:
     """Selection-trace chart: majorant, bias proxy, and objective vs bandwidth."""
-    with open(csv_path) as fp:
-        header = fp.readline().strip()
-        if header != "ell,h,majorant,bias_proxy,objective,chosen":
-            raise ValueError(f"unexpected trace header {header!r}")
-        rows = [line.strip().split(",") for line in fp if line.strip()]
-    h = np.array([float(r[1]) for r in rows])
-    series = {
-        "majorant": np.array([float(r[2]) for r in rows]),
-        "bias_proxy": np.array([float(r[3]) for r in rows]),
-        "objective": np.array([float(r[4]) for r in rows]),
-    }
-    chosen = np.array([int(r[5]) for r in rows])
+    h, chosen = table[:, 1], table[:, 5]
+    series = {"majorant": table[:, 2], "bias_proxy": table[:, 3], "objective": table[:, 4]}
     lx = np.log10(h)
     to_x, *_ = _scale(lx, _SVG_PAD, _SVG_W - _SVG_PAD)
     all_y = np.concatenate(list(series.values()))
@@ -1001,16 +1005,10 @@ def plot_trace_csv(csv_path: Path, out_path: Path) -> None:
 
 
 def cmd_plot(csv_path: Path, out_path: Path) -> Path:
-    if not csv_path.is_file():
-        raise ConfigError(f"plot: missing CSV file {csv_path}")
-    with open(csv_path) as fp:
-        header = fp.readline().strip()
-    if header.startswith("ell,"):
-        plot_trace_csv(csv_path, out_path)
-    elif header.startswith("n,"):
-        plot_risk_csv(csv_path, out_path)
-    else:
-        raise ConfigError(f"plot: unrecognized CSV header {header!r}")
+    """Chart an aggregates table (``aggregates.csv``, ``risk_by_n.csv``) or a selection trace."""
+    plots = {_AGGREGATES_HEADER: plot_risk, _TRACE_HEADER: plot_trace}
+    header, table = _read_table(csv_path, *plots)
+    plots[header](table, out_path)
     return out_path
 
 

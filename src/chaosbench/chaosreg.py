@@ -38,7 +38,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -321,7 +321,7 @@ def risk_monte_carlo(
 MODEL_FORMAT = "chaosbench.fitted-model/1"
 
 
-def model_to_json(model: FittedModel, fp: IO[str] | None = None) -> str:
+def model_to_json(model: FittedModel) -> str:
     doc = {
         "format": MODEL_FORMAT,
         "mean_hat": model.a,
@@ -335,16 +335,13 @@ def model_to_json(model: FittedModel, fp: IO[str] | None = None) -> str:
             for e in model.components
         ],
     }
-    text = json.dumps(doc, sort_keys=True)
-    if fp is not None:
-        fp.write(text)
-    return text
+    return json.dumps(doc, sort_keys=True)
 
 
 def model_from_json(text: str) -> FittedModel:
     doc = json.loads(text)
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"unknown model format {doc.get('format')!r}")
+    if doc["format"] != MODEL_FORMAT:
+        raise ValueError(f"unknown model format {doc['format']!r}")
     estimates = []
     for entry in doc["orders"]:
         order = int(entry["order"])

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
@@ -197,14 +196,3 @@ def adaptive_fit(
         traces.append(trace)
         estimates.append(fits[trace.chosen])
     return FittedModel(estimate_mean(sample), tuple(estimates), tuple(traces))
-
-
-def trace_to_csv(trace: SelectionTrace, fp: IO[str]) -> None:
-    """CSV with columns ell,h,majorant,bias_proxy,objective,chosen."""
-    fp.write("ell,h,majorant,bias_proxy,objective,chosen\n")
-    for rec in trace.records:
-        chosen = 1 if rec.h == trace.chosen else 0
-        fp.write(
-            f"{trace.order},{rec.h:.17g},{rec.majorant:.17g},"
-            f"{rec.bias_proxy:.17g},{rec.objective:.17g},{chosen}\n"
-        )

@@ -47,11 +47,6 @@ class GaussianNoise:
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
 
-    @property
-    def mu4(self) -> float:
-        """Fourth-moment proxy (E eps^4)^(1/4)."""
-        return self.sigma * 3.0**0.25
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.normal(0.0, self.sigma, n) if self.sigma > 0 else np.zeros(n)
 
@@ -63,10 +58,6 @@ class UniformNoise:
     def __post_init__(self):
         if self.half_width < 0:
             raise ValueError("half_width must be >= 0")
-
-    @property
-    def mu4(self) -> float:
-        return self.half_width / 5.0**0.25
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.half_width == 0:

@@ -25,6 +25,7 @@ from chaosbench.benchcli import (
 from chaosbench.chaoscalc import BoundReport
 from chaosbench.chaosreg import ChaosKernelEstimate, FittedModel, model_from_json, model_to_json
 from chaosbench.errors import ConfigError
+from chaosbench.kernelkit import MomentKernel, build_kernel
 
 
 def _base_doc(**overrides):
@@ -155,7 +156,7 @@ MALFORMED = [
         ({"risk": "isometry"}, "risk: expected an object"),
         ({"check": []}, "check: expected an object"),
         ({"risk": {"n_mc": "many"}}, r"risk\.n_mc: expected an integer"),
-        ({"check": {"kernel_coeff_perturbation": "x"}}, "expected a number"),
+        ({"majorant": {"mu4": "x", "class_bound": 1.0}}, "expected a number"),
         *MALFORMED,
     ],
 )
@@ -316,17 +317,24 @@ def test_rate_smoke(tmp_path):
     assert (tmp_path / "rate" / "rate.json").exists()
 
 
-def test_check_passes_and_sabotage_fails(tmp_path):
+def _sabotage_kernels(monkeypatch):
+    """Shift every kernel coefficient the checks build by 0.1."""
+    def shifted(s_star):
+        kernel = build_kernel(s_star)
+        return MomentKernel(kernel.moment_order, kernel.poly_coeffs + 0.1, kernel.l2_norm)
+
+    monkeypatch.setattr(benchcli, "build_kernel", shifted)
+
+
+def test_check_passes_and_sabotage_fails(tmp_path, monkeypatch):
     config = parse_config(_base_doc())
     report = cmd_check(config, tmp_path / "check")
     assert report["passed"]
     names = {c["name"] for c in report["checks"]}
     assert any(name.startswith("kernel_m3") for name in names)
     assert any(name.startswith("hypercontractivity") for name in names)
-    sabotaged = parse_config(
-        _base_doc(check={"n_mc": 1500, "kernel_coeff_perturbation": 0.1})
-    )
-    bad = cmd_check(sabotaged, tmp_path / "check_bad")
+    _sabotage_kernels(monkeypatch)
+    bad = cmd_check(config, tmp_path / "check_bad")
     assert not bad["passed"]
     failed = [c["name"] for c in bad["checks"] if not c["passed"]]
     assert any("mass" in name for name in failed)
@@ -354,10 +362,9 @@ def test_main_exit_codes(tmp_path, monkeypatch):
     assert main(["check", "--config", str(good), "--out", str(tmp_path / "ok")]) == 0
     bad_cfg = _write_config(tmp_path, _base_doc(grid_size=15), "bad.json")
     assert main(["check", "--config", str(bad_cfg), "--out", str(tmp_path / "no")]) == 1
-    sab = _write_config(
-        tmp_path, _base_doc(check={"n_mc": 1500, "kernel_coeff_perturbation": 0.1}), "sab.json"
-    )
-    assert main(["check", "--config", str(sab), "--out", str(tmp_path / "sab")]) == 2
+    with monkeypatch.context() as patch:
+        _sabotage_kernels(patch)
+        assert main(["check", "--config", str(good), "--out", str(tmp_path / "sab")]) == 2
     # risk checks its models tree before it writes anything
     assert main(["risk", "--config", str(good), "--out", str(tmp_path / "risk"),
                  "--models", str(tmp_path / "no_models")]) == 1
@@ -655,3 +662,98 @@ def test_risk_rejects_models_fit_at_another_grid_size(tmp_path, capsys):
                      "--models", str(models), "--threads", "2"]) == 1
         assert not out.exists()
         assert "grid_size 8, the config has grid_size 16" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A config, its simulated datasets, fitted models and risk table."""
+    root = tmp_path_factory.mktemp("small_run")
+    cfg = _write_config(root, _base_doc(n_list=[30], replications=1))
+    for argv in (["simulate", "--out", str(root / "data")],
+                 ["fit", "--out", str(root / "fits")],
+                 ["risk", "--out", str(root / "risk"), "--models", str(root / "fits")]):
+        assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 0
+    return root
+
+
+def _edit_lines(path, index, edit):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[index] = edit(lines[index])
+    path.write_text("".join(lines))
+
+
+def _edit_model(doc):
+    return lambda path: path.write_text(json.dumps(doc(json.loads(path.read_text()))))
+
+
+def _drop_last_value(doc):
+    doc["orders"][0]["values"].pop()
+    return doc
+
+
+# (command, tree copied from the small run, file edited in it, edit); a plot
+# case gives a file of the small run's risk output, or the CSV text to plot
+MALFORMED_INPUTS = {
+    "missing config": ("simulate", None, None, None),
+    "paths ragged row": ("fit", "data", "paths.csv",
+                         lambda p: _edit_lines(p, 3, lambda s: s.rsplit(",", 1)[0] + "\n")),
+    "paths non-numeric cell": ("fit", "data", "paths.csv",
+                               lambda p: _edit_lines(p, 3, lambda s: "abc" + s[s.index(","):])),
+    "paths wrong header": ("fit", "data", "paths.csv",
+                           lambda p: _edit_lines(p, 0, lambda s: s.replace("w_", "v_"))),
+    "paths not starting at 0": ("fit", "data", "paths.csv",
+                                lambda p: _edit_lines(p, 1, lambda s: s.replace(",0", ",1"))),
+    "responses row without comma": ("fit", "data", "responses.csv",
+                                    lambda p: _edit_lines(p, 2, lambda s: s.replace(",", ""))),
+    "model truncated": ("risk", "fits", "model.json",
+                        lambda p: p.write_text(p.read_text()[:100])),
+    "model format /9": ("risk", "fits", "model.json",
+                        lambda p: p.write_text(p.read_text().replace("model/1", "model/9"))),
+    "model without mean_hat": ("risk", "fits", "model.json",
+                               _edit_model(lambda d: {k: v for k, v in d.items()
+                                                      if k != "mean_hat"})),
+    "model value count": ("risk", "fits", "model.json", _edit_model(_drop_last_value)),
+    "model not an object": ("risk", "fits", "model.json", lambda p: p.write_text("[1]")),
+    "plot non-numeric": ("plot", None, "n,mean_risk,std_risk,replications\n40,x,0.1,2\n", None),
+    "plot short trace header": ("plot", None, "ell,h,majorant\n1,0.1,2\n", None),
+    "plot risk.csv": ("plot", None, "risk.csv", None),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_malformed_input_files_exit_1_and_write_nothing(case, small_run, tmp_path, capsys):
+    command, tree, target, edit = MALFORMED_INPUTS[case]
+    out = tmp_path / "out"
+    cfg = small_run / "cfg.json"
+    if command == "plot":
+        csv = small_run / "risk" / target
+        if not csv.exists():
+            csv = tmp_path / "input.csv"
+            csv.write_text(target)
+        argv, named = ["plot", "--csv", str(csv)], csv
+    elif tree is None:
+        cfg = named = tmp_path / "missing.json"
+        argv = [command, "--config", str(cfg)]
+    else:
+        shutil.copytree(small_run / tree, tmp_path / tree)
+        named = tmp_path / tree / "n_000030" / "rep_000" / target
+        edit(named)
+        flag = "--data" if tree == "data" else "--models"
+        argv = [command, "--config", str(cfg), flag, str(tmp_path / tree)]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
+    # a dataset that parses but is not a valid sample is named by its directory
+    named = named.parent if case == "paths not starting at 0" else named
+    assert str(named) in capsys.readouterr().err
+
+
+def test_table_writer_matches_fstrings_and_reader_returns_the_bits(tmp_path):
+    values = np.array([-0.0, 5e-324, 1e308, 0.1, -1.0 / 3.0])
+    rows = [(i, v, i * 10**12) for i, v in enumerate(values)]
+    path = benchcli._write_table(tmp_path / "t.csv", "i,x,k", "%d,%.17g,%d", rows)
+    assert path.read_text().splitlines() == ["i,x,k", *(f"{i},{v:.17g},{k}" for i, v, k in rows)]
+    header, table = benchcli._read_table(path, "j,x,k", "i,x,k")
+    assert header == "i,x,k"
+    assert np.array_equal(table[:, 1].view(np.uint64), values.view(np.uint64))
+    assert np.array_equal(table[:, 0], np.arange(5)) and table[4, 2] == 4e12

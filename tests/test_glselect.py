@@ -1,10 +1,10 @@
-import io
 import math
 
 import numpy as np
 import pytest
 
 from chaosbench._util import derive_seed
+from chaosbench.benchcli import cmd_adapt, parse_config
 from chaosbench.chaosreg import fit_chaos_kernel, risk_isometry
 from chaosbench.errors import GridEmptyError, IncompleteInputError
 from chaosbench.glselect import (
@@ -15,7 +15,6 @@ from chaosbench.glselect import (
     bandwidth_grid,
     bias_proxy,
     majorant,
-    trace_to_csv,
 )
 from chaosbench.kernelkit import build_kernel
 from chaosbench.mappingzoo import GaussianNoise, quadratic_terminal, synthesize
@@ -190,15 +189,15 @@ def test_adaptive_second_order_reduces_risk_on_quadratic_truth():
     assert np.mean(risks[1]) >= np.sqrt(0.5) * 0.9
 
 
-def test_trace_csv_format():
-    truth = quadratic_terminal()
-    sample = synthesize(truth, 200, make_grid(128), 16)
+def test_trace_csv_format(tmp_path):
+    config = parse_config({
+        "n_list": [1000], "path_steps": 128, "grid_size": 8, "max_order": 1,
+        "s_star_hi": 1.0, "s_star_lo": 0.5, "majorant": {"mu4": 0.66, "class_bound": 1.0},
+        "bandwidths": {"mode": "adaptive"}, "replications": 1, "seed": 16,
+    })
+    out = cmd_adapt(config, tmp_path / "adapted")
     grid = bandwidth_grid(1000, 1, 0.5)
-    params = MajorantParams(mu4=0.66, class_bound=1.0, max_order=1, kernel_l2=1.0)
-    trace = _select_with_fits(1, sample, grid, params, 8, K0)[0]
-    buffer = io.StringIO()
-    trace_to_csv(trace, buffer)
-    lines = buffer.getvalue().splitlines()
+    lines = (out / "n_001000" / "rep_000" / "trace_order1.csv").read_text().splitlines()
     assert lines[0] == "ell,h,majorant,bias_proxy,objective,chosen"
     assert len(lines) == 1 + len(grid.values)
     chosen_flags = [int(line.split(",")[-1]) for line in lines[1:]]

@@ -12,7 +12,6 @@ from chaosbench.mappingzoo import (
     GaussianNoise,
     GriddedComponent,
     MappingSpec,
-    UniformNoise,
     bump_instance,
     bump_psi,
     class_check,
@@ -95,11 +94,6 @@ def test_synthesize_noise_independent_of_paths():
     terminal = sample.path_values[:, -1]
     corr = np.corrcoef(eps, terminal)[0, 1]
     assert abs(corr) <= 3.0 / np.sqrt(n)
-
-
-def test_noise_mu4_values():
-    assert GaussianNoise(0.5).mu4 == pytest.approx(0.5 * 3**0.25)
-    assert UniformNoise(1.0).mu4 == pytest.approx((1.0 / 5.0) ** 0.25)
 
 
 def test_class_check_finite_pass():
