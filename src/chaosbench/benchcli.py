@@ -34,14 +34,17 @@ config's.  The optional ``risk`` and ``check`` objects take an integer
 ``n_mc``, at least ``chaoscalc.MIN_MC_DRAWS`` (100) wherever it sets a Monte
 Carlo draw count: always for ``check``, for ``risk`` when its method is
 ``monte_carlo``.  Every value is read through one typed reader
-(``_require``/``_optional``/``_block``; a bool is never a number), so any
-config that cannot run is a ConfigError before a command writes anything.
+(``_require``/``_optional``/``_block``; a bool is never a number) and each
+rule is checked once, by its owner (``MajorantParams``, the component
+parser, ``plan_bandwidths`` for every mode and n), so any config that cannot
+run is a ConfigError before a command writes anything.
 
 Every file a command reads (config, datasets, models, plot input) goes
 through one reader, ``_read``: a missing file, or one that does not parse,
-is a ConfigError naming it.  Every CSV table is written by ``_write_table``
-(numbers as ``%.17g``, so they read back bit-exactly) and read by
-``_read_table``, which requires the exact header the writer wrote.
+is a ConfigError naming it, as is a dataset that is not a ``Sample`` on the
+config's path grid.  Every CSV table is written by ``_write_table`` (numbers
+as ``%.17g``, so they read back bit-exactly) and read by ``_read_table``,
+which requires the exact header the writer wrote.
 """
 
 from __future__ import annotations
@@ -115,8 +118,7 @@ class ExperimentConfig:
     max_order: int
     s_star_hi: float
     s_star_lo: float
-    majorant_mu4: float
-    majorant_bound: float
+    majorant: MajorantParams
     bandwidths: BandwidthPlan
     risk_p: float
     risk_method: str
@@ -127,11 +129,6 @@ class ExperimentConfig:
 
     def kernel(self) -> MomentKernel:
         return build_kernel(self.s_star_hi)
-
-    def majorant_params(self) -> MajorantParams:
-        return MajorantParams(
-            self.majorant_mu4, self.majorant_bound, self.max_order, self.kernel().l2_norm
-        )
 
     def rep_seed(self, n_index: int, rep: int) -> int:
         return derive_seed(self.seed, n_index, rep)
@@ -194,7 +191,7 @@ def _parse_noise(doc: dict):
     raise ConfigError(f"truth.noise.kind: unknown noise '{kind}'")
 
 
-def _parse_component(doc: dict, where: str):
+def _parse_component(doc: dict, where: str, path_steps: int, iso_grid: int | None):
     order = _require(doc, "order", int, where)
     if order < 1:
         raise ConfigError(f"{where}.order: must be >= 1")
@@ -214,11 +211,18 @@ def _parse_component(doc: dict, where: str):
         if len(flat) != g**order:
             raise ConfigError(f"{where}.values: expected {g**order} entries, got {len(flat)}")
         values = np.asarray(flat).reshape((g,) * order)
-        return _build(where, GriddedComponent, order, g, values)
+        component = _build(where, GriddedComponent, order, g, values)
+        # summed on path cells; compared on the config's grid under isometry risk
+        if path_steps % g != 0:
+            raise ConfigError(f"{where}.grid_size: {g} does not divide path_steps {path_steps}")
+        if iso_grid is not None and g != iso_grid:
+            raise ConfigError(f"{where}.grid_size: isometry risk compares surfaces on "
+                              f"grid_size {iso_grid}, not {g}")
+        return component
     raise ConfigError(f"{where}.kind: unknown component kind '{kind}'")
 
 
-def _parse_truth(doc) -> MappingSpec:
+def _parse_truth(doc, path_steps: int, iso_grid: int | None) -> MappingSpec:
     if isinstance(doc, str):
         if doc == "quadratic_terminal":
             return quadratic_terminal()
@@ -226,7 +230,7 @@ def _parse_truth(doc) -> MappingSpec:
     if not isinstance(doc, dict):
         raise ConfigError("truth: expected a name or an object")
     a = _require(doc, "a", float, "truth")
-    comps = tuple(_parse_component(c, f"truth.components[{i}]")
+    comps = tuple(_parse_component(c, f"truth.components[{i}]", path_steps, iso_grid)
                   for i, c in enumerate(_require(doc, "components", [dict], "truth")))
     noise = _parse_noise(_require(doc, "noise", dict, "truth"))
     cls = _block(doc, "class", "truth")
@@ -254,10 +258,7 @@ def _parse_bandwidths(doc: dict, max_order: int) -> BandwidthPlan:
             name = f"bandwidths.values[{key}]"
             if not str(key).isdecimal() or not 1 <= int(key) <= max_order:
                 raise ConfigError(f"{name}: keys must be orders in 1..max_order = {max_order}")
-            h = _typed(value, float, name)
-            if not 0.0 < h < 1.0:
-                raise ConfigError(f"{name}: bandwidth must lie in (0, 1)")
-            fixed[int(key)] = h
+            fixed[int(key)] = _typed(value, float, name)
         missing = [o for o in range(1, max_order + 1) if o not in fixed]
         if missing:
             raise ConfigError(f"bandwidths.values: missing orders {missing}")
@@ -280,8 +281,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a config document; raises ConfigError with field-level messages."""
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")
-    truth_doc = doc.get("truth", "quadratic_terminal")
-    truth = _parse_truth(truth_doc)
     n_list = _require(doc, "n_list", [int])
     if not n_list:
         raise ConfigError("n_list: must be non-empty")
@@ -305,13 +304,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if s_star_hi <= 0 or s_star_lo <= 0:
         raise ConfigError("s_star_hi and s_star_lo must be positive")
     maj = _require(doc, "majorant", dict)
-    mu4 = _require(maj, "mu4", float, "majorant")
-    bound = _require(maj, "class_bound", float, "majorant")
-    if mu4 <= 0 or bound <= 0:
-        raise ConfigError("majorant: mu4 and class_bound must be positive")
+    majorant = _build("majorant", MajorantParams, _require(maj, "mu4", float, "majorant"),
+                      _require(maj, "class_bound", float, "majorant"), max_order,
+                      build_kernel(s_star_hi).l2_norm)
     plan = _parse_bandwidths(_require(doc, "bandwidths", dict), max_order)
-    if plan.mode == "adaptive":
-        _check_adaptive_brackets(n_list, max_order, s_star_lo)
     risk_p = _optional(doc, "risk_p", float, "", 2.0)
     if risk_p < 2:
         raise ConfigError("risk_p: must be >= 2")
@@ -332,16 +328,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     risk_n_mc = _optional(risk, "n_mc", int, "risk", 400)
     if risk_method == "monte_carlo" and risk_n_mc < MIN_MC_DRAWS:
         raise ConfigError(f"risk.n_mc: Monte Carlo risk needs >= {MIN_MC_DRAWS} draws")
-    # the listed components, which MappingSpec keeps sorted by order, name the entry
-    listed = truth_doc["components"] if isinstance(truth_doc, dict) else []
-    for i, comp in enumerate(listed):  # summed on path cells, compared on G
-        g = comp["grid_size"] if comp["kind"] == "gridded" else 0
-        if g and path_steps % g != 0:
-            raise ConfigError(f"truth.components[{i}].grid_size: {g} does not divide "
-                              f"path_steps {path_steps}")
-        if g and risk_method == "isometry" and g != grid_size:
-            raise ConfigError(f"truth.components[{i}].grid_size: isometry risk compares "
-                              f"surfaces on grid_size {grid_size}, not {g}")
+    truth_doc = doc.get("truth", "quadratic_terminal")
+    truth = _parse_truth(truth_doc, path_steps,
+                         grid_size if risk_method == "isometry" else None)
     replications = _require(doc, "replications", int)
     if replications < 1:
         raise ConfigError("replications: must be >= 1")
@@ -361,8 +350,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         max_order=max_order,
         s_star_hi=s_star_hi,
         s_star_lo=s_star_lo,
-        majorant_mu4=mu4,
-        majorant_bound=bound,
+        majorant=majorant,
         bandwidths=plan,
         risk_p=risk_p,
         risk_method=risk_method,
@@ -371,23 +359,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
         seed=seed,
         check_n_mc=check_n_mc,
     )
-    if plan.mode != "adaptive":
-        for n in config.n_list:
-            plan_bandwidths(config, n)  # raises unless every h lies in (0, 1)
-    return config
-
-
-def _check_adaptive_brackets(n_list, max_order: int, s_star_lo: float) -> None:
-    """Reject a sample size and order whose adaptive bandwidth bracket is empty."""
     for n in n_list:
-        for order in range(1, max_order + 1):
-            try:
-                bandwidth_grid(n, order, s_star_lo)
-            except ValueError as exc:  # GridEmptyError, or n < 3
-                raise ConfigError(
-                    f"bandwidths: no adaptive candidate at n={n}, order {order}, "
-                    f"s_star_lo={s_star_lo}: {exc}"
-                ) from exc
+        plan_bandwidths(config, n)
+    return config
 
 
 def load_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
@@ -433,35 +407,48 @@ def _per_order(seq: Sequence[float], order: int) -> float:
     return seq[order - 1] if order - 1 < len(seq) else seq[-1]
 
 
-def plan_bandwidths(config: ExperimentConfig, n: int) -> dict[int, float]:
-    """Resolve the per-order bandwidth vector for sample size n (non-adaptive modes)."""
+def plan_bandwidths(config: ExperimentConfig, n: int) -> dict[int, tuple[float, ...]]:
+    """The candidate bandwidths of each order at sample size n.
+
+    The fixed, theoretical and theorem41 modes give one candidate per order,
+    the adaptive mode its e^-k selection grid.  Raises ConfigError unless
+    every order has a candidate and every candidate lies in (0, 1).
+    """
     plan = config.bandwidths
+    if plan.mode == "adaptive":
+        grids = {}
+        for order in range(1, config.max_order + 1):
+            try:
+                grids[order] = bandwidth_grid(n, order, config.s_star_lo).values
+            except ValueError as exc:  # GridEmptyError, or n < 3
+                raise ConfigError(
+                    f"bandwidths: no adaptive candidate at n={n}, order {order}, "
+                    f"s_star_lo={config.s_star_lo}: {exc}"
+                ) from exc
+        return grids
     if plan.mode == "fixed":
-        return dict(plan.fixed)
-    if plan.mode == "theoretical":
-        orders = range(1, config.max_order + 1)
+        hs = dict(plan.fixed)
+    elif plan.mode == "theoretical":
         hs = {
             o: theoretical_bandwidth(o, n, _per_order(plan.s, o), _per_order(plan.lam, o))
-            for o in orders
+            for o in range(1, config.max_order + 1)
         }
-    elif plan.mode == "theorem41":
+    else:  # theorem41
         l_n = max(1, truncation_order(n))
         hs = {
             o: growing_order_bandwidth(
                 o, n, _per_order(plan.s, o), _per_order(plan.lam, o), l_n,
-                config.risk_p, config.kernel().l2_norm, plan.practical,
+                config.risk_p, config.majorant.kernel_l2, plan.practical,
             )
             for o in range(1, l_n + 1)
         }
-    else:
-        raise ConfigError("bandwidths.mode: adaptive mode has no fixed bandwidth vector")
     for order, h in hs.items():
         if not 0.0 < h < 1.0:
             raise ConfigError(
                 f"bandwidths: resolved h={h:.6g} for order {order} at n={n} "
                 "lies outside (0, 1)"
             )
-    return hs
+    return {order: (h,) for order, h in hs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +476,7 @@ def _replicate(task, config: ExperimentConfig, threads: int) -> list:
     columns = [[config] * len(jobs), *zip(*jobs)]
     if threads <= 1:
         return list(map(task, *columns))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
         return list(pool.map(task, *columns))
 
 
@@ -511,13 +498,12 @@ def _fit_one(config: ExperimentConfig, n_index: int, n: int, rep: int,
     kernel = config.kernel()
     if config.bandwidths.mode == "adaptive":
         return adaptive_fit(
-            sample, config.max_order, config.majorant_params(), config.s_star_lo,
+            sample, config.max_order, config.majorant, config.s_star_lo,
             config.grid_size, kernel,
         )
-    hs = plan_bandwidths(config, n)
     estimates = tuple(
         fit_chaos_kernel(sample, order, h, config.grid_size, kernel)
-        for order, h in sorted(hs.items())
+        for order, (h,) in sorted(plan_bandwidths(config, n).items())
     )
     return FittedModel(estimate_mean(sample), estimates)
 
@@ -623,7 +609,7 @@ def _config_doc(config: ExperimentConfig) -> dict:
         "max_order": config.max_order,
         "s_star_hi": config.s_star_hi,
         "s_star_lo": config.s_star_lo,
-        "majorant": {"mu4": config.majorant_mu4, "class_bound": config.majorant_bound},
+        "majorant": {"mu4": config.majorant.mu4, "class_bound": config.majorant.class_bound},
         "bandwidths": bw,
         "risk_p": config.risk_p,
         "risk": {"method": config.risk_method, "n_mc": config.risk_n_mc},
@@ -684,7 +670,10 @@ def load_dataset(rep_dir: Path, grid_steps: int) -> Sample:
             f"dataset {rep_dir} holds {len(responses)} responses and {values.shape[0]} "
             f"paths of {values.shape[1] - 1} steps, the config has path_steps {grid_steps}"
         )
-    return _build(f"dataset {rep_dir}", Sample, make_grid(grid_steps), responses, values)
+    grid = make_grid(grid_steps)
+    if not np.array_equal(matrix[:, 0], grid.points):
+        raise ConfigError(f"{rep_dir / 'paths.csv'}: t is not the grid of path_steps {grid_steps}")
+    return _build(f"dataset {rep_dir}", Sample, grid, responses, values)
 
 
 def _fit_and_write(command: str, config: ExperimentConfig, fit_config: ExperimentConfig,
@@ -733,8 +722,9 @@ def cmd_adapt(config: ExperimentConfig, out_dir: Path, threads: int = 1,
     checked before anything is written.  The manifest records the config as
     given.
     """
-    _check_adaptive_brackets(config.n_list, config.max_order, config.s_star_lo)
     adaptive = replace(config, bandwidths=BandwidthPlan("adaptive"))
+    for n in config.n_list:
+        plan_bandwidths(adaptive, n)
     return _fit_and_write("adapt", config, adaptive, out_dir, threads, data_dir)
 
 
@@ -1005,10 +995,16 @@ def plot_trace(table: np.ndarray, out_path: Path) -> None:
 
 
 def cmd_plot(csv_path: Path, out_path: Path) -> Path:
-    """Chart an aggregates table (``aggregates.csv``, ``risk_by_n.csv``) or a selection trace."""
-    plots = {_AGGREGATES_HEADER: plot_risk, _TRACE_HEADER: plot_trace}
+    """Chart an aggregates table (``aggregates.csv``, ``risk_by_n.csv``) or a selection trace.
+
+    Its log-axis columns (n and mean_risk, or h) must be positive and finite.
+    """
+    plots = {_AGGREGATES_HEADER: (plot_risk, [0, 1]), _TRACE_HEADER: (plot_trace, [1])}
     header, table = _read_table(csv_path, *plots)
-    plots[header](table, out_path)
+    plot, logged = plots[header]
+    if not np.all((table[:, logged] > 0) & (table[:, logged] < np.inf)):
+        raise ConfigError(f"{csv_path}: log-axis values must be positive and finite")
+    plot(table, out_path)
     return out_path
 
 

@@ -45,7 +45,6 @@ import numpy as np
 from numpy.polynomial import hermite_e
 
 from ._util import DEFAULT_QUAD_POINTS, midpoints
-from .errors import AlignmentError, DegenerateIntegrandError, UnsupportedOrderError
 from .kernelkit import MomentKernel, slice_matrix
 from .pathlab import BrownianPath, TimeGrid, brownian_increments
 
@@ -207,7 +206,7 @@ def hermite_chaos_values(g: Callable, order: int, increments: np.ndarray) -> np.
         raise ValueError(f"order must be >= 1, got {order}")
     norm_sq = l2_inner(g, g)
     if norm_sq <= 0.0:
-        raise DegenerateIntegrandError("hermite_chaos requires ||g|| > 0")
+        raise ValueError("hermite_chaos requires ||g|| > 0")
     norm = math.sqrt(norm_sq)
     t_left = np.arange(increments.shape[1]) / increments.shape[1]
     xi = increments @ np.asarray(g(t_left), dtype=float)
@@ -235,11 +234,11 @@ def gridded_chaos_values(f: GriddedFunction, increments: np.ndarray) -> np.ndarr
     Supports orders 1 to 3.
     """
     if not 1 <= f.order <= 3:
-        raise UnsupportedOrderError(f"gridded integrals support orders 1 to 3, got {f.order}")
+        raise ValueError(f"gridded integrals support orders 1 to 3, got {f.order}")
     n, n_steps = increments.shape
     g = f.grid_size
     if n_steps % g != 0:
-        raise AlignmentError(f"grid_size {g} does not divide path resolution {n_steps}")
+        raise ValueError(f"grid_size {g} does not divide path resolution {n_steps}")
     if n > _ROW_BLOCK:
         return np.concatenate([gridded_chaos_values(f, increments[i:i + _ROW_BLOCK])
                                for i in range(0, n, _ROW_BLOCK)])

@@ -50,7 +50,6 @@ from ._util import derive_seed  # noqa: F401
 from .chaoscalc import ChaosExpansion, GriddedFunction, _chaos_from_parts
 from .chaoscalc import monte_carlo_mean
 from .chaoscalc import brute_multiple_integral  # noqa: F401
-from .errors import UnsupportedOrderError
 from .kernelkit import MomentKernel, boundary_sign, slice_matrix
 from .pathlab import BrownianPath, TimeGrid
 from .pathlab import sample_brownian  # noqa: F401
@@ -77,6 +76,8 @@ class Sample:
             )
         if np.any(values[:, 0] != 0.0):
             raise ValueError("all covariate paths must start at 0")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("path values must be finite")
         if not np.all(np.isfinite(responses)):
             raise ValueError("responses must be finite")
 
@@ -269,7 +270,7 @@ def smoothed_truth(
             )
             values[a] = np.einsum("r,bs,ct,rbsct->bc", aw[a], aw, aw, fv)
     else:
-        raise UnsupportedOrderError("smoothed_truth supports order <= 3")
+        raise ValueError("smoothed_truth supports order <= 3")
     return GriddedFunction(order, grid_size, values)
 
 

@@ -1,20 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
 
-
-class SingularDiffusionError(ValueError):
-    """A diffusion coefficient evaluated to a non-positive value."""
-
-
-class AlignmentError(ValueError):
-    """Evaluation grid and path grid are incompatible."""
-
-
-class UnsupportedOrderError(ValueError):
-    """Requested chaos order exceeds what the operation supports."""
-
-
-class DegenerateIntegrandError(ValueError):
-    """An integrand with zero norm was passed where a direction is required."""
+A bad config or input file raises ConfigError (the CLI's exit 1); misuse of
+the library, such as an unsupported order, raises a plain ValueError.
+"""
 
 
 class GridEmptyError(ValueError):
@@ -30,9 +18,5 @@ class GridEmptyError(ValueError):
         )
 
 
-class IncompleteInputError(ValueError):
-    """A required intermediate (e.g. a per-bandwidth fit) is missing."""
-
-
 class ConfigError(ValueError):
-    """An experiment configuration failed validation."""
+    """An experiment config or input file failed validation."""

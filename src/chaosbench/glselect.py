@@ -27,7 +27,7 @@ import numpy as np
 
 from .chaoscalc import chaos_constant
 from .chaosreg import ChaosKernelEstimate, FittedModel, Sample, estimate_mean, fit_chaos_kernel
-from .errors import GridEmptyError, IncompleteInputError
+from .errors import GridEmptyError
 from .kernelkit import MomentKernel
 
 
@@ -143,8 +143,6 @@ def bias_proxy(
     best = 0.0
     for h_prime in majorants:
         h_max = max(h, h_prime)
-        if h_prime not in fits or h_max not in fits:
-            raise IncompleteInputError(f"missing fit for bandwidth {h_prime} or {h_max}")
         diff = fits[h_prime].values - fits[h_max].values
         norm = math.sqrt(float(np.mean(diff**2)))
         term = norm - majorants[h_prime] - majorants[h_max]

@@ -150,8 +150,6 @@ def synthesize(spec: MappingSpec, n: int, grid: TimeGrid, seed: int) -> Sample:
     the noise vector uses the stream (seed, 1).  Noise is independent of the
     paths.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
     rows = sample_brownian_paths(grid, n, derive_seed(seed, 0))
     increments = np.diff(rows, axis=1)
     m_values = spec.values(increments)

@@ -66,7 +66,7 @@ def test_parse_config_valid():
     config = parse_config(_base_doc())
     assert config.n_list == (40,)
     assert config.kernel().moment_order == 1
-    assert config.majorant_params().kernel_l2 == 2.0
+    assert config.majorant.kernel_l2 == 2.0
     # isometry risk draws no paths, so its n_mc is not held to the Monte Carlo minimum
     assert parse_config(_base_doc(risk={"n_mc": 50})).risk_n_mc == 50
 
@@ -157,6 +157,8 @@ MALFORMED = [
         ({"check": []}, "check: expected an object"),
         ({"risk": {"n_mc": "many"}}, r"risk\.n_mc: expected an integer"),
         ({"majorant": {"mu4": "x", "class_bound": 1.0}}, "expected a number"),
+        ({"majorant": {"mu4": 0, "class_bound": 1.0}}, "majorant:"),
+        ({"majorant": {"mu4": 0.66, "class_bound": -1}}, "majorant:"),
         *MALFORMED,
     ],
 )
@@ -717,6 +719,10 @@ MALFORMED_INPUTS = {
     "plot non-numeric": ("plot", None, "n,mean_risk,std_risk,replications\n40,x,0.1,2\n", None),
     "plot short trace header": ("plot", None, "ell,h,majorant\n1,0.1,2\n", None),
     "plot risk.csv": ("plot", None, "risk.csv", None),
+    "plot zero mean risk": ("plot", None,
+                            "n,mean_risk,std_risk,replications\n40,0,0,2\n80,0.1,0,2\n", None),
+    "plot zero bandwidth": ("plot", None,
+                            "ell,h,majorant,bias_proxy,objective,chosen\n1,0,1,0,1,1\n", None),
 }
 
 
@@ -746,6 +752,77 @@ def test_malformed_input_files_exit_1_and_write_nothing(case, small_run, tmp_pat
     # a dataset that parses but is not a valid sample is named by its directory
     named = named.parent if case == "paths not starting at 0" else named
     assert str(named) in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def adaptive_data(tmp_path_factory):
+    """A config whose adaptive brackets are non-empty, and its simulated datasets."""
+    root = tmp_path_factory.mktemp("adaptive_data")
+    cfg = _write_config(root, _base_doc(n_list=[500], path_steps=64, replications=1))
+    assert main(["simulate", "--config", str(cfg), "--out", str(root / "data")]) == 0
+    return root
+
+
+def _set_cell(row, column, text):
+    """Edit paths.csv: the cell at ``column`` of line ``row`` (line 1 is t = 0) set to ``text``."""
+    def edit(lines):
+        cells = lines[row].rstrip("\n").split(",")
+        cells[column] = text
+        lines[row] = ",".join(cells) + "\n"
+    return edit
+
+
+def _set_t_column(lines):
+    for i in range(1, len(lines)):
+        lines[i] = "7" + lines[i][lines[i].index(","):]
+
+
+PATH_DEFECTS = {"nan": _set_cell(3, 5, "nan"), "inf": _set_cell(9, 1, "-inf"),
+                "t column": _set_t_column}
+
+
+@pytest.mark.parametrize("command", ["fit", "adapt"])
+@pytest.mark.parametrize("defect", list(PATH_DEFECTS))
+def test_defective_path_tables_exit_1_and_write_nothing(defect, command, adaptive_data,
+                                                        tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(adaptive_data / "data", data)
+    paths = data / "n_000500" / "rep_000" / "paths.csv"
+    lines = paths.read_text().splitlines(keepends=True)
+    PATH_DEFECTS[defect](lines)
+    paths.write_text("".join(lines))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", str(adaptive_data / "cfg.json"), "--data", str(data),
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    assert str(paths.parent) in capsys.readouterr().err
+
+
+def test_process_pool_is_bounded_by_the_job_count(tmp_path, monkeypatch):
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *columns):
+            return map(fn, *columns)
+
+    config = parse_config(_base_doc(n_list=[30], replications=2))
+    serial = cmd_simulate(config, tmp_path / "serial", threads=1)
+    monkeypatch.setattr(benchcli, "ProcessPoolExecutor", InProcessPool)
+    wide = cmd_simulate(config, tmp_path / "wide", threads=64)
+    assert started == [2]
+    assert _output_digests(wide) == _output_digests(serial)
+    cmd_fit(parse_config(_base_doc(n_list=[30], replications=3)), tmp_path / "fit", threads=2)
+    assert started == [2, 2]
 
 
 def test_table_writer_matches_fstrings_and_reader_returns_the_bits(tmp_path):

@@ -219,10 +219,8 @@ def test_predict_order_two_quadratic_variation():
 
 
 def test_predict_rejects_high_orders():
-    from chaosbench.errors import UnsupportedOrderError
-
     model = _model_with({4: np.ones((4,) * 4)}, 0.0)
-    with pytest.raises(UnsupportedOrderError):
+    with pytest.raises(ValueError, match="gridded integrals support orders 1 to 3, got 4"):
         predict(model, sample_brownian(make_grid(64), 0))
 
 

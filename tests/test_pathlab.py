@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from chaosbench.errors import SingularDiffusionError
 from chaosbench.pathlab import (
     BrownianPath,
     GenericDiffusion,
@@ -125,7 +124,7 @@ def test_generic_diffusion_singular_sigma_raises():
     grid = make_grid(16)
     w = sample_brownian(grid, 0)
     spec = GenericDiffusion(lambda t, x: 0.0, lambda t, x: -1.0, 0.0)
-    with pytest.raises(SingularDiffusionError):
+    with pytest.raises(ValueError, match=r"diffusion coefficient -1\.0 <= 0"):
         simulate_diffusion(spec, w)
 
 
