@@ -157,9 +157,9 @@ MALFORMED = [
         ({"check": []}, "check: expected an object"),
         ({"risk": {"n_mc": "many"}}, r"risk\.n_mc: expected an integer"),
         ({"majorant": {"mu4": "x", "class_bound": 1.0}}, "expected a number"),
+        *MALFORMED,
         ({"majorant": {"mu4": 0, "class_bound": 1.0}}, "majorant:"),
         ({"majorant": {"mu4": 0.66, "class_bound": -1}}, "majorant:"),
-        *MALFORMED,
     ],
 )
 def test_parse_config_rejects(overrides, fragment):
