@@ -306,7 +306,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     maj = _require(doc, "majorant", dict)
     majorant = _build("majorant", MajorantParams, _require(maj, "mu4", float, "majorant"),
                       _require(maj, "class_bound", float, "majorant"), max_order,
-                      build_kernel(s_star_hi).l2_norm)
+                      _build("s_star_hi", build_kernel, s_star_hi).l2_norm)
     plan = _parse_bandwidths(_require(doc, "bandwidths", dict), max_order)
     risk_p = _optional(doc, "risk_p", float, "", 2.0)
     if risk_p < 2:

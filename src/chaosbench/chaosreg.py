@@ -12,6 +12,9 @@ with response moments M_k = (1/n) sum_i Y_i x_i^(x k), M_0 = Ybar, and the
 slice gram sl sl^T / N taken on the same path grid as x, so the Ito
 correction removes exactly the expected diagonal of the left-point sums.
 One slice matrix sl, evaluated at the left grid points, gives both.
+The gram is therefore the exact covariance of x, and by Isserlis's theorem
+the fit's mean is exactly S^(x l) f_l with S = sl / N at any n and N
+(``fit_mean``); its continuum limit, the kernel smoothing of f_l, is not.
 
 The plugin regression is the chaos expansion (``chaoscalc.ChaosExpansion``)
 with Ybar in place of a and the fitted surfaces in place of f_l.  A fitted
@@ -37,8 +40,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -50,7 +52,7 @@ from ._util import derive_seed  # noqa: F401
 from .chaoscalc import ChaosExpansion, GriddedFunction, _chaos_from_parts
 from .chaoscalc import monte_carlo_mean
 from .chaoscalc import brute_multiple_integral  # noqa: F401
-from .kernelkit import MomentKernel, boundary_sign, slice_matrix
+from .kernelkit import MomentKernel, slice_matrix
 from .pathlab import BrownianPath, TimeGrid
 from .pathlab import sample_brownian  # noqa: F401
 
@@ -130,9 +132,14 @@ def estimate_mean(sample: Sample) -> float:
     return float(np.mean(sample.responses))
 
 
+def _slices(kernel: MomentKernel, bandwidth: float, grid_size: int, grid: TimeGrid):
+    """The slice matrix sl (G, N): slice a at the left points of the path grid."""
+    return slice_matrix(kernel, midpoints(grid_size), bandwidth, grid.points[:-1])
+
+
 def _fit_parts(sample: Sample, bandwidth: float, grid_size: int, kernel: MomentKernel):
     """Slice single-integrals X (G, n) and their path-grid gram sl sl^T / N (G, G)."""
-    sl = slice_matrix(kernel, midpoints(grid_size), bandwidth, sample.grid.points[:-1])
+    sl = _slices(kernel, bandwidth, grid_size, sample.grid)
     return sl @ sample.increments.T, (sl @ sl.T) / sample.grid.n_steps
 
 
@@ -218,60 +225,37 @@ def _fit_generic(x, gram, y, order, grid_size):
     return values
 
 
-_GL_NODES = 32  # Gauss-Legendre nodes per slice window of ``smoothed_truth``
+def fit_mean(truth: ChaosExpansion, order: int, bandwidth: float, grid_size: int,
+             kernel: MomentKernel, grid: TimeGrid) -> np.ndarray:
+    """Exact expectation of the order-l fit on samples of ``truth``: S^(x l) f_l.
 
+    S = sl / N is the fit's slice matrix over N.  Its rows are the covariances
+    of the slice integrals x with the path increments, and the fit's gram is
+    the exact covariance of x, so by Isserlis's theorem the Wick product
+    removes every order but l at any n and N: the mean a, the noise and the
+    other components drop out.  An equal-factor component scale g^(x l) gives
+    scale (S g(t_left))^(x l); a gridded one contracts its tensor with the
+    cell sums of S on each axis.  An order without a component gives zeros.
 
-def smoothed_truth(
-    order: int,
-    bandwidth: float,
-    f: Callable,
-    grid_size: int,
-    kernel: MomentKernel,
-) -> GriddedFunction:
-    """Kernel-smoothed truth int f(u) K_h(t, u) du on the evaluation grid.
-
-    This is the continuum (N -> infinity) limit of the fitted surface's
-    expectation.  At finite N the fit smooths on the path grid: for f = 1 at
-    order 1 its expectation at centre c_a is sum_j K_h(c_a, t_j) / N over the
-    left grid points, not 1.
-    ``f`` must accept
-    ``order`` broadcastable coordinate arrays.  Quadrature is Gauss-Legendre
-    on each slice window, so the kernel factor is integrated to float
-    precision and only the smoothness of ``f`` limits accuracy.
+    Exact when every component lies in its own order's chaos on the path
+    grid: always for a gridded component, and for an equal-factor one when
+    ||g||^2 equals its grid norm sum_j g(t_j)^2 / N (as for constants).
+    Otherwise an order-k component adds a term of the size of that gap to
+    orders k - 2, k - 4, ...
     """
-    centers = midpoints(grid_size)
-    signs = boundary_sign(centers)
-    lo = np.where(signs > 0, centers - bandwidth, centers)
-    hi = np.where(signs > 0, centers, centers + bandwidth)
-    lo = np.clip(lo, 0.0, 1.0)
-    hi = np.clip(hi, 0.0, 1.0)
-    gx, gw = np.polynomial.legendre.leggauss(_GL_NODES)
-    half = (hi - lo) / 2.0
-    mid = (hi + lo) / 2.0
-    u = mid[:, None] + half[:, None] * gx[None, :]  # (G, q) nodes per window
-    w = half[:, None] * gw[None, :]
-    slice_vals = slice_matrix(kernel, centers, bandwidth, u.ravel())
-    # row a evaluated at its own window nodes
-    a_idx = np.arange(grid_size)
-    sv = slice_vals.reshape(grid_size, grid_size, _GL_NODES)[a_idx, a_idx, :]
-    aw = sv * w  # slice values times quadrature weights
-    if order == 1:
-        values = np.einsum("ar,ar->a", aw, np.asarray(f(u), dtype=float))
-    elif order == 2:
-        fv = np.asarray(f(u[:, :, None, None], u[None, None, :, :]), dtype=float)
-        values = np.einsum("ar,bs,arbs->ab", aw, aw, fv)
-    elif order == 3:
-        g = grid_size
-        values = np.empty((g, g, g))
-        for a in range(g):
-            fv = np.asarray(
-                f(u[a][:, None, None, None, None], u[:, :, None, None], u[None, None]),
-                dtype=float,
-            )
-            values[a] = np.einsum("r,bs,ct,rbsct->bc", aw[a], aw, aw, fv)
-    else:
-        raise ValueError("smoothed_truth supports order <= 3")
-    return GriddedFunction(order, grid_size, values)
+    s = _slices(kernel, bandwidth, grid_size, grid) / grid.n_steps
+    for c in truth.components:
+        if c.order != order:
+            continue
+        if isinstance(c, GriddedFunction):
+            cells = s.reshape(grid_size, c.grid_size, -1).sum(axis=-1)
+            values = c.values
+            for _ in range(order):  # each pass contracts the leading axis
+                values = np.tensordot(values, cells, axes=(0, 1))
+            return values
+        row = s @ np.asarray(c.g(grid.points[:-1]), dtype=float)
+        return c.scale * reduce(np.multiply.outer, [row] * order)
+    return np.zeros((grid_size,) * order)
 
 
 def predict(model: FittedModel, path: BrownianPath) -> float:

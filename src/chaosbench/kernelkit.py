@@ -47,14 +47,23 @@ class MomentKernel:
         return eval_univariate(self, x)
 
 
+#: Largest accepted ``s_star``.  Its kernel, of degree 231, is the highest whose
+#: mass and moments 1..m still hold to 1e-10 under ``kernel_moment`` (the mass
+#: error is 8.3e-11 there and 1.1e-10 at degree 232); the coefficients also
+#: cost memory linear in ``s_star``.
+MAX_S_STAR = 232.0
+
+
 def build_kernel(s_star: float) -> MomentKernel:
     """Kernel for target smoothness ``s_star``: degree m = max{j in N0 : j < s_star}.
 
     s_star in (0, 1] gives the flat kernel k = 1; s_star in (1, 2] gives
-    k(x) = 4 - 6x, and so on.
+    k(x) = 4 - 6x, and so on, up to ``MAX_S_STAR``.
     """
     if s_star <= 0:
         raise ValueError(f"s_star must be positive, got {s_star}")
+    if s_star > MAX_S_STAR:
+        raise ValueError(f"s_star must be at most {MAX_S_STAR:g}, got {s_star:g}")
     m = math.ceil(s_star) - 1
     coeffs = np.array([(2 * j + 1) * (-1.0) ** j for j in range(m + 1)])
     # Parseval in the shifted-Legendre basis: ||P~_j||^2 = 1/(2j+1)

@@ -160,6 +160,7 @@ MALFORMED = [
         *MALFORMED,
         ({"majorant": {"mu4": 0, "class_bound": 1.0}}, "majorant:"),
         ({"majorant": {"mu4": 0.66, "class_bound": -1}}, "majorant:"),
+        ({"s_star_hi": 1e7}, r"s_star_hi: s_star must be at most 232"),
     ],
 )
 def test_parse_config_rejects(overrides, fragment):
@@ -380,6 +381,7 @@ def test_main_exit_codes(tmp_path, monkeypatch):
         {"check": []},
         {"risk": {"n_mc": "many"}},
         *(overrides for overrides, _ in MALFORMED),
+        {"s_star_hi": 1e7},
     ]
     runs = [(_base_doc(**overrides), []) for overrides in bad_blocks]
     runs.append(([_base_doc()], ["--seed", "5"]))  # a top-level list, with --seed

@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from chaosbench._util import derive_seed, midpoints
+from chaosbench.benchcli import _parse_truth
 from chaosbench.chaosreg import (
     ChaosKernelEstimate,
     FittedModel,
@@ -13,14 +15,14 @@ from chaosbench.chaosreg import (
     _symmetrize,
     estimate_mean,
     fit_chaos_kernel,
+    fit_mean,
     model_from_json,
     model_to_json,
     predict,
     risk_isometry,
     risk_monte_carlo,
-    smoothed_truth,
 )
-from chaosbench.kernelkit import build_kernel, slice_matrix
+from chaosbench.kernelkit import build_kernel
 from chaosbench.mappingzoo import (
     ConstantComponent,
     EqualFactorComponent,
@@ -109,84 +111,93 @@ def test_order_three_matches_generic_route():
         assert np.allclose(est.values, generic, rtol=1e-10, atol=1e-12)
 
 
-@pytest.mark.parametrize("order", [2, 3])
-def test_fit_mean_is_path_grid_smoothed_constant(order):
-    # For unit constant components, E[fhat_l] = s^(x l) exactly, where
-    # s_a = sum_j sl_a(t_j) / N is the left-point sum of slice a: the Ito
-    # correction removes the expected diagonal of x_a x_b only when its gram
-    # is the path-grid gram sl sl^T / N.  The order-2 correction is scaled by
-    # a and the order-3 one by f_1, so each truth switches its own one on.  At
-    # h = 0.1 the kernel-4 gram on 256 steps is up to 3.0 away from the exact
-    # L2 gram, many standard errors of the ensemble mean.
-    h, g, grid = 0.1, 4, make_grid(256)
-    if order == 2:
-        truth = MappingSpec(1.0, (ConstantComponent(2, 1.0),), GaussianNoise(0.0))
-        reps, n = 50, 1000
-    else:
-        truth = MappingSpec(
-            0.0, (ConstantComponent(1, 1.0), ConstantComponent(3, 1.0)), GaussianNoise(0.0)
-        )
-        reps, n = 100, 4000
-    fits = np.array([
-        fit_chaos_kernel(synthesize(truth, n, grid, 7000 + r), order, h, g, K1).values
-        for r in range(reps)
-    ])
-    s = slice_matrix(K1, midpoints(g), h, grid.points[:-1]).sum(axis=1) / grid.n_steps
-    target = s
-    for _ in range(order - 1):
-        target = np.multiply.outer(target, s)
-    z = (fits.mean(axis=0) - target) / (fits.std(axis=0, ddof=1) / np.sqrt(reps))
-    # 3.5 sigma over the at most 20 distinct entries: family-wise level about 1 %
-    assert np.max(np.abs(z)) <= 3.5
-
-
 def test_fit_bandwidth_validation():
     sample = _toy_sample(4)
     with pytest.raises(ValueError):
         fit_chaos_kernel(sample, 2, 1.2, 8, K1)
 
 
-def test_smoothed_truth_constant_is_exact():
-    for order in (1, 2):
-        sm = smoothed_truth(order, 0.3, lambda *xs: np.full_like(sum(xs), 2.5), 8, K1)
-        assert np.max(np.abs(sm.values - 2.5)) <= 1e-10
+@pytest.mark.parametrize("form", ["equal_factor", "gridded"])
+def test_fit_is_centered_on_fit_mean(form):
+    # Noise-free truths, so no noise hides a gap between the fits' ensemble
+    # mean and the exact mean S^(x l) f_l.  a != 0 switches the order-2 Ito
+    # correction on and the order-1 component the order-3 one.  The order-3
+    # equal-factor component is a constant: its Hermite norm is its grid norm,
+    # so it adds nothing to order 1.  At N = 64 the left-point sums move the
+    # mean well away from its continuum limit int f_l K_h, which fails here.
+    g, n_steps, h, reps, n = 4, 64, 0.25, 100, 2000
+    if form == "equal_factor":
+        ramp = np.polynomial.Polynomial([1.0, 0.5])
+        comps = (EqualFactorComponent(1, ramp), EqualFactorComponent(2, ramp),
+                 ConstantComponent(3, 1.5))
+    else:
+        wave = lambda *u: 1.0 + np.sin(3.0 * sum(u))  # noqa: E731
+        comps = tuple(GriddedComponent.from_callable(order, 8, wave) for order in (1, 2, 3))
+    truth = MappingSpec(0.7, comps, GaussianNoise(0.0))
+    grid = make_grid(n_steps)
+    fits = {order: np.empty((reps,) + (g,) * order) for order in (1, 2, 3)}
+    for r in range(reps):
+        sample = synthesize(truth, n, grid, 9100 + r)
+        for order, out in fits.items():
+            out[r] = fit_chaos_kernel(sample, order, h, g, K1).values
+    for order, out in fits.items():
+        target = fit_mean(truth, order, h, g, K1, grid)
+        z = (out.mean(axis=0) - target) / (out.std(axis=0, ddof=1) / np.sqrt(reps))
+        # 3.5 sigma over the at most 20 distinct entries: family-wise level about 1 %
+        assert np.max(np.abs(z)) <= 3.5, (order, z)
+        gaps = (out - target).reshape(reps, -1).mean(axis=1)
+        assert abs(gaps.mean()) <= 3.0 * gaps.std(ddof=1) / np.sqrt(reps), order
 
 
-def test_smoothed_truth_flat_kernel_window_average():
-    # m = 0 kernel: exact window average, t + h/2 on the left side, t - h/2 right
-    h = 0.2
-    sm = smoothed_truth(1, h, lambda u: u, 10, K0)
-    t = midpoints(10)
-    expected = np.where(t <= 0.5, t + h / 2, t - h / 2)
-    assert np.allclose(sm.values, expected, atol=1e-10)
+@pytest.mark.parametrize("s_star, h, g, n_steps",
+                         [(1.0, 0.2, 64, 512), (2.0, math.exp(-2), 16, 128), (3.5, 0.3, 8, 64)])
+def test_fit_mean_order_one_matches_benchmark_moments(s_star, h, g, n_steps, perfbench):
+    # the benchmark's own order-1 means E[Y x_a], from a Gauss-Hermite rule
+    # on (W(1), I_1(g), x_a) and a kernel solved from its moment system
+    checks, workloads = perfbench("checks"), perfbench("workloads")
+    coeffs, _ = checks.kernel_poly(s_star)
+    for doc in (workloads.RATE_TRUTH, "quadratic_terminal"):
+        means, _ = checks.order1_moments(doc, coeffs, h, g, n_steps)
+        exact = fit_mean(_parse_truth(doc, n_steps, None), 1, h, g, build_kernel(s_star),
+                         make_grid(n_steps))
+        assert np.max(np.abs(exact - means)) <= 1e-12, doc
 
 
-def test_smoothed_truth_bias_shrinks_with_bandwidth():
+# flat kernel, G = 8, N = 100, h = 0.2: every window holds N h = 20 left points
+FLAT = dict(bandwidth=0.2, grid_size=8, kernel=K0, grid=make_grid(100))
+
+
+def test_fit_mean_constant_is_exact_on_whole_windows():
+    for order in (1, 2, 3):
+        truth = MappingSpec(0.0, (ConstantComponent(order, 2.5),), GaussianNoise(0.0))
+        assert np.max(np.abs(fit_mean(truth, order, **FLAT) - 2.5)) <= 1e-12
+        # an order the expansion lacks has mean zero
+        assert np.all(fit_mean(truth, order + 1, **FLAT) == 0.0)
+
+
+def test_fit_mean_flat_kernel_is_left_point_window_average():
+    # the window is [t, t + h] on the left half and [t - h, t] on the right
+    truth = MappingSpec(0.0, (EqualFactorComponent(1, lambda u: u),), GaussianNoise(0.0))
+    h, t, t_left = FLAT["bandwidth"], midpoints(FLAT["grid_size"]), FLAT["grid"].points[:-1]
+    lo = np.where(t <= 0.5, t, t - h)
+    inside = (t_left >= lo[:, None]) & (t_left <= lo[:, None] + h)
+    assert np.all(inside.sum(axis=1) == 20)
+    mean = fit_mean(truth, 1, **FLAT)
+    assert np.allclose(mean, (inside * t_left).sum(axis=1) / 20, rtol=0.0, atol=1e-12)
+    # and within half a path step of the continuum window average t +- h/2
+    assert np.max(np.abs(mean - np.where(t <= 0.5, t + h / 2, t - h / 2))) <= 0.5 / 100
+
+
+def test_fit_mean_bias_shrinks_with_bandwidth():
+    # at N = 1024 the left-point error stays below the smoothing bias down to h = 0.05
     f = np.polynomial.Polynomial([0.0, 1.0, -1.0])  # u - u^2, curvature everywhere
+    truth = MappingSpec(0.0, (EqualFactorComponent(1, f),), GaussianNoise(0.0))
     t = midpoints(16)
     errors = []
     for h in (0.4, 0.2, 0.1, 0.05):
-        sm = smoothed_truth(1, h, f, 16, K0)
-        errors.append(np.sqrt(np.mean((sm.values - f(t)) ** 2)))
+        mean = fit_mean(truth, 1, h, 16, K0, make_grid(1024))
+        errors.append(np.sqrt(np.mean((mean - f(t)) ** 2)))
     assert errors == sorted(errors, reverse=True)
-
-
-def test_fit_is_centered_on_smoothed_truth():
-    # estimator mean matches the kernel-smoothed surface within MC resolution;
-    # noise is set so Monte Carlo error dominates the left-point discretization
-    truth = quadratic_terminal(noise=GaussianNoise(2.0))
-    grid = make_grid(512)
-    smoothed = smoothed_truth(2, 0.25, lambda a, b: np.ones_like(a * b), 8, K0)
-    reps, n = 200, 100
-    fits = np.empty((reps, 8, 8))
-    for r in range(reps):
-        sample = synthesize(truth, n, grid, 5000 + r)
-        fits[r] = fit_chaos_kernel(sample, 2, 0.25, 8, K0).values
-    stderr = fits.std(axis=0, ddof=1) / np.sqrt(reps)
-    z = (fits.mean(axis=0) - smoothed.values) / stderr
-    assert np.max(np.abs(z)) <= 3.0
-    gaps = (fits - smoothed.values).mean(axis=(1, 2))
-    assert abs(gaps.mean()) <= 3.0 * gaps.std(ddof=1) / np.sqrt(reps)
 
 
 def _model_with(values_by_order: dict, a: float, h=0.25) -> FittedModel:

@@ -4,6 +4,7 @@ import pytest
 from chaosbench._util import gauss_legendre_panels
 from chaosbench.chaoscalc import l2_inner
 from chaosbench.kernelkit import (
+    MAX_S_STAR,
     boundary_sign,
     build_kernel,
     eval_univariate,
@@ -61,6 +62,16 @@ def test_degree_boundaries_of_smoothness_bracket():
 def test_build_kernel_rejects_nonpositive():
     with pytest.raises(ValueError):
         build_kernel(0.0)
+
+
+def test_largest_kernel_keeps_its_moments_and_larger_is_rejected():
+    k = build_kernel(MAX_S_STAR)
+    # the mass is the worst of the moments at this degree
+    assert abs(kernel_moment(k, 0) - 1.0) <= 1e-10
+    for s in (1, k.moment_order):
+        assert abs(kernel_moment(k, s)) <= 1e-10
+    with pytest.raises(ValueError, match="at most"):
+        build_kernel(np.nextafter(MAX_S_STAR, np.inf))
 
 
 def test_l2_norm_of_order_one_kernel():

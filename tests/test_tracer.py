@@ -5,24 +5,12 @@ some arguments by position.  A refactor that drops or renames one of those
 names fails here rather than in a traced benchmark run.
 """
 
-import importlib.util
-from pathlib import Path
-
 from chaosbench import benchcli, chaosreg, mappingzoo
 from chaosbench.benchcli import cmd_fit, cmd_risk, cmd_simulate, parse_config
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
-
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_tracer_wraps_and_restores_program_names(tmp_path):
-    tracing = _tracing()
+def test_tracer_wraps_and_restores_program_names(tmp_path, perfbench):
+    tracing = perfbench("tracing")
     config = parse_config({
         "truth": "quadratic_terminal",
         "n_list": [30],
