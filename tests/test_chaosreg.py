@@ -22,7 +22,7 @@ from chaosbench.chaosreg import (
     risk_isometry,
     risk_monte_carlo,
 )
-from chaosbench.kernelkit import build_kernel
+from chaosbench.kernelkit import build_kernel, slice_matrix
 from chaosbench.mappingzoo import (
     ConstantComponent,
     EqualFactorComponent,
@@ -109,6 +109,56 @@ def test_order_three_matches_generic_route():
         est = fit_chaos_kernel(sample, order, 0.4, 4, K1)
         generic = _fit_generic(x, gram, sample.responses, order, 4)
         assert np.allclose(est.values, generic, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_fit_mean_is_path_grid_smoothed_constant(order):
+    # For unit constant components, E[fhat_l] = s^(x l) exactly, where
+    # s_a = sum_j sl_a(t_j) / N is the left-point sum of slice a: the Ito
+    # correction removes the expected diagonal of x_a x_b only when its gram
+    # is the path-grid gram sl sl^T / N.  The order-2 correction is scaled by
+    # a and the order-3 one by f_1, so each truth switches its own one on.  At
+    # h = 0.1 the kernel-4 gram on 256 steps is up to 3.0 away from the exact
+    # L2 gram, many standard errors of the ensemble mean.
+    h, g, grid = 0.1, 4, make_grid(256)
+    if order == 2:
+        truth = MappingSpec(1.0, (ConstantComponent(2, 1.0),), GaussianNoise(0.0))
+        reps, n = 50, 1000
+    else:
+        truth = MappingSpec(
+            0.0, (ConstantComponent(1, 1.0), ConstantComponent(3, 1.0)), GaussianNoise(0.0)
+        )
+        reps, n = 100, 4000
+    fits = np.array([
+        fit_chaos_kernel(synthesize(truth, n, grid, 7000 + r), order, h, g, K1).values
+        for r in range(reps)
+    ])
+    s = slice_matrix(K1, midpoints(g), h, grid.points[:-1]).sum(axis=1) / grid.n_steps
+    target = s
+    for _ in range(order - 1):
+        target = np.multiply.outer(target, s)
+    assert np.allclose(fit_mean(truth, order, h, g, K1, grid), target, rtol=0.0, atol=1e-12)
+    z = (fits.mean(axis=0) - target) / (fits.std(axis=0, ddof=1) / np.sqrt(reps))
+    # 3.5 sigma over the at most 20 distinct entries: family-wise level about 1 %
+    assert np.max(np.abs(z)) <= 3.5
+
+
+def test_fit_is_centered_on_smoothed_truth():
+    # estimator mean matches the kernel-smoothed surface on the path grid,
+    # fit_mean, within MC resolution, with noise in the responses
+    truth = quadratic_terminal(noise=GaussianNoise(2.0))
+    grid = make_grid(512)
+    smoothed = fit_mean(truth, 2, 0.25, 8, K0, grid)
+    reps, n = 200, 100
+    fits = np.empty((reps, 8, 8))
+    for r in range(reps):
+        sample = synthesize(truth, n, grid, 5000 + r)
+        fits[r] = fit_chaos_kernel(sample, 2, 0.25, 8, K0).values
+    stderr = fits.std(axis=0, ddof=1) / np.sqrt(reps)
+    z = (fits.mean(axis=0) - smoothed) / stderr
+    assert np.max(np.abs(z)) <= 3.0
+    gaps = (fits - smoothed).mean(axis=(1, 2))
+    assert abs(gaps.mean()) <= 3.0 * gaps.std(ddof=1) / np.sqrt(reps)
 
 
 def test_fit_bandwidth_validation():
