@@ -28,16 +28,17 @@ Example config::
 Inline truths replace the string by an object with ``a``, ``components``
 (entries ``{"order", "kind": "constant"|"poly"|"gridded", ...}``), ``noise``
 and ``class``; polynomial components give power-basis coefficients of the
-univariate factor, which must not all be zero.  A gridded component's
-``grid_size`` must divide ``path_steps`` and, under isometry risk, equal the
-config's.  The optional ``risk`` and ``check`` objects take an integer
-``n_mc``, at least ``chaoscalc.MIN_MC_DRAWS`` (100) wherever it sets a Monte
-Carlo draw count: always for ``check``, for ``risk`` when its method is
-``monte_carlo``.  Every value is read through one typed reader
-(``_require``/``_optional``/``_block``; a bool is never a number) and each
-rule is checked once, by its owner (``MajorantParams``, the component
-parser, ``plan_bandwidths`` for every mode and n), so any config that cannot
-run is a ConfigError before a command writes anything.
+univariate factor g, whose path-grid norm sum_j g(j / N)^2 / N must be
+finite and positive.  A gridded component's ``grid_size`` must divide
+``path_steps`` and, under isometry risk, equal the config's.  The optional
+``risk`` and ``check`` objects take an integer ``n_mc``, at least
+``chaoscalc.MIN_MC_DRAWS`` (100) wherever it sets a Monte Carlo draw count:
+always for ``check``, for ``risk`` when its method is ``monte_carlo``.
+Every value is read through one typed reader (``_require``/``_optional``/
+``_block``; a bool is never a number) and each rule is checked once, by its
+owner (``MajorantParams``, the component parser, ``plan_bandwidths`` for
+every mode and n), so any config that cannot run is a ConfigError before a
+command writes anything.
 
 Every file a command reads (config, datasets, models, plot input) goes
 through one reader, ``_read``: a missing file, or one that does not parse,
@@ -199,10 +200,12 @@ def _parse_component(doc: dict, where: str, path_steps: int, iso_grid: int | Non
     if kind == "constant":
         return ConstantComponent(order, _require(doc, "value", float, where))
     if kind == "poly":
-        coeffs = _require(doc, "coeffs", [float], where)
-        if not any(coeffs):
-            raise ConfigError(f"{where}.coeffs: the factor must not be identically zero")
-        return EqualFactorComponent(order, np.polynomial.Polynomial(coeffs))
+        component = EqualFactorComponent(
+            order, np.polynomial.Polynomial(_require(doc, "coeffs", [float], where)))
+        # synthesis divides by the factor's path-grid norm: one zero row checks it
+        with np.errstate(over="ignore", invalid="ignore"):
+            _build(f"{where}.coeffs", component.chaos_values, np.zeros((1, path_steps)))
+        return component
     if kind == "gridded":
         g = _require(doc, "grid_size", int, where)
         if g < 1 or order > 3:

@@ -1,25 +1,28 @@
 """Multiple Wiener integrals against discretized Brownian paths.
 
-Each integrand form has one evaluator; it takes an (n, N) matrix of path
-increments and returns one value per path (row):
+``left_point_integrals`` alone decides the Ito correction: it returns the
+single integrals xi = A dW^T of weight rows A (k, N), taken at the left points
+t_j = j / N, with their exact path-grid covariance A A^T / N, on which every
+multiple integral below pairs.  Each integrand form has one evaluator; it
+takes an (n, N) matrix of path increments and returns one value per row:
 
 * ``tensor_chaos_values`` reduces a product integrand to single Ito
-  integrals and L2 inner products through the product-formula recursion
+  integrals and their covariance through the product-formula recursion
 
       I_{p+1}(g_1 x ... x g_{p+1})
           = I_p(g_1 x ... x g_p) I_1(g_{p+1})
-            - sum_{j<=p} <g_j, g_{p+1}> I_{p-1}(x_{i!=j} g_i),
+            - sum_{j<=p} <g_j, g_{p+1}>_N I_{p-1}(x_{i!=j} g_i),
 
-  with I_0 = 1.
+  with I_0 = 1 and <g, g'>_N = sum_j g(t_j) g'(t_j) / N.
 
 * ``hermite_chaos_values`` is the equal-factor case of the recursion, the
-  Hermite identity I_l(g x ... x g) = ||g||^l He_l(I_1(g)/||g||).
+  Hermite identity I_l(g x ... x g) = ||g||^l He_l(I_1(g)/||g||), ||g||^2 = <g, g>_N.
 
 * ``gridded_chaos_values`` is the exact multiple integral of a gridded
   integrand read as a step function on G cells: the Wick-ordered sum of the
-  tabulated values against coarse-cell increments.  Tabulating a smooth
-  integrand on finer grids approaches its integral, so it is the oracle for
-  the recursion.
+  tabulated values against coarse-cell increments (covariance 1/G each).
+  Tabulating a smooth integrand on finer grids approaches its integral, so it
+  is the oracle for the recursion.
 
 ``tensor_chaos``, ``hermite_chaos`` and ``brute_multiple_integral`` take one
 ``BrownianPath`` and evaluate row 0 of the matching batch.
@@ -27,6 +30,7 @@ increments and returns one value per path (row):
 ``ChaosExpansion`` is a + sum_l I_l(f_l)(W) / l!, the one type of synthetic
 truths and fitted models, and ``ChaosExpansion.values`` evaluates both.
 
+``l2_inner`` serves only the continuum isometry targets and class-check norms.
 ``monte_carlo_mean``, the one Monte Carlo estimator, serves the validators
 of the Ito isometry, orthogonality of distinct orders, hypercontractive
 moment growth and the second-moment bound
@@ -161,7 +165,7 @@ def l2_inner(g: Callable, g2: Callable, quad_points: int = DEFAULT_QUAD_POINTS) 
 
 
 def _chaos_from_parts(xi: Sequence, gram: np.ndarray):
-    """Multiple integral value from single integrals and the inner-product matrix.
+    """Multiple integral value from single integrals and their covariance matrix.
 
     ``xi`` entries may be scalars or aligned arrays (vectorized across paths);
     the recursion only uses + and *, so it broadcasts.
@@ -184,32 +188,41 @@ def _chaos_from_parts(xi: Sequence, gram: np.ndarray):
     return rec(tuple(range(n)))
 
 
+def left_points(n_steps: int) -> np.ndarray:
+    """Left grid points t_j = j / N, j = 0..N-1, where integrands are evaluated."""
+    return np.arange(n_steps) / n_steps
+
+
+def left_point_integrals(weights: np.ndarray, increments: np.ndarray):
+    """xi = A dW^T (k, n) and its exact path-grid covariance A A^T / N (k, k).
+
+    A holds k rows (k, N), or one row (N,), of integrands at the left points;
+    the covariance is the pairing term of every Wick product of xi.
+    """
+    return weights @ increments.T, (weights @ weights.T) / increments.shape[1]
+
+
 def tensor_chaos_values(gs: Sequence[Callable], increments: np.ndarray) -> np.ndarray:
     """Multiple Wiener integral of the (implicitly symmetrized) product g_1 x ... x g_l.
 
-    One value per row of the (n, N) increment matrix, built from single Ito
-    integrals and pairwise inner products only, via the product-formula
-    recursion.
+    One value per increment row: the recursion on the factors' ``left_point_integrals``.
     """
     if len(gs) < 1:
         raise ValueError("need at least one factor")
-    t_left = np.arange(increments.shape[1]) / increments.shape[1]
-    g_at_left = np.stack([np.asarray(g(t_left), dtype=float) for g in gs])
-    xi = g_at_left @ increments.T  # (len(gs), n)
-    gram = np.array([[l2_inner(g, g2) for g2 in gs] for g in gs])
-    return np.asarray(_chaos_from_parts(list(xi), gram))
+    t = left_points(increments.shape[1])
+    rows = np.stack([np.asarray(g(t), dtype=float) for g in gs])
+    return _chaos_from_parts(*left_point_integrals(rows, increments))
 
 
 def hermite_chaos_values(g: Callable, order: int, increments: np.ndarray) -> np.ndarray:
-    """Equal-factor form ||g||^l He_l(I_1(g)/||g||) per row, He_l probabilists' Hermite."""
+    """||g||^l He_l(I_1(g)/||g||) per row: He_l probabilists', ||g||^2 = Var I_1(g)."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    norm_sq = l2_inner(g, g)
-    if norm_sq <= 0.0:
-        raise ValueError("hermite_chaos requires ||g|| > 0")
+    row = np.asarray(g(left_points(increments.shape[1])), dtype=float)
+    xi, norm_sq = left_point_integrals(row, increments)
+    if not 0.0 < norm_sq < math.inf:
+        raise ValueError("hermite_chaos requires ||g|| > 0 and finite on the path grid")
     norm = math.sqrt(norm_sq)
-    t_left = np.arange(increments.shape[1]) / increments.shape[1]
-    xi = increments @ np.asarray(g(t_left), dtype=float)
     coeffs = np.zeros(order + 1)
     coeffs[order] = 1.0
     return norm**order * hermite_e.hermeval(xi / norm, coeffs)
@@ -387,8 +400,9 @@ def moment_bound_reports(
     if np.any(t < h) or np.any(t > 1.0 - h):
         raise ValueError("t must be interior: all coordinates in [h, 1-h]")
     # the slice factorization of K_h(t, .), the integrand of the xi variates
-    gs = [lambda u, c=c: slice_matrix(kernel, [c], h, np.atleast_1d(u))[0] for c in t]
-    xi = _monte_carlo_values(lambda dw: tensor_chaos_values(gs, dw), n_mc, n_steps, seed)
+    rows = slice_matrix(kernel, t, h, left_points(n_steps))
+    xi = _monte_carlo_values(lambda dw: _chaos_from_parts(*left_point_integrals(rows, dw)),
+                             n_mc, n_steps, seed)
     reports = []
     for r in rs:
         empirical, stderr = _mean_and_stderr(xi ** (2 * r), root=r)

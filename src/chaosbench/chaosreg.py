@@ -11,7 +11,7 @@ the Wick product of the slice integrals x_a = sum_j K_h(c_a, t_j) dW_j:
 with response moments M_k = (1/n) sum_i Y_i x_i^(x k), M_0 = Ybar, and the
 slice gram sl sl^T / N taken on the same path grid as x, so the Ito
 correction removes exactly the expected diagonal of the left-point sums.
-One slice matrix sl, evaluated at the left grid points, gives both.
+``chaoscalc.left_point_integrals`` gives both from sl at the left points.
 The gram is therefore the exact covariance of x, and by Isserlis's theorem
 the fit's mean is exactly S^(x l) f_l with S = sl / N at any n and N
 (``fit_mean``); its continuum limit, the kernel smoothing of f_l, is not.
@@ -50,7 +50,7 @@ from ._util import midpoints
 # name in this module
 from ._util import derive_seed  # noqa: F401
 from .chaoscalc import ChaosExpansion, GriddedFunction, _chaos_from_parts
-from .chaoscalc import monte_carlo_mean
+from .chaoscalc import left_point_integrals, left_points, monte_carlo_mean
 from .chaoscalc import brute_multiple_integral  # noqa: F401
 from .kernelkit import MomentKernel, slice_matrix
 from .pathlab import BrownianPath, TimeGrid
@@ -134,13 +134,13 @@ def estimate_mean(sample: Sample) -> float:
 
 def _slices(kernel: MomentKernel, bandwidth: float, grid_size: int, grid: TimeGrid):
     """The slice matrix sl (G, N): slice a at the left points of the path grid."""
-    return slice_matrix(kernel, midpoints(grid_size), bandwidth, grid.points[:-1])
+    return slice_matrix(kernel, midpoints(grid_size), bandwidth, left_points(grid.n_steps))
 
 
 def _fit_parts(sample: Sample, bandwidth: float, grid_size: int, kernel: MomentKernel):
     """Slice single-integrals X (G, n) and their path-grid gram sl sl^T / N (G, G)."""
-    sl = _slices(kernel, bandwidth, grid_size, sample.grid)
-    return sl @ sample.increments.T, (sl @ sl.T) / sample.grid.n_steps
+    return left_point_integrals(_slices(kernel, bandwidth, grid_size, sample.grid),
+                                sample.increments)
 
 
 def _symmetrize(values: np.ndarray) -> np.ndarray:
@@ -236,12 +236,7 @@ def fit_mean(truth: ChaosExpansion, order: int, bandwidth: float, grid_size: int
     other components drop out.  An equal-factor component scale g^(x l) gives
     scale (S g(t_left))^(x l); a gridded one contracts its tensor with the
     cell sums of S on each axis.  An order without a component gives zeros.
-
-    Exact when every component lies in its own order's chaos on the path
-    grid: always for a gridded component, and for an equal-factor one when
-    ||g||^2 equals its grid norm sum_j g(t_j)^2 / N (as for constants).
-    Otherwise an order-k component adds a term of the size of that gap to
-    orders k - 2, k - 4, ...
+    Exact for both forms: each lies in its own order's chaos on the path grid.
     """
     s = _slices(kernel, bandwidth, grid_size, grid) / grid.n_steps
     for c in truth.components:
@@ -253,7 +248,7 @@ def fit_mean(truth: ChaosExpansion, order: int, bandwidth: float, grid_size: int
             for _ in range(order):  # each pass contracts the leading axis
                 values = np.tensordot(values, cells, axes=(0, 1))
             return values
-        row = s @ np.asarray(c.g(grid.points[:-1]), dtype=float)
+        row = s @ np.asarray(c.g(left_points(grid.n_steps)), dtype=float)
         return c.scale * reduce(np.multiply.outer, [row] * order)
     return np.zeros((grid_size,) * order)
 

@@ -161,6 +161,13 @@ MALFORMED = [
         ({"majorant": {"mu4": 0, "class_bound": 1.0}}, "majorant:"),
         ({"majorant": {"mu4": 0.66, "class_bound": -1}}, "majorant:"),
         ({"s_star_hi": 1e7}, r"s_star_hi: s_star must be at most 232"),
+        # the factor's path-grid norm overflows, or is 0 though the factor is not
+        ({"truth": _truth(components=[{"order": 1, "kind": "poly", "coeffs": [1e200, 0.5]}])},
+         r"truth\.components\[0\]\.coeffs: hermite_chaos requires"),
+        ({"truth": _truth(components=[{"order": 2, "kind": "poly",
+                                       "coeffs": [0.0, -0.5, 1.0]}]),
+          "path_steps": 2, "grid_size": 2},
+         r"truth\.components\[0\]\.coeffs: hermite_chaos requires"),
     ],
 )
 def test_parse_config_rejects(overrides, fragment):

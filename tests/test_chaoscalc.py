@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import hermite_e
 
 from chaosbench import chaoscalc
 from chaosbench.chaoscalc import (
@@ -20,6 +21,7 @@ from chaosbench.chaoscalc import (
     tensor_chaos_values,
 )
 from chaosbench.kernelkit import build_kernel, slice_matrix
+from chaosbench.mappingzoo import EqualFactorComponent
 from chaosbench.pathlab import make_grid, sample_brownian
 
 ONE = np.polynomial.Polynomial([1.0])
@@ -27,13 +29,18 @@ RAMP = np.polynomial.Polynomial([0.0, 1.0])
 
 
 def _slice(kernel, c, h):
-    """The kernel slice at centre c as a callable, as ``moment_bound_report`` builds it."""
+    """The kernel slice at centre c as a callable."""
     return lambda u: slice_matrix(kernel, [c], h, np.atleast_1d(u))[0]
 
 
 @pytest.fixture(scope="module")
 def path():
     return sample_brownian(make_grid(512), 2024)
+
+
+def _grid_norm_sq(g, path):
+    """sum_j g(t_j)^2 / N over the left points, the variance of the Ito sum of g."""
+    return np.mean(g(path.grid.points[:-1]) ** 2)
 
 
 def test_ito_integral_of_one_telescopes(path):
@@ -67,7 +74,7 @@ def test_tensor_chaos_order_one_is_ito(path):
 def test_tensor_chaos_hermite_identities(path):
     g = np.polynomial.Polynomial([0.5, 1.0])
     xi = tensor_chaos([g], path)
-    norm_sq = l2_inner(g, g)
+    norm_sq = _grid_norm_sq(g, path)
     assert tensor_chaos([g, g], path) == pytest.approx(xi**2 - norm_sq, rel=1e-12)
     assert tensor_chaos([g, g, g], path) == pytest.approx(
         xi**3 - 3 * norm_sq * xi, rel=1e-12
@@ -90,7 +97,30 @@ def test_hermite_chaos_base_cases(path):
     g = np.polynomial.Polynomial([1.0, -0.5])
     xi = tensor_chaos([g], path)
     assert hermite_chaos(g, 1, path) == pytest.approx(xi, rel=1e-12)
-    assert hermite_chaos(g, 2, path) == pytest.approx(xi**2 - l2_inner(g, g), rel=1e-12)
+    assert hermite_chaos(g, 2, path) == pytest.approx(xi**2 - _grid_norm_sq(g, path), rel=1e-12)
+
+
+@pytest.mark.parametrize("evaluator", ["equal_factor", "tensor"])
+@pytest.mark.parametrize("order", [2, 3])
+def test_equal_factor_chaos_is_centred_and_orthogonal_to_first_chaos(order, evaluator):
+    # Both evaluators depend on the path only through xi = sum_j g(t_j) dW_j,
+    # which is N(0, v) with v the grid norm.  Rows dW = x w / (w.w), w = g(t_j),
+    # make xi take the 20 Gauss-Hermite nodes x of N(0, v), so the weighted sums
+    # are exact Gaussian expectations of these polynomials in xi.
+    g = np.polynomial.Polynomial([1.0, 0.5])
+    n_steps = 512
+    w = g(np.arange(n_steps) / n_steps)
+    v = w @ w / n_steps
+    nodes, weights = hermite_e.hermegauss(20)
+    weights = weights / math.sqrt(2.0 * math.pi)
+    xi = math.sqrt(v) * nodes
+    rows = np.outer(xi, w / (w @ w))
+    if evaluator == "equal_factor":
+        values = EqualFactorComponent(order, g).chaos_values(rows)
+    else:
+        values = tensor_chaos_values([g] * order, rows)
+    assert abs(weights @ values) <= 1e-12
+    assert abs(weights @ (values * xi)) <= 1e-12
 
 
 def test_hermite_chaos_rejects_zero_integrand(path):

@@ -134,7 +134,7 @@ def test_slice_support_width_and_location():
 
 
 def test_slice_matrix_equals_univariate_kernel_across_blocks():
-    # more points than one evaluation block, so block edges are crossed
+    # a long row of points: bit for bit the kernel evaluated directly
     base = build_kernel(2.0)
     centers = (np.arange(16) + 0.5) / 16
     x = (np.arange(5001) + 0.5) / 5001
