@@ -28,8 +28,9 @@ Example config::
 Inline truths replace the string by an object with ``a``, ``components``
 (entries ``{"order", "kind": "constant"|"poly"|"gridded", ...}``), ``noise``
 and ``class``; polynomial components give power-basis coefficients of the
-univariate factor g, whose path-grid norm sum_j g(j / N)^2 / N must be
-finite and positive.  A gridded component's ``grid_size`` must divide
+univariate factor g, whose path-grid norm ||g||^2 = sum_j g(j / N)^2 / N
+must be positive and ||g||^l finite.  ``bandwidths.practical`` is read in
+``theorem41`` mode only.  A gridded component's ``grid_size`` must divide
 ``path_steps`` and, under isometry risk, equal the config's.  The optional
 ``risk`` and ``check`` objects take an integer ``n_mc``, at least
 ``chaoscalc.MIN_MC_DRAWS`` (100) wherever it sets a Monte Carlo draw count:
@@ -38,7 +39,10 @@ Every value is read through one typed reader (``_require``/``_optional``/
 ``_block``; a bool is never a number) and each rule is checked once, by its
 owner (``MajorantParams``, the component parser, ``plan_bandwidths`` for
 every mode and n), so any config that cannot run is a ConfigError before a
-command writes anything.
+command writes anything.  The parser works on its own copy of the document
+and ``_optional`` writes each default it applies into it; the config keeps
+that copy as ``doc``, which every manifest records as its ``config``, so a
+manifest replays the run it describes.
 
 Every file a command reads (config, datasets, models, plot input) goes
 through one reader, ``_read``: a missing file, or one that does not parse,
@@ -51,6 +55,7 @@ which requires the exact header the writer wrote.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import math
@@ -112,7 +117,6 @@ class BandwidthPlan:
 @dataclass(frozen=True)
 class ExperimentConfig:
     truth: MappingSpec
-    truth_doc: object
     n_list: tuple[int, ...]
     path_steps: int
     grid_size: int
@@ -126,7 +130,8 @@ class ExperimentConfig:
     risk_n_mc: int
     replications: int
     seed: int
-    check_n_mc: int = 10_000
+    check_n_mc: int
+    doc: dict  # the document as parsed, each default applied recorded in it
 
     def kernel(self) -> MomentKernel:
         return build_kernel(self.s_star_hi)
@@ -166,11 +171,16 @@ def _require(doc: dict, key: str, kind, where: str = ""):
 
 
 def _optional(doc: dict, key: str, kind, where: str, default):
-    return _require(doc, key, kind, where) if key in doc else default
+    """``_require``, an absent key first set to ``default`` in JSON form (None stays absent)."""
+    if key not in doc:
+        if default is None:
+            return None
+        doc[key] = default
+    return _require(doc, key, kind, where)
 
 
 def _block(doc: dict, key: str, where: str = "") -> dict:
-    """The optional sub-object ``doc[key]``, empty when absent."""
+    """The optional sub-object ``doc[key]``, recorded empty when absent."""
     return _optional(doc, key, dict, where, {})
 
 
@@ -237,8 +247,8 @@ def _parse_truth(doc, path_steps: int, iso_grid: int | None) -> MappingSpec:
                   for i, c in enumerate(_require(doc, "components", [dict], "truth")))
     noise = _parse_noise(_require(doc, "noise", dict, "truth"))
     cls = _block(doc, "class", "truth")
-    s = _optional(cls, "s", [float], "truth.class", ())
-    lam = _optional(cls, "lam", [float], "truth.class", ())
+    s = _optional(cls, "s", [float], "truth.class", [])
+    lam = _optional(cls, "lam", [float], "truth.class", [])
     if any(v <= 0 for v in s + lam):
         raise ConfigError("truth.class: 's' and 'lam' entries must be positive")
     declared = ClassParams(
@@ -273,7 +283,7 @@ def _parse_bandwidths(doc: dict, max_order: int) -> BandwidthPlan:
             raise ConfigError("bandwidths: 's' and 'lam' must be non-empty")
         if any(v <= 0 for v in s) or any(v <= 0 for v in lam):
             raise ConfigError("bandwidths: 's' and 'lam' entries must be positive")
-        practical = _optional(doc, "practical", bool, "bandwidths", False)
+        practical = mode == "theorem41" and _optional(doc, "practical", bool, "bandwidths", False)
         return BandwidthPlan(mode, s=s, lam=lam, practical=practical)
     if mode == "adaptive":
         return BandwidthPlan("adaptive")
@@ -281,9 +291,14 @@ def _parse_bandwidths(doc: dict, max_order: int) -> BandwidthPlan:
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    """Validate a config document; raises ConfigError with field-level messages."""
+    """Validate a config document; raises ConfigError with field-level messages.
+
+    The config keeps, as ``doc``, a copy of the document with every default
+    the parser applied written into it.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")
+    doc = copy.deepcopy(doc)
     n_list = _require(doc, "n_list", [int])
     if not n_list:
         raise ConfigError("n_list: must be non-empty")
@@ -331,8 +346,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     risk_n_mc = _optional(risk, "n_mc", int, "risk", 400)
     if risk_method == "monte_carlo" and risk_n_mc < MIN_MC_DRAWS:
         raise ConfigError(f"risk.n_mc: Monte Carlo risk needs >= {MIN_MC_DRAWS} draws")
-    truth_doc = doc.get("truth", "quadratic_terminal")
-    truth = _parse_truth(truth_doc, path_steps,
+    truth = _parse_truth(doc.setdefault("truth", "quadratic_terminal"), path_steps,
                          grid_size if risk_method == "isometry" else None)
     replications = _require(doc, "replications", int)
     if replications < 1:
@@ -346,7 +360,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"check.n_mc: the Monte Carlo checks need >= {MIN_MC_DRAWS} draws")
     config = ExperimentConfig(
         truth=truth,
-        truth_doc=truth_doc,
         n_list=n_list,
         path_steps=path_steps,
         grid_size=grid_size,
@@ -361,6 +374,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         replications=replications,
         seed=seed,
         check_n_mc=check_n_mc,
+        doc=doc,
     )
     for n in n_list:
         plan_bandwidths(config, n)
@@ -576,7 +590,7 @@ def _write_manifest(out_dir: Path, command: str, config: ExperimentConfig,
         "command": command,
         "library_version": __version__,
         "seed": config.seed,
-        "config": _config_doc(config),
+        "config": config.doc,
         "replication_seeds": {
             f"n={n}": [config.rep_seed(i, r) for r in range(config.replications)]
             for i, n in enumerate(config.n_list)
@@ -592,34 +606,6 @@ def _write_json(path: Path, doc: dict) -> Path:
         json.dump(doc, fp, indent=2, sort_keys=True)
         fp.write("\n")
     return path
-
-
-def _config_doc(config: ExperimentConfig) -> dict:
-    plan = config.bandwidths
-    bw: dict = {"mode": plan.mode}
-    if plan.mode == "fixed":
-        bw["values"] = {str(k): v for k, v in plan.fixed.items()}
-    elif plan.mode in ("theoretical", "theorem41"):
-        bw["s"] = list(plan.s)
-        bw["lam"] = list(plan.lam)
-        if plan.mode == "theorem41":
-            bw["practical"] = plan.practical
-    return {
-        "truth": config.truth_doc,
-        "n_list": list(config.n_list),
-        "path_steps": config.path_steps,
-        "grid_size": config.grid_size,
-        "max_order": config.max_order,
-        "s_star_hi": config.s_star_hi,
-        "s_star_lo": config.s_star_lo,
-        "majorant": {"mu4": config.majorant.mu4, "class_bound": config.majorant.class_bound},
-        "bandwidths": bw,
-        "risk_p": config.risk_p,
-        "risk": {"method": config.risk_method, "n_mc": config.risk_n_mc},
-        "replications": config.replications,
-        "seed": config.seed,
-        "check": {"n_mc": config.check_n_mc},
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -679,14 +665,14 @@ def load_dataset(rep_dir: Path, grid_steps: int) -> Sample:
     return _build(f"dataset {rep_dir}", Sample, grid, responses, values)
 
 
-def _fit_and_write(command: str, config: ExperimentConfig, fit_config: ExperimentConfig,
-                   out_dir: Path, threads: int, data_dir: Path | None) -> Path:
-    """Fit every replication with ``fit_config``; write models, selection traces, manifest.
+def _fit_and_write(command: str, config: ExperimentConfig, out_dir: Path, threads: int,
+                   data_dir: Path | None) -> Path:
+    """Fit every replication; write models, selection traces, manifest.
 
     Nothing is written unless every fit succeeded.
     """
     started = time.time()
-    models = _replicate(partial(_fit_one, data_dir=data_dir), fit_config, threads)
+    models = _replicate(partial(_fit_one, data_dir=data_dir), config, threads)
     outputs = []
     for (_, n, rep), model in zip(_replications(config), models):
         rep_dir = _rep_dir(out_dir, n, rep)
@@ -714,7 +700,7 @@ def cmd_fit(config: ExperimentConfig, out_dir: Path, threads: int = 1,
     """
     if config.bandwidths.mode == "adaptive":
         return cmd_adapt(config, out_dir, threads, data_dir)
-    return _fit_and_write("fit", config, config, out_dir, threads, data_dir)
+    return _fit_and_write("fit", config, out_dir, threads, data_dir)
 
 
 def cmd_adapt(config: ExperimentConfig, out_dir: Path, threads: int = 1,
@@ -723,12 +709,12 @@ def cmd_adapt(config: ExperimentConfig, out_dir: Path, threads: int = 1,
 
     Selection runs whatever the configured bandwidth mode; every bracket is
     checked before anything is written.  The manifest records the config as
-    given.
+    given: the adaptive plan keeps its ``doc``.
     """
     adaptive = replace(config, bandwidths=BandwidthPlan("adaptive"))
     for n in config.n_list:
         plan_bandwidths(adaptive, n)
-    return _fit_and_write("adapt", config, adaptive, out_dir, threads, data_dir)
+    return _fit_and_write("adapt", adaptive, out_dir, threads, data_dir)
 
 
 def _stored_risk(config: ExperimentConfig, n_index: int, n: int, rep: int, models_dir: Path):
@@ -879,20 +865,19 @@ def run_checks(config: ExperimentConfig) -> dict:
 
     kernel = config.kernel()
     for order in (1, 2):
-        for k_exp in (2, 3):
-            h = math.exp(-k_exp)
-            (bound,) = moment_bound_reports(
-                order, h, (1,), n_mc, derive_seed(config.seed, 8, order, k_exp), kernel,
-                n_steps=config.path_steps,
-            )
+        # one draw per h: at e^-2 its second and fourth moments also serve
+        # hypercontractivity
+        second, fourth = moment_bound_reports(order, math.exp(-2), (1, 2), n_mc,
+                                              derive_seed(config.seed, 9, order), kernel,
+                                              n_steps=config.path_steps)
+        (narrow,) = moment_bound_reports(order, math.exp(-3), (1,), n_mc,
+                                         derive_seed(config.seed, 8, order, 3), kernel,
+                                         n_steps=config.path_steps)
+        for k_exp, bound in ((2, second), (3, narrow)):
             record(
                 f"second_moment_bound_l{order}_h_e-{k_exp}",
                 bound.within_bound, bound.empirical, bound.bound,
             )
-        # hypercontractivity: second and fourth moments of one draw of variates
-        second, fourth = moment_bound_reports(order, math.exp(-2), (1, 2), n_mc,
-                                              derive_seed(config.seed, 9, order), kernel,
-                                              n_steps=config.path_steps)
         lhs = fourth.empirical ** 0.5  # (E xi^4)^(1/4)
         rhs = chaos_constant(order, 4) * second.empirical**0.5
         # fourth.mc_stderr is in units of (E xi^4)^(1/2); carry it to lhs units

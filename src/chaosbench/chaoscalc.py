@@ -30,7 +30,7 @@ takes an (n, N) matrix of path increments and returns one value per row:
 ``ChaosExpansion`` is a + sum_l I_l(f_l)(W) / l!, the one type of synthetic
 truths and fitted models, and ``ChaosExpansion.values`` evaluates both.
 
-``l2_inner`` serves only the continuum isometry targets and class-check norms.
+``l2_inner``, a continuum quadrature, serves only the class-check norms.
 ``monte_carlo_mean``, the one Monte Carlo estimator, serves the validators
 of the Ito isometry, orthogonality of distinct orders, hypercontractive
 moment growth and the second-moment bound
@@ -202,6 +202,12 @@ def left_point_integrals(weights: np.ndarray, increments: np.ndarray):
     return weights @ increments.T, (weights @ weights.T) / increments.shape[1]
 
 
+def _left_rows(gs: Sequence[Callable], n_steps: int) -> np.ndarray:
+    """The factors g_i at the left points, one row (N,) each."""
+    t = left_points(n_steps)
+    return np.stack([np.asarray(g(t), dtype=float) for g in gs])
+
+
 def tensor_chaos_values(gs: Sequence[Callable], increments: np.ndarray) -> np.ndarray:
     """Multiple Wiener integral of the (implicitly symmetrized) product g_1 x ... x g_l.
 
@@ -209,8 +215,7 @@ def tensor_chaos_values(gs: Sequence[Callable], increments: np.ndarray) -> np.nd
     """
     if len(gs) < 1:
         raise ValueError("need at least one factor")
-    t = left_points(increments.shape[1])
-    rows = np.stack([np.asarray(g(t), dtype=float) for g in gs])
+    rows = _left_rows(gs, increments.shape[1])
     return _chaos_from_parts(*left_point_integrals(rows, increments))
 
 
@@ -220,12 +225,16 @@ def hermite_chaos_values(g: Callable, order: int, increments: np.ndarray) -> np.
         raise ValueError(f"order must be >= 1, got {order}")
     row = np.asarray(g(left_points(increments.shape[1])), dtype=float)
     xi, norm_sq = left_point_integrals(row, increments)
-    if not 0.0 < norm_sq < math.inf:
-        raise ValueError("hermite_chaos requires ||g|| > 0 and finite on the path grid")
     norm = math.sqrt(norm_sq)
+    try:
+        scale = norm**order
+    except OverflowError:  # a finite norm whose l-th power is not
+        scale = math.inf
+    if not (norm_sq > 0.0 and scale < math.inf):
+        raise ValueError("hermite_chaos requires ||g|| > 0 and ||g||^l finite on the path grid")
     coeffs = np.zeros(order + 1)
     coeffs[order] = 1.0
-    return norm**order * hermite_e.hermeval(xi / norm, coeffs)
+    return scale * hermite_e.hermeval(xi / norm, coeffs)
 
 
 _ROW_BLOCK = 512  # rows per block: bounds the (rows, G^2) order-3 temporary
@@ -343,9 +352,9 @@ def _mean_and_stderr(values: np.ndarray, root: float) -> tuple[float, float]:
     return mean, stderr
 
 
-def _sym_product_inner(gs, gs_prime) -> float:
-    """l! <sym tensor, sym tensor'> = permanent of the cross inner-product matrix."""
-    cross = np.array([[l2_inner(g, gp) for gp in gs_prime] for g in gs])
+def _sym_product_inner(gs, gs_prime, n_steps: int) -> float:
+    """l! <sym tensor, sym tensor'>_N = permanent of the path-grid cross covariance."""
+    cross = _left_rows(gs, n_steps) @ _left_rows(gs_prime, n_steps).T / n_steps
     total = 0.0
     for perm in itertools.permutations(range(len(gs))):
         total += float(np.prod(cross[np.arange(len(gs)), perm]))
@@ -361,8 +370,9 @@ def isometry_report(
 ) -> MomentReport:
     """Monte Carlo estimate of E[I_l I_l'] against the isometry target.
 
-    The target is 0 for distinct orders and l! times the inner product of the
-    symmetrized tensors otherwise (for equal-factor tensors, l! <g, g'>^l).
+    The target is 0 for distinct orders and otherwise l! times the path-grid
+    inner product of the symmetrized tensors, the exact second moment of the
+    left-point integrals (for equal-factor tensors, l! <g, g'>_N^l).
     """
     if not gs or not gs_prime:
         raise ValueError("both tensors need at least one factor")
@@ -372,7 +382,7 @@ def isometry_report(
     if len(gs) != len(gs_prime):
         theoretical = 0.0
     else:
-        theoretical = _sym_product_inner(gs, gs_prime)
+        theoretical = _sym_product_inner(gs, gs_prime, n_steps)
     return MomentReport(mean, theoretical, stderr, n_mc, seed)
 
 

@@ -16,13 +16,14 @@ from chaosbench.benchcli import (
     cmd_risk,
     cmd_simulate,
     growing_order_bandwidth,
+    load_config,
     load_dataset,
     main,
     parse_config,
     theoretical_bandwidth,
     truncation_order,
 )
-from chaosbench.chaoscalc import BoundReport
+from chaosbench.chaoscalc import BoundReport, moment_bound_reports
 from chaosbench.chaosreg import ChaosKernelEstimate, FittedModel, model_from_json, model_to_json
 from chaosbench.errors import ConfigError
 from chaosbench.kernelkit import MomentKernel, build_kernel
@@ -167,6 +168,9 @@ MALFORMED = [
         ({"truth": _truth(components=[{"order": 2, "kind": "poly",
                                        "coeffs": [0.0, -0.5, 1.0]}]),
           "path_steps": 2, "grid_size": 2},
+         r"truth\.components\[0\]\.coeffs: hermite_chaos requires"),
+        # the norm is finite, its fourth power is not
+        ({"truth": _truth(components=[{"order": 4, "kind": "poly", "coeffs": [1e100]}])},
          r"truth\.components\[0\]\.coeffs: hermite_chaos requires"),
     ],
 )
@@ -365,6 +369,21 @@ def test_hypercontractivity_slack_is_in_lhs_units(monkeypatch):
     assert hyper["measured"] == 1.25 and hyper["target"] == pytest.approx(1.0, rel=1e-12)
     assert 1.25 - 1.0 < 3 * 0.125
     assert not hyper["passed"]
+
+
+def test_check_draws_once_per_order_and_bandwidth(monkeypatch):
+    # h = e^-2 serves the second-moment bound and hypercontractivity from one draw
+    draws = []
+
+    def counted(order, h, rs, *args, **kwargs):
+        draws.append((order, h))
+        return moment_bound_reports(order, h, rs, *args, **kwargs)
+
+    monkeypatch.setattr(benchcli, "moment_bound_reports", counted)
+    report = benchcli.run_checks(parse_config(_base_doc(check={"n_mc": 200})))
+    assert sorted(draws) == [(o, math.exp(-k)) for o in (1, 2) for k in (3, 2)]
+    names = [c["name"] for c in report["checks"] if "moment_bound" in c["name"]]
+    assert names == [f"second_moment_bound_l{o}_h_e-{k}" for o in (1, 2) for k in (2, 3)]
 
 
 def test_main_exit_codes(tmp_path, monkeypatch):
@@ -602,6 +621,43 @@ def test_manifest_replays_as_config(tmp_path):
     a = json.loads((tmp_path / "first" / "manifest.json").read_text())["outputs"]
     b = json.loads((tmp_path / "replay" / "manifest.json").read_text())["outputs"]
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"bandwidths": {"mode": "theoretical", "s": [1.0], "lam": [1.0]}},
+        {"bandwidths": {"mode": "theorem41", "s": [1.0], "lam": [1.0], "practical": True}},
+        {"bandwidths": {"mode": "adaptive"}, "n_list": [500]},
+        {"risk_p": 4.0},
+    ],
+    ids=["fixed", "theoretical", "theorem41", "adaptive", "monte_carlo_risk"],
+)
+def test_manifest_config_records_applied_defaults_and_replays(tmp_path, overrides):
+    doc = _base_doc(**overrides)
+    for key in ("truth", "grid_size", "s_star_lo", "check"):
+        del doc[key]
+    given = json.dumps(doc)
+    config = parse_config(doc)
+    assert json.dumps(doc) == given  # the parser records defaults in its own copy
+    manifest = cmd_simulate(config, tmp_path / "sim") / "manifest.json"
+    recorded = json.loads(manifest.read_text())["config"]
+    assert recorded == config.doc
+    assert load_config(manifest) == config
+    method = "isometry" if config.risk_p == 2.0 else "monte_carlo"
+    assert recorded == dict(doc, truth="quadratic_terminal", grid_size=64, s_star_lo=0.5,
+                            risk={"method": method, "n_mc": 400}, check={"n_mc": 10_000})
+
+
+def test_parsed_truth_class_records_defaults_in_json_form():
+    truth = _truth()
+    del truth["class"]
+    config = parse_config(_base_doc(truth=truth))
+    # the declared class defaults to empty lists; a None gamma stays absent
+    assert config.doc["truth"]["class"] == {"s": [], "lam": [], "max_order": 2,
+                                            "class_bound": 1.0}
+    assert parse_config(json.loads(json.dumps(config.doc))) == config
 
 
 def test_truth_config_round_trip_including_gridded():

@@ -7,7 +7,7 @@ back to the same experiment.
 
 import json
 
-from chaosbench.benchcli import _config_doc, load_config, parse_config
+from chaosbench.benchcli import load_config, parse_config
 
 
 def test_workload_configs_parse_and_replay_from_their_manifests(tmp_path, perfbench):
@@ -19,5 +19,5 @@ def test_workload_configs_parse_and_replay_from_their_manifests(tmp_path, perfbe
             config = parse_config(workload.config(seed))
             manifest = tmp_path / f"{name}_{round_index}.json"
             manifest.write_text(json.dumps({"command": workload.commands[-1],
-                                            "config": _config_doc(config)}))
+                                            "config": config.doc}))
             assert load_config(manifest) == config, name
