@@ -30,7 +30,9 @@ Inline truths replace the string by an object with ``a``, ``components``
 and ``class``; polynomial components give power-basis coefficients of the
 univariate factor g, whose path-grid norm ||g||^2 = sum_j g(j / N)^2 / N
 must be positive and ||g||^l finite.  ``bandwidths.practical`` is read in
-``theorem41`` mode only.  A gridded component's ``grid_size`` must divide
+``theorem41`` mode only.  A key that no reader takes, at the top level or in
+any block (a misspelling, or ``practical`` in another mode), is a
+ConfigError naming it.  A gridded component's ``grid_size`` must divide
 ``path_steps`` and, under isometry risk, equal the config's.  The optional
 ``risk`` and ``check`` objects take an integer ``n_mc``, at least
 ``chaoscalc.MIN_MC_DRAWS`` (100) wherever it sets a Monte Carlo draw count:
@@ -55,7 +57,6 @@ which requires the exact header the writer wrote.
 from __future__ import annotations
 
 import argparse
-import copy
 import hashlib
 import json
 import math
@@ -77,14 +78,16 @@ from .chaosreg import (
     FittedModel,
     Sample,
     fit_chaos_kernel,
+    fit_from_parts,
     estimate_mean,
     model_from_json,
     model_to_json,
     risk_isometry,
     risk_monte_carlo,
+    slice_rows,
 )
 from .errors import ConfigError
-from .glselect import MajorantParams, adaptive_fit, bandwidth_grid
+from .glselect import MajorantParams, adaptive_fit, bandwidth_grid, select_model
 from .kernelkit import MomentKernel, build_kernel, kernel_moment
 from .mappingzoo import (
     ClassParams,
@@ -96,6 +99,7 @@ from .mappingzoo import (
     UniformNoise,
     quadratic_terminal,
     synthesize,
+    synthesize_functionals,
 )
 from .pathlab import make_grid
 
@@ -163,11 +167,52 @@ def _typed(value, kind, name: str):
     return float(value) if kind is float else value
 
 
+class _Block(dict):
+    """An object of the config document that records, in ``read``, each key read from it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read: set[str] = set()
+
+
+def _tracked(value):
+    """A copy of a JSON value in which every object is a ``_Block``."""
+    if isinstance(value, dict):
+        return _Block((k, _tracked(v)) for k, v in value.items())
+    if isinstance(value, list):
+        return [_tracked(v) for v in value]
+    return value
+
+
+def _untracked(value, name: str = ""):
+    """``value`` with plain dicts for its blocks; a key no reader took is a ConfigError."""
+    if isinstance(value, list):
+        return [_untracked(v, f"{name}[{i}]") for i, v in enumerate(value)]
+    if not isinstance(value, _Block):
+        return value
+    for key in value:
+        if key not in value.read:
+            raise ConfigError(
+                f"{_join(name, key)}: unknown key (no reader of this config takes it)")
+    return {k: _untracked(v, _join(name, k)) for k, v in value.items()}
+
+
+def _join(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _take(doc: dict, key: str):
+    """``doc[key]``, recorded as read when ``doc`` is a ``_Block``."""
+    if isinstance(doc, _Block):
+        doc.read.add(key)
+    return doc[key]
+
+
 def _require(doc: dict, key: str, kind, where: str = ""):
-    name = f"{where}.{key}" if where else key
+    name = _join(where, key)
     if key not in doc:
         raise ConfigError(f"{name}: missing required key")
-    return _typed(doc[key], kind, name)
+    return _typed(_take(doc, key), kind, name)
 
 
 def _optional(doc: dict, key: str, kind, where: str, default):
@@ -267,11 +312,11 @@ def _parse_bandwidths(doc: dict, max_order: int) -> BandwidthPlan:
     if mode == "fixed":
         raw = _require(doc, "values", dict, "bandwidths")
         fixed = {}
-        for key, value in raw.items():
+        for key in raw:
             name = f"bandwidths.values[{key}]"
             if not str(key).isdecimal() or not 1 <= int(key) <= max_order:
                 raise ConfigError(f"{name}: keys must be orders in 1..max_order = {max_order}")
-            fixed[int(key)] = _typed(value, float, name)
+            fixed[int(key)] = _typed(_take(raw, key), float, name)
         missing = [o for o in range(1, max_order + 1) if o not in fixed]
         if missing:
             raise ConfigError(f"bandwidths.values: missing orders {missing}")
@@ -294,11 +339,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a config document; raises ConfigError with field-level messages.
 
     The config keeps, as ``doc``, a copy of the document with every default
-    the parser applied written into it.
+    the parser applied written into it.  A key that no reader took, at the
+    top level or in any block, is a ConfigError naming it.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")
-    doc = copy.deepcopy(doc)
+    doc = _tracked(doc)
     n_list = _require(doc, "n_list", [int])
     if not n_list:
         raise ConfigError("n_list: must be non-empty")
@@ -346,7 +392,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     risk_n_mc = _optional(risk, "n_mc", int, "risk", 400)
     if risk_method == "monte_carlo" and risk_n_mc < MIN_MC_DRAWS:
         raise ConfigError(f"risk.n_mc: Monte Carlo risk needs >= {MIN_MC_DRAWS} draws")
-    truth = _parse_truth(doc.setdefault("truth", "quadratic_terminal"), path_steps,
+    doc.setdefault("truth", "quadratic_terminal")
+    truth = _parse_truth(_take(doc, "truth"), path_steps,
                          grid_size if risk_method == "isometry" else None)
     replications = _require(doc, "replications", int)
     if replications < 1:
@@ -374,7 +421,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         replications=replications,
         seed=seed,
         check_n_mc=check_n_mc,
-        doc=doc,
+        doc=_untracked(doc),
     )
     for n in n_list:
         plan_bandwidths(config, n)
@@ -759,8 +806,32 @@ def cmd_risk(config: ExperimentConfig, models_dir: Path, out_dir: Path,
     return out_dir
 
 
+def _rate_model(config: ExperimentConfig, n_index: int, n: int, rep: int) -> FittedModel:
+    """The replication's model from drawn slice integrals; no path is built.
+
+    One slice block per distinct bandwidth of ``plan_bandwidths(config, n)``
+    (every candidate in adaptive mode) is drawn jointly with the truth's
+    functionals by ``synthesize_functionals``; each candidate is fitted from
+    its block and gram, and adaptive mode selects among them.
+    """
+    plan = plan_bandwidths(config, n)
+    hs = sorted({h for candidates in plan.values() for h in candidates}, reverse=True)
+    g, kernel, grid = config.grid_size, config.kernel(), make_grid(config.path_steps)
+    x, gram, y = synthesize_functionals(
+        config.truth, np.concatenate([slice_rows(kernel, h, g, grid) for h in hs]), n,
+        config.rep_seed(n_index, rep))
+    rows = {h: slice(i * g, (i + 1) * g) for i, h in enumerate(hs)}
+    fits = {order: {h: fit_from_parts(x[rows[h]], gram[rows[h], rows[h]], y, order, h)
+                    for h in candidates}
+            for order, candidates in sorted(plan.items())}
+    mean = float(np.mean(y))
+    if config.bandwidths.mode == "adaptive":
+        return select_model(mean, n, fits, config.majorant)
+    return FittedModel(mean, tuple(fit for by_h in fits.values() for fit in by_h.values()))
+
+
 def _fitted_risk(config: ExperimentConfig, n_index: int, n: int, rep: int) -> float:
-    model = _fit_one(config, n_index, n, rep)
+    model = _rate_model(config, n_index, n, rep)
     return _risk_of_model(config, model, n_index, rep).value
 
 
@@ -803,9 +874,10 @@ def _loglog_slope(n_values: np.ndarray, y_values: np.ndarray) -> tuple[float, fl
 
 
 def cmd_rate(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
-    """Full rate sweep: synthesize, fit, and evaluate risk for every n; fit the slope.
+    """Full rate sweep: draw, fit, and evaluate risk for every n; fit the slope.
 
-    Nothing is written unless every replication succeeded.
+    Each replication's fits come from its drawn slice integrals (``_rate_model``),
+    not from paths.  Nothing is written unless every replication succeeded.
     """
     if len(config.n_list) < 4:
         raise ConfigError("rate: n_list needs at least 4 sample sizes")

@@ -3,8 +3,12 @@
 ``left_point_integrals`` alone decides the Ito correction: it returns the
 single integrals xi = A dW^T of weight rows A (k, N), taken at the left points
 t_j = j / N, with their exact path-grid covariance A A^T / N, on which every
-multiple integral below pairs.  Each integrand form has one evaluator; it
-takes an (n, N) matrix of path increments and returns one value per row:
+multiple integral below pairs.  ``draw_left_point_integrals`` returns the same
+pair for n fresh paths without building them: A dW = R^T (Q^T dW) for the
+reduced QR A^T = Q R, and Q^T dW is r = min(k, N) independent N(0, 1/N)
+normals.  Each integrand form has one evaluator; it takes an (n, N) matrix of
+path increments and returns one value per row, and splits at its single
+integrals, so the same sums also run on drawn ones:
 
 * ``tensor_chaos_values`` reduces a product integrand to single Ito
   integrals and their covariance through the product-formula recursion
@@ -16,11 +20,13 @@ takes an (n, N) matrix of path increments and returns one value per row:
   with I_0 = 1 and <g, g'>_N = sum_j g(t_j) g'(t_j) / N.
 
 * ``hermite_chaos_values`` is the equal-factor case of the recursion, the
-  Hermite identity I_l(g x ... x g) = ||g||^l He_l(I_1(g)/||g||), ||g||^2 = <g, g>_N.
+  Hermite identity I_l(g x ... x g) = ||g||^l He_l(I_1(g)/||g||), ||g||^2 = <g, g>_N,
+  ``hermite_from_integral``.
 
 * ``gridded_chaos_values`` is the exact multiple integral of a gridded
   integrand read as a step function on G cells: the Wick-ordered sum of the
-  tabulated values against coarse-cell increments (covariance 1/G each).
+  tabulated values against coarse-cell increments (covariance 1/G each),
+  ``gridded_chaos_from_cells``.
   Tabulating a smooth integrand on finer grids approaches its integral, so it
   is the oracle for the recursion.
 
@@ -58,7 +64,8 @@ class GriddedFunction:
     """An order-l integrand tabulated at the midpoint grid of [0,1]^l, G points per axis.
 
     It is an expansion component in the gridded form: ``chaos_values`` is
-    ``gridded_chaos_values``.
+    ``gridded_chaos_values``, and its single integrals are the G cell
+    increments, the functionals of the cell indicator rows.
     """
 
     order: int
@@ -95,6 +102,14 @@ class GriddedFunction:
     def chaos_values(self, increments: np.ndarray) -> np.ndarray:
         return gridded_chaos_values(self, increments)
 
+    def functional_rows(self, n_steps: int) -> np.ndarray:
+        """Cell indicators (G, N): row c sums the path increments of cell c."""
+        return np.repeat(np.eye(self.grid_size), n_steps // self.grid_size, axis=1)
+
+    def chaos_from_functionals(self, x: np.ndarray, cov: np.ndarray) -> np.ndarray:
+        """``chaos_values`` from the cell increments x (G, n); their covariance is 1/G."""
+        return gridded_chaos_from_cells(self, x.T)
+
     @classmethod
     def from_callable(cls, order: int, grid_size: int, f: Callable) -> "GriddedFunction":
         c = midpoints(grid_size)
@@ -112,8 +127,11 @@ class ChaosExpansion:
     A component is one of the two integrand forms, a ``GriddedFunction`` or a
     ``mappingzoo.EqualFactorComponent``.  It has an ``order``,
     ``gridded(grid_size)`` (f_l on the G-per-axis midpoint grid) and
-    ``chaos_values(increments)`` (I_l(f_l) per increment row).  Components
-    are kept sorted by order.
+    ``chaos_values(increments)`` (I_l(f_l) per increment row).  That
+    evaluator is split at the component's single integrals:
+    ``functional_rows(N)`` gives their weight rows A_c (k_c, N), and
+    ``chaos_from_functionals(x, cov)`` the same I_l(f_l) from x = A_c dW
+    (k_c, n) and cov = A_c A_c^T / N.  Components are kept sorted by order.
     """
 
     a: float
@@ -141,9 +159,19 @@ class ChaosExpansion:
 
     def values(self, increments: np.ndarray) -> np.ndarray:
         """a + sum_l I_l(f_l)(W) / l! for each row of an (n, N) increment matrix."""
-        values = np.full(len(increments), self.a)
-        for c in self.components:
-            values += c.chaos_values(increments) / math.factorial(c.order)
+        return self._expand(len(increments),
+                            (c.chaos_values(increments) for c in self.components))
+
+    def values_from_functionals(self, n: int, parts) -> np.ndarray:
+        """``values`` of n paths from each component's (A_c dW, A_c A_c^T / N), in order."""
+        return self._expand(n, (c.chaos_from_functionals(x, cov)
+                                for c, (x, cov) in zip(self.components, parts)))
+
+    def _expand(self, n: int, chaos) -> np.ndarray:
+        """a + sum_l I_l(f_l) / l!, with I_l(f_l) the items of ``chaos`` in component order."""
+        values = np.full(n, self.a)
+        for c, value in zip(self.components, chaos):
+            values += value / math.factorial(c.order)
         return values
 
 
@@ -202,6 +230,26 @@ def left_point_integrals(weights: np.ndarray, increments: np.ndarray):
     return weights @ increments.T, (weights @ weights.T) / increments.shape[1]
 
 
+def _functional_factor(weights: np.ndarray) -> np.ndarray:
+    """R (r, k), r = min(k, N), of the reduced QR A^T = Q R, so that R^T R = A A^T."""
+    return np.linalg.qr(weights.T, mode="r")
+
+
+def draw_left_point_integrals(weights: np.ndarray, n: int, rng: np.random.Generator):
+    """``left_point_integrals`` of n fresh paths, drawn without the paths.
+
+    With A^T = Q R the reduced QR of the weight rows A (k, N), A dW = R^T (Q^T dW),
+    and Q^T dW is r = min(k, N) independent N(0, 1/N) normals, since Q has
+    orthonormal columns.  So xi = R^T z for z drawn from ``rng`` as one
+    (n, r) batch: exact in distribution for any A, rank-deficient or k >= N.
+    The covariance returned is A A^T / N, as ``left_point_integrals`` gives.
+    """
+    n_steps = weights.shape[1]
+    r = _functional_factor(weights)
+    z = rng.normal(0.0, math.sqrt(1.0 / n_steps), (n, r.shape[0]))
+    return r.T @ z.T, (weights @ weights.T) / n_steps
+
+
 def _left_rows(gs: Sequence[Callable], n_steps: int) -> np.ndarray:
     """The factors g_i at the left points, one row (N,) each."""
     t = left_points(n_steps)
@@ -221,10 +269,14 @@ def tensor_chaos_values(gs: Sequence[Callable], increments: np.ndarray) -> np.nd
 
 def hermite_chaos_values(g: Callable, order: int, increments: np.ndarray) -> np.ndarray:
     """||g||^l He_l(I_1(g)/||g||) per row: He_l probabilists', ||g||^2 = Var I_1(g)."""
+    row = np.asarray(g(left_points(increments.shape[1])), dtype=float)
+    return hermite_from_integral(*left_point_integrals(row, increments), order)
+
+
+def hermite_from_integral(xi: np.ndarray, norm_sq: float, order: int) -> np.ndarray:
+    """||g||^l He_l(xi/||g||) from the single integrals xi = I_1(g) and ||g||^2 = Var xi."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    row = np.asarray(g(left_points(increments.shape[1])), dtype=float)
-    xi, norm_sq = left_point_integrals(row, increments)
     norm = math.sqrt(norm_sq)
     try:
         scale = norm**order
@@ -255,16 +307,21 @@ def gridded_chaos_values(f: GriddedFunction, increments: np.ndarray) -> np.ndarr
     These hold for a non-symmetric F too, because I_l(F) = I_l(Sym F).
     Supports orders 1 to 3.
     """
-    if not 1 <= f.order <= 3:
-        raise ValueError(f"gridded integrals support orders 1 to 3, got {f.order}")
     n, n_steps = increments.shape
     g = f.grid_size
     if n_steps % g != 0:
         raise ValueError(f"grid_size {g} does not divide path resolution {n_steps}")
+    return gridded_chaos_from_cells(f, increments.reshape(n, g, n_steps // g).sum(axis=2))
+
+
+def gridded_chaos_from_cells(f: GriddedFunction, v: np.ndarray) -> np.ndarray:
+    """``gridded_chaos_values`` from the coarse-cell increments v (n, G), one value per row."""
+    if not 1 <= f.order <= 3:
+        raise ValueError(f"gridded integrals support orders 1 to 3, got {f.order}")
+    n, g = v.shape
     if n > _ROW_BLOCK:
-        return np.concatenate([gridded_chaos_values(f, increments[i:i + _ROW_BLOCK])
+        return np.concatenate([gridded_chaos_from_cells(f, v[i:i + _ROW_BLOCK])
                                for i in range(0, n, _ROW_BLOCK)])
-    v = increments.reshape(n, g, n_steps // g).sum(axis=2)
     fv = f.values
     if f.order == 1:
         return v @ fv

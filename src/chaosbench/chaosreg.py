@@ -11,8 +11,10 @@ the Wick product of the slice integrals x_a = sum_j K_h(c_a, t_j) dW_j:
 with response moments M_k = (1/n) sum_i Y_i x_i^(x k), M_0 = Ybar, and the
 slice gram sl sl^T / N taken on the same path grid as x, so the Ito
 correction removes exactly the expected diagonal of the left-point sums.
-``chaoscalc.left_point_integrals`` gives both from sl at the left points.
-The gram is therefore the exact covariance of x, and by Isserlis's theorem
+``chaoscalc.left_point_integrals`` gives both from sl at the left points
+(``_fit_parts``, for a sample of paths), ``chaoscalc.draw_left_point_integrals``
+draws them without paths, and ``fit_from_parts`` is the one fit formula on
+either.  The gram is therefore the exact covariance of x, and by Isserlis's theorem
 the fit's mean is exactly S^(x l) f_l with S = sl / N at any n and N
 (``fit_mean``); its continuum limit, the kernel smoothing of f_l, is not.
 
@@ -132,14 +134,14 @@ def estimate_mean(sample: Sample) -> float:
     return float(np.mean(sample.responses))
 
 
-def _slices(kernel: MomentKernel, bandwidth: float, grid_size: int, grid: TimeGrid):
+def slice_rows(kernel: MomentKernel, bandwidth: float, grid_size: int, grid: TimeGrid):
     """The slice matrix sl (G, N): slice a at the left points of the path grid."""
     return slice_matrix(kernel, midpoints(grid_size), bandwidth, left_points(grid.n_steps))
 
 
 def _fit_parts(sample: Sample, bandwidth: float, grid_size: int, kernel: MomentKernel):
     """Slice single-integrals X (G, n) and their path-grid gram sl sl^T / N (G, G)."""
-    return left_point_integrals(_slices(kernel, bandwidth, grid_size, sample.grid),
+    return left_point_integrals(slice_rows(kernel, bandwidth, grid_size, sample.grid),
                                 sample.increments)
 
 
@@ -192,15 +194,23 @@ def fit_chaos_kernel(
 ) -> ChaosKernelEstimate:
     """Fit the order-l surface on the G-per-axis midpoint grid of [0,1]^l.
 
-    Linear in the responses; the returned tensor is exactly symmetric.  The
-    slice matrix rejects a bandwidth outside (0, 1) before any work is done.
+    ``fit_from_parts`` on the sample's slice integrals.  The slice matrix
+    rejects a bandwidth outside (0, 1) before any work is done.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     if order < 1:
         raise ValueError("order must be >= 1")
     x, gram = _fit_parts(sample, bandwidth, grid_size, kernel)
-    y = sample.responses
+    return fit_from_parts(x, gram, sample.responses, order, bandwidth)
+
+
+def fit_from_parts(x: np.ndarray, gram: np.ndarray, y: np.ndarray, order: int,
+                   bandwidth: float) -> ChaosKernelEstimate:
+    """The order-l surface from slice integrals x (G, n), their gram (G, G) and responses y.
+
+    Linear in the responses; the returned tensor is exactly symmetric.
+    """
     values = _response_moment(x, y, order)
     for p in range(1, order // 2 + 1):
         term = _response_moment(x, y, order - 2 * p)
@@ -209,7 +219,7 @@ def fit_chaos_kernel(
         coeff = (-1) ** p * math.factorial(order) // (
             2**p * math.factorial(p) * math.factorial(order - 2 * p))
         values = values + coeff * term
-    return ChaosKernelEstimate(order, grid_size, _symmetrize(values), bandwidth=bandwidth)
+    return ChaosKernelEstimate(order, len(x), _symmetrize(values), bandwidth=bandwidth)
 
 
 def _fit_generic(x, gram, y, order, grid_size):
@@ -238,7 +248,7 @@ def fit_mean(truth: ChaosExpansion, order: int, bandwidth: float, grid_size: int
     cell sums of S on each axis.  An order without a component gives zeros.
     Exact for both forms: each lies in its own order's chaos on the path grid.
     """
-    s = _slices(kernel, bandwidth, grid_size, grid) / grid.n_steps
+    s = slice_rows(kernel, bandwidth, grid_size, grid) / grid.n_steps
     for c in truth.components:
         if c.order != order:
             continue

@@ -15,7 +15,9 @@ proxy
 
 The selected bandwidth minimizes B + M, with ties broken toward the larger
 (smoother) bandwidth.  The maximum in B ranges over the whole grid, and at
-the smallest grid bandwidth every term collapses to 0.
+the smallest grid bandwidth every term collapses to 0.  Selection
+(``select_model``) takes the candidate fits, so it serves fits from a sample
+of paths (``adaptive_fit``) and fits from drawn slice integrals alike.
 """
 
 from __future__ import annotations
@@ -151,26 +153,28 @@ def bias_proxy(
     return best
 
 
-def _select_with_fits(
-    order: int,
-    sample: Sample,
-    grid: BandwidthGrid,
-    params: MajorantParams,
-    grid_size: int,
-    kernel: MomentKernel,
-):
-    n = sample.n
-    fits = {h: fit_chaos_kernel(sample, order, h, grid_size, kernel) for h in grid.values}
-    majorants = {h: majorant(order, h, n, params) for h in grid.values}
-    records = []
-    for h in grid.values:  # decreasing, so ties keep the largest h
-        records.append(SelectionRecord(h, majorants[h], bias_proxy(h, fits, majorants)))
+def select_bandwidth(order: int, n: int, fits: dict[float, ChaosKernelEstimate],
+                     params: MajorantParams) -> SelectionTrace:
+    """Score one order's candidate fits {h: fit} at sample size n; the trace of B + M."""
+    hs = sorted(fits, reverse=True)  # decreasing, so ties keep the largest h
+    majorants = {h: majorant(order, h, n, params) for h in hs}
+    records = [SelectionRecord(h, majorants[h], bias_proxy(h, fits, majorants)) for h in hs]
     chosen = records[0]
     for rec in records[1:]:
         if rec.objective < chosen.objective:
             chosen = rec
-    trace = SelectionTrace(order, tuple(records), chosen.h)
-    return trace, fits
+    return SelectionTrace(order, tuple(records), chosen.h)
+
+
+def select_model(mean: float, n: int, candidates: dict[int, dict[float, ChaosKernelEstimate]],
+                 params: MajorantParams) -> FittedModel:
+    """Per-order selection among candidate fits {order: {h: fit}}, then plugin assembly.
+
+    The model records one SelectionTrace per order.
+    """
+    traces = tuple(select_bandwidth(order, n, fits, params)
+                   for order, fits in sorted(candidates.items()))
+    return FittedModel(mean, tuple(candidates[t.order][t.chosen] for t in traces), traces)
 
 
 def adaptive_fit(
@@ -181,16 +185,14 @@ def adaptive_fit(
     grid_size: int,
     kernel: MomentKernel,
 ) -> FittedModel:
-    """Per-order bandwidth selection followed by plugin assembly.
+    """``select_model`` on the sample's fits at every candidate of its bandwidth grids.
 
     Raises GridEmptyError for the first order whose bandwidth bracket is
-    empty; the model records one SelectionTrace per order.
+    empty.
     """
-    estimates = []
-    traces = []
+    candidates = {}
     for order in range(1, max_order + 1):
         grid = bandwidth_grid(sample.n, order, s_star_lo)
-        trace, fits = _select_with_fits(order, sample, grid, params, grid_size, kernel)
-        traces.append(trace)
-        estimates.append(fits[trace.chosen])
-    return FittedModel(estimate_mean(sample), tuple(estimates), tuple(traces))
+        candidates[order] = {h: fit_chaos_kernel(sample, order, h, grid_size, kernel)
+                             for h in grid.values}
+    return select_model(estimate_mean(sample), sample.n, candidates, params)

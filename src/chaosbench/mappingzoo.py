@@ -13,6 +13,10 @@ at once: the first form through the batched Hermite identity, the second
 through the exact step-function integral of the gridded form.
 ``evaluate_mapping`` is its row 0 for a single path.
 
+``synthesize`` draws a sample of paths and responses.  ``synthesize_functionals``
+draws only given linear functionals of the paths (the fit's slice integrals)
+jointly with the truth's own, and the responses, without building a path.
+
 The bump family implements the disjoint-support construction used for hard
 instances: scaled copies of psi(u) = exp(-1/(1-u^2)) centered at
 x_i = (2 r_i + 1) h, combined by a 0/1 selector and an amplitude rho.
@@ -29,8 +33,8 @@ from typing import Callable, Iterable, Union
 import numpy as np
 
 from ._util import derive_seed, midpoints
-from .chaoscalc import ChaosExpansion, GriddedFunction
-from .chaoscalc import hermite_chaos_values, l2_inner
+from .chaoscalc import ChaosExpansion, GriddedFunction, draw_left_point_integrals
+from .chaoscalc import hermite_chaos_values, hermite_from_integral, l2_inner, left_points
 from .chaosreg import Sample
 from .pathlab import BrownianPath, TimeGrid, sample_brownian_paths
 # unused here but importable: the per-layer tracer in perfbench/tracing.py
@@ -85,6 +89,14 @@ class EqualFactorComponent:
 
     def chaos_values(self, increments: np.ndarray) -> np.ndarray:
         return self.scale * hermite_chaos_values(self.g, self.order, increments)
+
+    def functional_rows(self, n_steps: int) -> np.ndarray:
+        """The one row g(t_left) (1, N) of its single integral xi = I_1(g)."""
+        return np.asarray(self.g(left_points(n_steps)), dtype=float)[None]
+
+    def chaos_from_functionals(self, x: np.ndarray, cov: np.ndarray) -> np.ndarray:
+        """``chaos_values`` from xi = I_1(g) (1, n) and its variance ||g||^2 (1, 1)."""
+        return self.scale * hermite_from_integral(x[0], cov[0, 0], self.order)
 
 
 def ConstantComponent(order: int, value: float) -> EqualFactorComponent:  # noqa: N802
@@ -159,6 +171,26 @@ def synthesize(spec: MappingSpec, n: int, grid: TimeGrid, seed: int) -> Sample:
     # fill the Sample.increments cache with the np.diff it would compute itself
     sample.__dict__["increments"] = increments
     return sample
+
+
+def synthesize_functionals(spec: MappingSpec, weights: np.ndarray, n: int, seed: int):
+    """The functionals x = weights dW (k, n) of n pairs, their covariance and the responses.
+
+    ``synthesize`` without its paths: the rows of ``weights`` (k, N) and the
+    truth components' ``functional_rows`` are drawn jointly, as r = min(rows, N) normals
+    per pair from the stream (seed, 0) (``chaoscalc.draw_left_point_integrals``),
+    the responses are m from the truth's functionals plus noise from the
+    stream (seed, 1).  Same law as ``synthesize`` followed by
+    ``left_point_integrals(weights, increments)``, not the same draws.
+    """
+    blocks = [weights, *(c.functional_rows(weights.shape[1]) for c in spec.components)]
+    xi, cov = draw_left_point_integrals(np.concatenate(blocks), n,
+                                        np.random.default_rng(derive_seed(seed, 0)))
+    edges = np.cumsum([0] + [len(b) for b in blocks])
+    parts = [(xi[lo:hi], cov[lo:hi, lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]
+    noise_rng = np.random.default_rng(derive_seed(seed, 1))
+    responses = spec.values_from_functionals(n, parts[1:]) + spec.noise.sample(noise_rng, n)
+    return (*parts[0], responses)
 
 
 @dataclass(frozen=True)

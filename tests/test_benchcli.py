@@ -172,6 +172,25 @@ MALFORMED = [
         # the norm is finite, its fourth power is not
         ({"truth": _truth(components=[{"order": 4, "kind": "poly", "coeffs": [1e100]}])},
          r"truth\.components\[0\]\.coeffs: hermite_chaos requires"),
+        # a key that no reader takes, at the top level and in each block
+        ({"gird_size": 8}, r"^gird_size: unknown key"),
+        ({"risk": {"nmc": 5}}, r"^risk\.nmc: unknown key"),
+        ({"check": {"n_mc": 1500, "kernel_coeff_perturbation": 0.1}},
+         r"^check\.kernel_coeff_perturbation: unknown key"),
+        ({"majorant": {"mu4": 0.66, "class_bound": 1.0, "mu_4": 0.5}},
+         r"^majorant\.mu_4: unknown key"),
+        ({"bandwidths": {"mode": "theoretical", "s": [1.0], "lam": [1.0], "practical": True}},
+         r"^bandwidths\.practical: unknown key"),
+        ({"bandwidths": {"mode": "fixed", "values": {"1": 0.25, "2": 0.25}, "s": [1.0]}},
+         r"^bandwidths\.s: unknown key"),
+        ({"truth": _truth(sigma=0.5)}, r"^truth\.sigma: unknown key"),
+        ({"truth": _truth(noise={"kind": "gaussian", "sigma": 0.5, "half_width": 1.0})},
+         r"^truth\.noise\.half_width: unknown key"),
+        ({"truth": _truth(**{"class": {"max_order": 2, "bound": 1.0}})},
+         r"^truth\.class\.bound: unknown key"),
+        ({"truth": _truth(components=[{"order": 2, "kind": "constant", "value": 1.0,
+                                       "coeffs": [1.0]}])},
+         r"^truth\.components\[0\]\.coeffs: unknown key"),
     ],
 )
 def test_parse_config_rejects(overrides, fragment):
@@ -496,18 +515,21 @@ def _output_digests(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())["outputs"]
 
 
-@pytest.mark.parametrize("command", ["simulate", "fit", "adapt"])
+@pytest.mark.parametrize("command", ["simulate", "fit", "adapt", "rate"])
 def test_replications_parallel_match_serial(tmp_path, command):
-    if command == "adapt":
+    if command == "rate":
+        config = parse_config(_base_doc(n_list=[30, 60, 120, 300], replications=2))
+    elif command == "adapt":
         config = parse_config(
             _base_doc(n_list=[500], path_steps=256, s_star_hi=1.0,
                       bandwidths={"mode": "adaptive"}, replications=2)
         )
     else:
         config = parse_config(_base_doc(n_list=[30], replications=3))
-    run = {"simulate": cmd_simulate, "fit": cmd_fit, "adapt": cmd_adapt}[command]
-    serial = run(config, tmp_path / "serial", threads=1)
-    parallel = run(config, tmp_path / "parallel", threads=2)
+    run = {"simulate": cmd_simulate, "fit": cmd_fit, "adapt": cmd_adapt, "rate": cmd_rate}[command]
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    run(config, serial, threads=1)
+    run(config, parallel, threads=2)
     assert _output_digests(serial) == _output_digests(parallel)
 
 
@@ -899,3 +921,56 @@ def test_table_writer_matches_fstrings_and_reader_returns_the_bits(tmp_path):
     assert header == "i,x,k"
     assert np.array_equal(table[:, 1].view(np.uint64), values.view(np.uint64))
     assert np.array_equal(table[:, 0], np.arange(5)) and table[4, 2] == 4e12
+
+
+# acceptance criterion 6's config, with fewer replications
+_RATE_DOC = {
+    "truth": {
+        "a": 1.0,
+        "components": [{"order": 1, "kind": "poly", "coeffs": [1.0, 0.5]}],
+        "noise": {"kind": "gaussian", "sigma": 0.5},
+        "class": {"s": [1.0], "lam": [1.0], "max_order": 1, "class_bound": 1.3},
+    },
+    "n_list": [500, 1000, 2000, 4000, 8000, 16000],
+    "path_steps": 512,
+    "grid_size": 64,
+    "max_order": 1,
+    "s_star_hi": 1.0,
+    "s_star_lo": 0.5,
+    "majorant": {"mu4": 0.66, "class_bound": 1.3},
+    "bandwidths": {"mode": "theoretical", "s": [1.0], "lam": [1.0]},
+    "risk_p": 2.0,
+    "risk": {"method": "isometry"},
+    "replications": 8,
+    "seed": 4242,
+}
+
+
+@pytest.mark.parametrize("mode", ["theoretical", "adaptive"])
+def test_rate_draws_match_the_path_route(tmp_path, mode):
+    # rate fits from drawn slice integrals; fits from paths (the fit command's
+    # route) must give the same per-n mean risk within 3 SE
+    doc = dict(_RATE_DOC)
+    if mode == "adaptive":
+        # every order-1 bracket [n^-1/2, 1/log n] holds e^-3 at these n
+        doc.update(n_list=[500, 1000, 2000, 5000], path_steps=128, grid_size=16,
+                   bandwidths={"mode": "adaptive"}, replications=6)
+    config = parse_config(doc)
+    reps = config.replications
+    direct, paths = (np.empty((len(config.n_list), reps)) for _ in range(2))
+    for i, n in enumerate(config.n_list):
+        for rep in range(reps):
+            direct[i, rep] = benchcli._fitted_risk(config, i, n, rep)
+            model = benchcli._fit_one(config, i, n, rep)
+            paths[i, rep] = benchcli._risk_of_model(config, model, i, rep).value
+    se = np.sqrt((direct.var(axis=1, ddof=1) + paths.var(axis=1, ddof=1)) / reps)
+    gap = np.abs(direct.mean(axis=1) - paths.mean(axis=1))
+    assert np.all(gap <= 3.0 * se), (gap, se)
+    # the command reports the means of the drawn route
+    report = cmd_rate(config, tmp_path / "rate")
+    assert report["mean_risk"] == direct.mean(axis=1).tolist()
+    if mode == "adaptive":
+        model = benchcli._rate_model(config, 0, 500, 0)
+        (trace,) = model.selection_traces
+        assert [r.h for r in trace.records] == list(benchcli.plan_bandwidths(config, 500)[1])
+        assert len(trace.records) > 1

@@ -10,11 +10,13 @@ from chaosbench.chaoscalc import (
     GriddedFunction,
     brute_multiple_integral,
     chaos_constant,
+    draw_left_point_integrals,
     gridded_chaos_values,
     hermite_chaos,
     hermite_chaos_values,
     isometry_report,
     l2_inner,
+    left_point_integrals,
     moment_bound_report,
     monte_carlo_mean,
     tensor_chaos,
@@ -347,3 +349,36 @@ def test_gridded_batch_row_blocks_match_one_block():
     assert batch.shape == (1100,)
     for i in (0, 511, 512, 1099):
         assert batch[i] == pytest.approx(gridded_chaos_values(f, rows[i:i + 1])[0], rel=1e-12)
+
+
+def _weights(case, n_steps, rng):
+    if case == "k < N":
+        return rng.normal(size=(6, n_steps))
+    if case == "rank-deficient":
+        a = rng.normal(size=(4, n_steps))
+        return np.vstack([a, a[0] + a[1], 2.0 * a[2] - a[3]])
+    return rng.normal(size=(24, n_steps))  # k > N
+
+
+@pytest.mark.parametrize("case", ["k < N", "rank-deficient", "k > N"])
+def test_drawn_left_point_integrals_are_exact_in_distribution(case):
+    n_steps, n = 16, 20_000
+    a = _weights(case, n_steps, np.random.default_rng(31))
+    target = a @ a.T
+    xi, cov = draw_left_point_integrals(a, n, np.random.default_rng(32))
+    assert xi.shape == (len(a), n)
+    # the covariance is the one left_point_integrals pairs on, A A^T / N
+    assert np.array_equal(cov, target / n_steps)
+    assert np.array_equal(cov, left_point_integrals(a, np.zeros((1, n_steps)))[1])
+    r = chaoscalc._functional_factor(a)
+    assert r.shape == (min(len(a), n_steps), len(a))
+    assert np.max(np.abs(r.T @ r - target)) <= 1e-12 * np.max(np.abs(target))
+    # zero-mean Gaussian: Var(x_i x_j) = S_ii S_jj + S_ij^2
+    empirical = xi @ xi.T / n
+    stderr = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)
+    assert np.max(np.abs(empirical - cov) / stderr) <= 5.0
+    if case == "rank-deficient":
+        # the draws keep the rows' linear relations
+        scale = np.max(np.abs(xi))
+        assert np.max(np.abs(xi[4] - xi[0] - xi[1])) <= 1e-12 * scale
+        assert np.max(np.abs(xi[5] - 2.0 * xi[2] + xi[3])) <= 1e-12 * scale

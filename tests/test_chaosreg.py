@@ -15,12 +15,14 @@ from chaosbench.chaosreg import (
     _symmetrize,
     estimate_mean,
     fit_chaos_kernel,
+    fit_from_parts,
     fit_mean,
     model_from_json,
     model_to_json,
     predict,
     risk_isometry,
     risk_monte_carlo,
+    slice_rows,
 )
 from chaosbench.kernelkit import build_kernel, slice_matrix
 from chaosbench.mappingzoo import (
@@ -32,6 +34,7 @@ from chaosbench.mappingzoo import (
     evaluate_mapping,
     quadratic_terminal,
     synthesize,
+    synthesize_functionals,
 )
 from chaosbench.pathlab import BrownianPath, make_grid, sample_brownian, sample_brownian_paths
 
@@ -167,6 +170,29 @@ def test_fit_bandwidth_validation():
         fit_chaos_kernel(sample, 2, 1.2, 8, K1)
 
 
+def _fit_mean_truth(form):
+    """Noise-free truth of orders 1-3 in one component form, a = 0.7."""
+    if form == "equal_factor":
+        ramp = np.polynomial.Polynomial([1.0, 0.5])
+        comps = (EqualFactorComponent(1, ramp), EqualFactorComponent(2, ramp),
+                 ConstantComponent(3, 1.5))
+    else:
+        wave = lambda *u: 1.0 + np.sin(3.0 * sum(u))  # noqa: E731
+        comps = tuple(GriddedComponent.from_callable(order, 8, wave) for order in (1, 2, 3))
+    return MappingSpec(0.7, comps, GaussianNoise(0.0))
+
+
+def _assert_centered_on_fit_mean(fits, truth, h, g, grid):
+    for order, out in fits.items():
+        reps = len(out)
+        target = fit_mean(truth, order, h, g, K1, grid)
+        z = (out.mean(axis=0) - target) / (out.std(axis=0, ddof=1) / np.sqrt(reps))
+        # 3.5 sigma over the at most 20 distinct entries: family-wise level about 1 %
+        assert np.max(np.abs(z)) <= 3.5, (order, z)
+        gaps = (out - target).reshape(reps, -1).mean(axis=1)
+        assert abs(gaps.mean()) <= 3.0 * gaps.std(ddof=1) / np.sqrt(reps), order
+
+
 @pytest.mark.parametrize("form", ["equal_factor", "gridded"])
 def test_fit_is_centered_on_fit_mean(form):
     # Noise-free truths, so no noise hides a gap between the fits' ensemble
@@ -176,27 +202,30 @@ def test_fit_is_centered_on_fit_mean(form):
     # so it adds nothing to order 1.  At N = 64 the left-point sums move the
     # mean well away from its continuum limit int f_l K_h, which fails here.
     g, n_steps, h, reps, n = 4, 64, 0.25, 100, 2000
-    if form == "equal_factor":
-        ramp = np.polynomial.Polynomial([1.0, 0.5])
-        comps = (EqualFactorComponent(1, ramp), EqualFactorComponent(2, ramp),
-                 ConstantComponent(3, 1.5))
-    else:
-        wave = lambda *u: 1.0 + np.sin(3.0 * sum(u))  # noqa: E731
-        comps = tuple(GriddedComponent.from_callable(order, 8, wave) for order in (1, 2, 3))
-    truth = MappingSpec(0.7, comps, GaussianNoise(0.0))
+    truth = _fit_mean_truth(form)
     grid = make_grid(n_steps)
     fits = {order: np.empty((reps,) + (g,) * order) for order in (1, 2, 3)}
     for r in range(reps):
         sample = synthesize(truth, n, grid, 9100 + r)
         for order, out in fits.items():
             out[r] = fit_chaos_kernel(sample, order, h, g, K1).values
-    for order, out in fits.items():
-        target = fit_mean(truth, order, h, g, K1, grid)
-        z = (out.mean(axis=0) - target) / (out.std(axis=0, ddof=1) / np.sqrt(reps))
-        # 3.5 sigma over the at most 20 distinct entries: family-wise level about 1 %
-        assert np.max(np.abs(z)) <= 3.5, (order, z)
-        gaps = (out - target).reshape(reps, -1).mean(axis=1)
-        assert abs(gaps.mean()) <= 3.0 * gaps.std(ddof=1) / np.sqrt(reps), order
+    _assert_centered_on_fit_mean(fits, truth, h, g, grid)
+
+
+@pytest.mark.parametrize("form", ["equal_factor", "gridded"])
+def test_direct_route_fit_is_centered_on_fit_mean(form):
+    # the same design with fits from drawn slice integrals, no paths: the
+    # draw keeps the joint law of the slice integrals and the truth's own
+    g, n_steps, h, reps, n = 4, 64, 0.25, 100, 2000
+    truth = _fit_mean_truth(form)
+    grid = make_grid(n_steps)
+    rows = slice_rows(K1, h, g, grid)
+    fits = {order: np.empty((reps,) + (g,) * order) for order in (1, 2, 3)}
+    for r in range(reps):
+        x, gram, y = synthesize_functionals(truth, rows, n, 9100 + r)
+        for order, out in fits.items():
+            out[r] = fit_from_parts(x, gram, y, order, h).values
+    _assert_centered_on_fit_mean(fits, truth, h, g, grid)
 
 
 @pytest.mark.parametrize("s_star, h, g, n_steps",

@@ -10,11 +10,11 @@ from chaosbench.errors import GridEmptyError
 from chaosbench.glselect import (
     BandwidthGrid,
     MajorantParams,
-    _select_with_fits,
     adaptive_fit,
     bandwidth_grid,
     bias_proxy,
     majorant,
+    select_bandwidth,
 )
 from chaosbench.kernelkit import build_kernel
 from chaosbench.mappingzoo import GaussianNoise, quadratic_terminal, synthesize
@@ -109,7 +109,7 @@ def test_select_singleton_grid_returns_it():
     sample = synthesize(truth, 100, make_grid(128), 6)
     grid = BandwidthGrid(1, (math.exp(-2),))
     params = MajorantParams(mu4=0.66, class_bound=1.0, max_order=1, kernel_l2=1.0)
-    trace = _select_with_fits(1, sample, grid, params, 8, K0)[0]
+    trace = select_bandwidth(1, sample.n, _fits_for(grid.values, sample), params)
     assert trace.chosen == math.exp(-2)
     assert len(trace.records) == 1
 
@@ -123,7 +123,7 @@ def test_select_prefers_largest_h_on_easy_truth():
     votes = []
     for rep in range(20):
         sample = synthesize(truth, 400, make_grid(128), derive_seed(70, rep))
-        trace = _select_with_fits(1, sample, grid, params, 8, K0)[0]
+        trace = select_bandwidth(1, sample.n, _fits_for(grid.values, sample), params)
         votes.append(trace.chosen)
     assert votes.count(math.exp(-2)) > 10
 
@@ -133,7 +133,7 @@ def test_trace_argmin_consistency():
     sample = synthesize(truth, 200, make_grid(128), 8)
     grid = bandwidth_grid(1000, 1, 0.5)
     params = MajorantParams(mu4=0.66, class_bound=1.0, max_order=1, kernel_l2=1.0)
-    trace = _select_with_fits(1, sample, grid, params, 8, K0)[0]
+    trace = select_bandwidth(1, sample.n, _fits_for(grid.values, sample), params)
     objectives = {r.h: r.objective for r in trace.records}
     assert objectives[trace.chosen] == min(objectives.values())
     assert trace.chosen in grid.values
