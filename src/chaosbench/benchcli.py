@@ -51,7 +51,7 @@ through one reader, ``_read``: a missing file, or one that does not parse,
 is a ConfigError naming it, as is a dataset that is not a ``Sample`` on the
 config's path grid.  Every CSV table is written by ``_write_table`` (numbers
 as ``%.17g``, so they read back bit-exactly) and read by ``_read_table``,
-which requires the exact header the writer wrote.
+which requires the exact header the writer wrote and at least one row.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ import numpy as np
 from . import __version__
 from ._util import derive_seed
 from .chaoscalc import MIN_MC_DRAWS, chaos_constant
-from .chaoscalc import isometry_report, moment_bound_reports
+from .chaoscalc import isometry_report, left_point_integrals, moment_bound_reports
 from .chaosreg import (
     FittedModel,
     Sample,
@@ -257,9 +257,11 @@ def _parse_component(doc: dict, where: str, path_steps: int, iso_grid: int | Non
     if kind == "poly":
         component = EqualFactorComponent(
             order, np.polynomial.Polynomial(_require(doc, "coeffs", [float], where)))
-        # synthesis divides by the factor's path-grid norm: one zero row checks it
+        # synthesis divides by the factor's path-grid norm: its functionals on one
+        # zero row check it
         with np.errstate(over="ignore", invalid="ignore"):
-            _build(f"{where}.coeffs", component.chaos_values, np.zeros((1, path_steps)))
+            _build(f"{where}.coeffs", component.chaos_from_functionals, *left_point_integrals(
+                component.functional_rows(path_steps), np.zeros((1, path_steps))))
         return component
     if kind == "gridded":
         g = _require(doc, "grid_size", int, where)
@@ -601,12 +603,16 @@ def _read(path: Path, parse):
 
 
 def _read_table(path: Path, *headers: str) -> tuple[str, np.ndarray]:
-    """The header of a CSV table, which must be one of ``headers``, and its rows."""
+    """The header of a CSV table, which must be one of ``headers``, and its rows (at least one)."""
 
     def parse(fp):
         header = fp.readline().rstrip("\n")
         if header not in headers:
             raise ValueError(f"unexpected header {header[:60]!r}")
+        rows = fp.tell()
+        if not fp.readline().strip():
+            raise ValueError("no rows under the header")
+        fp.seek(rows)
         table = np.loadtxt(fp, delimiter=",", ndmin=2)
         if table.shape[1] != header.count(",") + 1:
             raise ValueError(f"{table.shape[1]} columns under a header of {header.count(',') + 1}")
@@ -771,6 +777,9 @@ def _stored_risk(config: ExperimentConfig, n_index: int, n: int, rep: int, model
         if est.grid_size != config.grid_size:
             raise ConfigError(f"{path}: order-{est.order} surface on grid_size "
                               f"{est.grid_size}, the config has grid_size {config.grid_size}")
+        if config.risk_method == "monte_carlo" and est.order > 3:
+            raise ConfigError(f"{path}: order-{est.order} surface; the Monte Carlo risk "
+                              "predictor supports orders <= 3")
     return _risk_of_model(config, model, n_index, rep)
 
 

@@ -6,9 +6,10 @@ t_j = j / N, with their exact path-grid covariance A A^T / N, on which every
 multiple integral below pairs.  ``draw_left_point_integrals`` returns the same
 pair for n fresh paths without building them: A dW = R^T (Q^T dW) for the
 reduced QR A^T = Q R, and Q^T dW is r = min(k, N) independent N(0, 1/N)
-normals.  Each integrand form has one evaluator; it takes an (n, N) matrix of
-path increments and returns one value per row, and splits at its single
-integrals, so the same sums also run on drawn ones:
+normals.  Each expansion component owns its single integrals: its
+``functional_rows(N)`` are the weight rows A, and its ``chaos_from_functionals``
+evaluates I_l(f_l) from (xi, A A^T / N), whether xi came from paths or from
+a draw:
 
 * ``tensor_chaos_values`` reduces a product integrand to single Ito
   integrals and their covariance through the product-formula recursion
@@ -19,19 +20,21 @@ integrals, so the same sums also run on drawn ones:
 
   with I_0 = 1 and <g, g'>_N = sum_j g(t_j) g'(t_j) / N.
 
-* ``hermite_chaos_values`` is the equal-factor case of the recursion, the
+* ``hermite_from_integral`` is the equal-factor case of the recursion, the
   Hermite identity I_l(g x ... x g) = ||g||^l He_l(I_1(g)/||g||), ||g||^2 = <g, g>_N,
-  ``hermite_from_integral``.
+  the evaluator of ``mappingzoo.EqualFactorComponent``.
 
-* ``gridded_chaos_values`` is the exact multiple integral of a gridded
-  integrand read as a step function on G cells: the Wick-ordered sum of the
-  tabulated values against coarse-cell increments (covariance 1/G each),
-  ``gridded_chaos_from_cells``.
+* ``GriddedFunction.chaos_from_functionals`` is the exact multiple integral
+  of a gridded integrand read as a step function on G cells: the
+  Wick-ordered sum of the tabulated values against the coarse-cell
+  increments (covariance 1/G each), the functionals of its cell indicator rows.
   Tabulating a smooth integrand on finer grids approaches its integral, so it
   is the oracle for the recursion.
 
 ``tensor_chaos``, ``hermite_chaos`` and ``brute_multiple_integral`` take one
-``BrownianPath`` and evaluate row 0 of the matching batch.
+``BrownianPath``: the first evaluates row 0 of ``tensor_chaos_values``, the
+other two run the equal-factor and the gridded evaluator on the path's
+single integrals.
 
 ``ChaosExpansion`` is a + sum_l I_l(f_l)(W) / l!, the one type of synthetic
 truths and fitted models, and ``ChaosExpansion.values`` evaluates both.
@@ -58,14 +61,15 @@ from ._util import DEFAULT_QUAD_POINTS, midpoints
 from .kernelkit import MomentKernel, slice_matrix
 from .pathlab import BrownianPath, TimeGrid, brownian_increments
 
+_ROW_BLOCK = 512  # rows per block: bounds the (rows, G^2) order-3 temporary
+
 
 @dataclass(frozen=True)
 class GriddedFunction:
     """An order-l integrand tabulated at the midpoint grid of [0,1]^l, G points per axis.
 
-    It is an expansion component in the gridded form: ``chaos_values`` is
-    ``gridded_chaos_values``, and its single integrals are the G cell
-    increments, the functionals of the cell indicator rows.
+    It is an expansion component in the gridded form: its single integrals
+    are the G cell increments, the functionals of the cell indicator rows.
     """
 
     order: int
@@ -99,16 +103,45 @@ class GriddedFunction:
                 f"order-{self.order} surface on G={self.grid_size}, requested G={grid_size}")
         return self.values
 
-    def chaos_values(self, increments: np.ndarray) -> np.ndarray:
-        return gridded_chaos_values(self, increments)
-
     def functional_rows(self, n_steps: int) -> np.ndarray:
         """Cell indicators (G, N): row c sums the path increments of cell c."""
+        if n_steps % self.grid_size != 0:
+            raise ValueError(
+                f"grid_size {self.grid_size} does not divide path resolution {n_steps}")
         return np.repeat(np.eye(self.grid_size), n_steps // self.grid_size, axis=1)
 
     def chaos_from_functionals(self, x: np.ndarray, cov: np.ndarray) -> np.ndarray:
-        """``chaos_values`` from the cell increments x (G, n); their covariance is 1/G."""
-        return gridded_chaos_from_cells(self, x.T)
+        """Exact multiple integral I_l(F) from the cell increments x (G, n), one value per path.
+
+        F is read as the step function equal to the values at the cell
+        centres, and v = x^T holds the coarse-cell increments (covariance
+        ``cov`` = 1/G times the identity).  I_l(F) is the Wick-ordered sum of
+        F against v:
+
+            l = 1:  v.F
+            l = 2:  v.Fv - tr F / G
+            l = 3:  sum_abc F_abc v_a v_b v_c - v.p / G,
+                    p_c = sum_j (F_jjc + F_jcj + F_cjj).
+
+        These hold for a non-symmetric F too, because I_l(F) = I_l(Sym F).
+        Supports orders 1 to 3.
+        """
+        if not 1 <= self.order <= 3:
+            raise ValueError(f"gridded integrals support orders 1 to 3, got {self.order}")
+        g, n = x.shape
+        if n > _ROW_BLOCK:
+            return np.concatenate([self.chaos_from_functionals(x[:, i:i + _ROW_BLOCK], cov)
+                                   for i in range(0, n, _ROW_BLOCK)])
+        v, fv = x.T, self.values
+        if self.order == 1:
+            return v @ fv
+        if self.order == 2:
+            return np.einsum("nb,nb->n", v @ fv, v) - np.trace(fv) / g
+        # sum_abc F_abc v_a v_b v_c as one matrix product and two small contractions
+        full = np.einsum("nbc,nc->nb", (v @ fv.reshape(g, g * g)).reshape(n, g, g), v)
+        full = np.einsum("nb,nb->n", full, v)
+        p = np.einsum("jjc->c", fv) + np.einsum("jcj->c", fv) + np.einsum("cjj->c", fv)
+        return full - v @ p / g
 
     @classmethod
     def from_callable(cls, order: int, grid_size: int, f: Callable) -> "GriddedFunction":
@@ -126,12 +159,11 @@ class ChaosExpansion:
 
     A component is one of the two integrand forms, a ``GriddedFunction`` or a
     ``mappingzoo.EqualFactorComponent``.  It has an ``order``,
-    ``gridded(grid_size)`` (f_l on the G-per-axis midpoint grid) and
-    ``chaos_values(increments)`` (I_l(f_l) per increment row).  That
-    evaluator is split at the component's single integrals:
-    ``functional_rows(N)`` gives their weight rows A_c (k_c, N), and
-    ``chaos_from_functionals(x, cov)`` the same I_l(f_l) from x = A_c dW
-    (k_c, n) and cov = A_c A_c^T / N.  Components are kept sorted by order.
+    ``gridded(grid_size)`` (f_l on the G-per-axis midpoint grid) and the one
+    owner of its single integrals: ``functional_rows(N)`` gives their weight
+    rows A_c (k_c, N), and ``chaos_from_functionals(x, cov)`` I_l(f_l) from
+    x = A_c dW (k_c, n) and cov = A_c A_c^T / N.  Components are kept sorted
+    by order.
     """
 
     a: float
@@ -159,19 +191,16 @@ class ChaosExpansion:
 
     def values(self, increments: np.ndarray) -> np.ndarray:
         """a + sum_l I_l(f_l)(W) / l! for each row of an (n, N) increment matrix."""
-        return self._expand(len(increments),
-                            (c.chaos_values(increments) for c in self.components))
+        n, n_steps = increments.shape
+        return self.values_from_functionals(n, (
+            left_point_integrals(c.functional_rows(n_steps), increments)
+            for c in self.components))
 
     def values_from_functionals(self, n: int, parts) -> np.ndarray:
         """``values`` of n paths from each component's (A_c dW, A_c A_c^T / N), in order."""
-        return self._expand(n, (c.chaos_from_functionals(x, cov)
-                                for c, (x, cov) in zip(self.components, parts)))
-
-    def _expand(self, n: int, chaos) -> np.ndarray:
-        """a + sum_l I_l(f_l) / l!, with I_l(f_l) the items of ``chaos`` in component order."""
         values = np.full(n, self.a)
-        for c, value in zip(self.components, chaos):
-            values += value / math.factorial(c.order)
+        for c, (x, cov) in zip(self.components, parts):
+            values += c.chaos_from_functionals(x, cov) / math.factorial(c.order)
         return values
 
 
@@ -267,12 +296,6 @@ def tensor_chaos_values(gs: Sequence[Callable], increments: np.ndarray) -> np.nd
     return _chaos_from_parts(*left_point_integrals(rows, increments))
 
 
-def hermite_chaos_values(g: Callable, order: int, increments: np.ndarray) -> np.ndarray:
-    """||g||^l He_l(I_1(g)/||g||) per row: He_l probabilists', ||g||^2 = Var I_1(g)."""
-    row = np.asarray(g(left_points(increments.shape[1])), dtype=float)
-    return hermite_from_integral(*left_point_integrals(row, increments), order)
-
-
 def hermite_from_integral(xi: np.ndarray, norm_sq: float, order: int) -> np.ndarray:
     """||g||^l He_l(xi/||g||) from the single integrals xi = I_1(g) and ||g||^2 = Var xi."""
     if order < 1:
@@ -289,64 +312,21 @@ def hermite_from_integral(xi: np.ndarray, norm_sq: float, order: int) -> np.ndar
     return scale * hermite_e.hermeval(xi / norm, coeffs)
 
 
-_ROW_BLOCK = 512  # rows per block: bounds the (rows, G^2) order-3 temporary
-
-
-def gridded_chaos_values(f: GriddedFunction, increments: np.ndarray) -> np.ndarray:
-    """Exact multiple integral I_l(F) of the gridded integrand per increment row.
-
-    F is read as the step function equal to f at the cell centres, and v holds
-    the coarse-cell increments (cell sums of the fine increments, variance
-    1/G each).  I_l(F) is the Wick-ordered sum of F against v:
-
-        l = 1:  v.F
-        l = 2:  v.Fv - tr F / G
-        l = 3:  sum_abc F_abc v_a v_b v_c - v.p / G,
-                p_c = sum_j (F_jjc + F_jcj + F_cjj).
-
-    These hold for a non-symmetric F too, because I_l(F) = I_l(Sym F).
-    Supports orders 1 to 3.
-    """
-    n, n_steps = increments.shape
-    g = f.grid_size
-    if n_steps % g != 0:
-        raise ValueError(f"grid_size {g} does not divide path resolution {n_steps}")
-    return gridded_chaos_from_cells(f, increments.reshape(n, g, n_steps // g).sum(axis=2))
-
-
-def gridded_chaos_from_cells(f: GriddedFunction, v: np.ndarray) -> np.ndarray:
-    """``gridded_chaos_values`` from the coarse-cell increments v (n, G), one value per row."""
-    if not 1 <= f.order <= 3:
-        raise ValueError(f"gridded integrals support orders 1 to 3, got {f.order}")
-    n, g = v.shape
-    if n > _ROW_BLOCK:
-        return np.concatenate([gridded_chaos_from_cells(f, v[i:i + _ROW_BLOCK])
-                               for i in range(0, n, _ROW_BLOCK)])
-    fv = f.values
-    if f.order == 1:
-        return v @ fv
-    if f.order == 2:
-        return np.einsum("nb,nb->n", v @ fv, v) - np.trace(fv) / g
-    # sum_abc F_abc v_a v_b v_c as one matrix product and two small contractions
-    full = np.einsum("nbc,nc->nb", (v @ fv.reshape(g, g * g)).reshape(n, g, g), v)
-    full = np.einsum("nb,nb->n", full, v)
-    p = np.einsum("jjc->c", fv) + np.einsum("jcj->c", fv) + np.einsum("cjj->c", fv)
-    return full - v @ p / g
-
-
 def tensor_chaos(gs: Sequence[Callable], path: BrownianPath) -> float:
     """Row 0 of ``tensor_chaos_values`` for a single path."""
     return float(tensor_chaos_values(gs, path.increments[None])[0])
 
 
 def hermite_chaos(g: Callable, order: int, path: BrownianPath) -> float:
-    """Row 0 of ``hermite_chaos_values`` for a single path."""
-    return float(hermite_chaos_values(g, order, path.increments[None])[0])
+    """I_l(g x ... x g) of a single path: ``hermite_from_integral`` on its I_1(g)."""
+    x, cov = left_point_integrals(_left_rows([g], path.grid.n_steps), path.increments[None])
+    return float(hermite_from_integral(x[0], cov[0, 0], order)[0])
 
 
 def brute_multiple_integral(f: GriddedFunction, path: BrownianPath) -> float:
-    """Row 0 of ``gridded_chaos_values`` for a single path."""
-    return float(gridded_chaos_values(f, path.increments[None])[0])
+    """I_l(f) of a single path: ``f.chaos_from_functionals`` on its cell increments."""
+    x, cov = left_point_integrals(f.functional_rows(path.grid.n_steps), path.increments[None])
+    return float(f.chaos_from_functionals(x, cov)[0])
 
 
 @dataclass(frozen=True)

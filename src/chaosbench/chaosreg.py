@@ -21,10 +21,10 @@ the fit's mean is exactly S^(x l) f_l with S = sl / N at any n and N
 The plugin regression is the chaos expansion (``chaoscalc.ChaosExpansion``)
 with Ybar in place of a and the fitted surfaces in place of f_l.  A fitted
 surface, ``ChaosKernelEstimate``, is a ``chaoscalc.GriddedFunction`` with a
-bandwidth, so its multiple integral is the exact step-function integral
-``chaoscalc.gridded_chaos_values``.  ``FittedModel.values`` predicts every
-row of an (n, N) increment matrix at once, and ``predict`` is its row 0 for a
-single path.
+bandwidth, so its multiple integral is the exact step-function integral on
+its cell increments (``GriddedFunction.chaos_from_functionals``).
+``FittedModel.values`` predicts every row of an (n, N) increment matrix at
+once, and ``predict`` is its row 0 for a single path.
 
 Risk against a truth expansion (``mappingzoo.MappingSpec``) is computed two
 ways: the exact conditional decomposition
@@ -42,7 +42,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -243,23 +243,22 @@ def fit_mean(truth: ChaosExpansion, order: int, bandwidth: float, grid_size: int
     of the slice integrals x with the path increments, and the fit's gram is
     the exact covariance of x, so by Isserlis's theorem the Wick product
     removes every order but l at any n and N: the mean a, the noise and the
-    other components drop out.  An equal-factor component scale g^(x l) gives
-    scale (S g(t_left))^(x l); a gridded one contracts its tensor with the
-    cell sums of S on each axis.  An order without a component gives zeros.
-    Exact for both forms: each lies in its own order's chaos on the path grid.
+    other components drop out.  S maps the component's functional rows A_c
+    (k_c, N) to P = S A_c^T (G, k_c), and f_l's coefficient tensor on those
+    functionals, the values of a gridded component or scale on the one row
+    of an equal-factor one, is contracted with P on each axis.  An order
+    without a component gives zeros.  Exact for both forms: each lies in its
+    own order's chaos on the path grid.
     """
     s = slice_rows(kernel, bandwidth, grid_size, grid) / grid.n_steps
     for c in truth.components:
         if c.order != order:
             continue
-        if isinstance(c, GriddedFunction):
-            cells = s.reshape(grid_size, c.grid_size, -1).sum(axis=-1)
-            values = c.values
-            for _ in range(order):  # each pass contracts the leading axis
-                values = np.tensordot(values, cells, axes=(0, 1))
-            return values
-        row = s @ np.asarray(c.g(left_points(grid.n_steps)), dtype=float)
-        return c.scale * reduce(np.multiply.outer, [row] * order)
+        proj = s @ c.functional_rows(grid.n_steps).T
+        values = c.values if isinstance(c, GriddedFunction) else np.full((1,) * order, c.scale)
+        for _ in range(order):  # each pass contracts the leading axis
+            values = np.tensordot(values, proj, axes=(0, 1))
+        return values
     return np.zeros((grid_size,) * order)
 
 

@@ -9,8 +9,9 @@ a scaled equal-factor product scale g x ... x g of a univariate g (a
 constant is scale 1 x ... x 1, built by ``ConstantComponent``), or
 ``GriddedComponent``, a symmetric tensor on the midpoint grid.
 ``MappingSpec.values`` evaluates m on every row of an (n, N) increment matrix
-at once: the first form through the batched Hermite identity, the second
-through the exact step-function integral of the gridded form.
+at once, each component from the single integrals of its ``functional_rows``:
+the first form through the Hermite identity on I_1(g), the second through
+the exact step-function integral on the cell increments.
 ``evaluate_mapping`` is its row 0 for a single path.
 
 ``synthesize`` draws a sample of paths and responses.  ``synthesize_functionals``
@@ -34,7 +35,7 @@ import numpy as np
 
 from ._util import derive_seed, midpoints
 from .chaoscalc import ChaosExpansion, GriddedFunction, draw_left_point_integrals
-from .chaoscalc import hermite_chaos_values, hermite_from_integral, l2_inner, left_points
+from .chaoscalc import _left_rows, hermite_from_integral, l2_inner
 from .chaosreg import Sample
 from .pathlab import BrownianPath, TimeGrid, sample_brownian_paths
 # unused here but importable: the per-layer tracer in perfbench/tracing.py
@@ -87,15 +88,12 @@ class EqualFactorComponent:
         row = np.asarray(self.g(midpoints(grid_size)), dtype=float)
         return self.scale * functools.reduce(np.multiply.outer, [row] * self.order)
 
-    def chaos_values(self, increments: np.ndarray) -> np.ndarray:
-        return self.scale * hermite_chaos_values(self.g, self.order, increments)
-
     def functional_rows(self, n_steps: int) -> np.ndarray:
         """The one row g(t_left) (1, N) of its single integral xi = I_1(g)."""
-        return np.asarray(self.g(left_points(n_steps)), dtype=float)[None]
+        return _left_rows([self.g], n_steps)
 
     def chaos_from_functionals(self, x: np.ndarray, cov: np.ndarray) -> np.ndarray:
-        """``chaos_values`` from xi = I_1(g) (1, n) and its variance ||g||^2 (1, 1)."""
+        """I_l(f_l) from xi = I_1(g) (1, n) and its variance ||g||^2 (1, 1)."""
         return self.scale * hermite_from_integral(x[0], cov[0, 0], self.order)
 
 

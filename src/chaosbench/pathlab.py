@@ -175,14 +175,12 @@ def simulate_diffusion(spec: DiffusionSpec, w: BrownianPath) -> DiffusionPath:
         values = _euler_maruyama(drift, diffusion, spec.x0, grid, w.increments)
         return DiffusionPath(grid, values, spec)
     if isinstance(spec, GenericDiffusion):
-        values = _euler_maruyama(
-            spec.drift, spec.diffusion, spec.x0, grid, w.increments, check_sigma=True
-        )
+        values = _euler_maruyama(spec.drift, spec.diffusion, spec.x0, grid, w.increments)
         return DiffusionPath(grid, values, spec)
     raise TypeError(f"unknown diffusion spec {type(spec).__name__}")
 
 
-def _euler_maruyama(drift, diffusion, x0, grid: TimeGrid, dw, check_sigma: bool = False):
+def _euler_maruyama(drift, diffusion, x0, grid: TimeGrid, dw):
     dt = grid.dt
     n = grid.n_steps
     increments = dw.tolist()
@@ -192,7 +190,7 @@ def _euler_maruyama(drift, diffusion, x0, grid: TimeGrid, dw, check_sigma: bool 
     t = 0.0
     for j in range(n):
         s = diffusion(t, x)
-        if check_sigma and s <= 0.0:
+        if s <= 0.0:
             raise ValueError(f"diffusion coefficient {s} <= 0 at (t={t}, x={x})")
         x = x + drift(t, x) * dt + s * increments[j]
         values[j + 1] = x

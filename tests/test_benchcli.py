@@ -753,6 +753,22 @@ def test_risk_rejects_models_fit_at_another_grid_size(tmp_path, capsys):
         assert "grid_size 8, the config has grid_size 16" in capsys.readouterr().err
 
 
+def test_monte_carlo_risk_rejects_models_beyond_order_3(tmp_path, capsys):
+    # isometry risk takes any order, so fit writes order-4 surfaces under it
+    orders = {str(o): 0.25 for o in range(1, 5)}
+    fit_doc = _base_doc(grid_size=8, max_order=4,
+                        bandwidths={"mode": "fixed", "values": orders})
+    models = cmd_fit(parse_config(fit_doc), tmp_path / "fits")
+    cfg = _write_config(tmp_path, _base_doc(grid_size=8, risk_p=4.0, risk={"n_mc": 100}))
+    out = tmp_path / "risk"
+    capsys.readouterr()
+    assert main(["risk", "--config", str(cfg), "--out", str(out),
+                 "--models", str(models)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "model.json: order-4 surface; the Monte Carlo risk predictor supports orders <= 3" in err
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     """A config, its simulated datasets, fitted models and risk table."""
@@ -810,9 +826,12 @@ MALFORMED_INPUTS = {
                             "n,mean_risk,std_risk,replications\n40,0,0,2\n80,0.1,0,2\n", None),
     "plot zero bandwidth": ("plot", None,
                             "ell,h,majorant,bias_proxy,objective,chosen\n1,0,1,0,1,1\n", None),
+    "responses header only": ("fit", "data", "responses.csv",
+                              lambda p: p.write_text("index,y\n")),
 }
 
 
+@pytest.mark.filterwarnings("error")  # a malformed file is reported, not warned about
 @pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
 def test_malformed_input_files_exit_1_and_write_nothing(case, small_run, tmp_path, capsys):
     command, tree, target, edit = MALFORMED_INPUTS[case]

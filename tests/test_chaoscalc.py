@@ -11,9 +11,7 @@ from chaosbench.chaoscalc import (
     brute_multiple_integral,
     chaos_constant,
     draw_left_point_integrals,
-    gridded_chaos_values,
     hermite_chaos,
-    hermite_chaos_values,
     isometry_report,
     l2_inner,
     left_point_integrals,
@@ -38,6 +36,12 @@ def _slice(kernel, c, h):
 @pytest.fixture(scope="module")
 def path():
     return sample_brownian(make_grid(512), 2024)
+
+
+def _chaos(component, rows):
+    """I_l(f_l) per increment row: the component's evaluator on its own single integrals."""
+    return component.chaos_from_functionals(
+        *left_point_integrals(component.functional_rows(rows.shape[1]), rows))
 
 
 def _grid_norm_sq(g, path):
@@ -119,7 +123,7 @@ def test_equal_factor_chaos_is_centred_and_orthogonal_to_first_chaos(order, eval
     xi = math.sqrt(v) * nodes
     rows = np.outer(xi, w / (w @ w))
     if evaluator == "equal_factor":
-        values = EqualFactorComponent(order, g).chaos_values(rows)
+        values = _chaos(EqualFactorComponent(order, g), rows)
     else:
         values = tensor_chaos_values([g] * order, rows)
     assert abs(weights @ values) <= 1e-12
@@ -158,6 +162,13 @@ def test_brute_alignment_and_order_errors(path):
         brute_multiple_integral(GriddedFunction(1, 100, np.ones(100)), path)
     with pytest.raises(ValueError, match="gridded integrals support orders 1 to 3, got 4"):
         brute_multiple_integral(GriddedFunction(4, 4, np.ones((4, 4, 4, 4))), path)
+
+
+def test_gridded_functional_rows_are_cell_indicators():
+    rows = GriddedFunction(1, 4, np.ones(4)).functional_rows(8)
+    assert np.array_equal(rows, np.repeat(np.eye(4), 2, axis=1))
+    with pytest.raises(ValueError, match="grid_size 3 does not divide path resolution 8"):
+        GriddedFunction(1, 3, np.ones(3)).functional_rows(8)
 
 
 def test_tensor_vs_brute_converges_in_grid():
@@ -295,7 +306,7 @@ def test_gridded_batch_matches_explicit_distinct_index_sum(order):
     rng = np.random.default_rng(order)
     f = GriddedFunction(order, g_size, rng.normal(size=(g_size,) * order))  # not symmetric
     rows = _increment_rows(5, n_steps, 10 + order)
-    batch = gridded_chaos_values(f, rows)
+    batch = _chaos(f, rows)
     gram = np.eye(g_size) / g_size
     for row, value in zip(rows, batch):
         levels = np.concatenate([[0.0], np.cumsum(row)])
@@ -319,7 +330,7 @@ def test_gridded_form_equals_hermite_form_on_a_step_function(order, g_size):
 
     f = GriddedFunction.from_callable(order, g_size, lambda *xs: math.prod(g(x) for x in xs))
     rows = _increment_rows(50, 64, 20 + order)
-    assert np.allclose(gridded_chaos_values(f, rows), hermite_chaos_values(g, order, rows),
+    assert np.allclose(_chaos(f, rows), _chaos(EqualFactorComponent(order, g), rows),
                        rtol=0.0, atol=1e-12)
 
 
@@ -330,10 +341,10 @@ def test_batches_match_single_path_wrappers_row_by_row():
     g = np.polynomial.Polynomial([0.3, -1.0, 0.5])
     rng = np.random.default_rng(4)
     for order in (1, 2, 3):
-        herm = hermite_chaos_values(g, order, rows)
+        herm = _chaos(EqualFactorComponent(order, g), rows)
         tens = tensor_chaos_values([RAMP, g, ONE][:order], rows)
         values = rng.normal(size=(16,) * order)
-        grid_vals = gridded_chaos_values(GriddedFunction(order, 16, values), rows)
+        grid_vals = _chaos(GriddedFunction(order, 16, values), rows)
         for i, w in enumerate(paths):
             assert herm[i] == pytest.approx(hermite_chaos(g, order, w), rel=1e-12)
             assert tens[i] == pytest.approx(tensor_chaos([RAMP, g, ONE][:order], w), rel=1e-12)
@@ -345,10 +356,10 @@ def test_batches_match_single_path_wrappers_row_by_row():
 def test_gridded_batch_row_blocks_match_one_block():
     rows = _increment_rows(1100, 64, 8)
     f = GriddedFunction(3, 8, np.random.default_rng(9).normal(size=(8, 8, 8)))
-    batch = gridded_chaos_values(f, rows)
+    batch = _chaos(f, rows)
     assert batch.shape == (1100,)
     for i in (0, 511, 512, 1099):
-        assert batch[i] == pytest.approx(gridded_chaos_values(f, rows[i:i + 1])[0], rel=1e-12)
+        assert batch[i] == pytest.approx(_chaos(f, rows[i:i + 1])[0], rel=1e-12)
 
 
 def _weights(case, n_steps, rng):

@@ -45,13 +45,14 @@ def test_tracer_wraps_and_restores_program_names(tmp_path, perfbench):
     assert summary["kernelkit.slice_matrix.calls"] == fits
     assert summary["kernelkit.slice_matrix.points"] == fits * 16 * 128
     # Monte Carlo risk predicts and evaluates the truth on all draws at once:
-    # no per-draw prediction, one truth quadrature per component and replication
+    # no per-draw prediction, and no quadrature (the truth pairs on its path-grid
+    # single integrals)
     with tracing.Tracer() as tracer:
         cmd_risk(config, models, tmp_path / "risk_again")
     summary = tracer.summary()
     assert summary["chaosreg.risk_monte_carlo.draws"] == 200
     assert summary.get("chaosreg.predict.calls", 0) == 0
-    assert summary.get("chaoscalc.l2_inner.calls", 0) <= 4
+    assert summary.get("chaoscalc.l2_inner.calls", 0) == 0
     # the --data route reads every dataset and synthesizes none: all paths
     # come from simulate, n x reps = 30 x 2
     with tracing.Tracer() as tracer:
