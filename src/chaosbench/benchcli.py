@@ -337,6 +337,14 @@ def _parse_bandwidths(doc: dict, max_order: int) -> BandwidthPlan:
     raise ConfigError(f"bandwidths.mode: unknown mode '{mode}'")
 
 
+# The largest G^l surface of float64 a config may fit or, under isometry risk,
+# tabulate: 16 MiB, an order-3 surface on 128 points per axis or an order-4
+# one on 38.  A fit holds a few temporaries of its surface's size and the
+# model's JSON text about 2.5 times it, so this keeps a replication within a
+# few hundred MB; an order-5 fit on 64 points would take 8.6 GB per surface.
+MAX_SURFACE_BYTES = 2**24
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a config document; raises ConfigError with field-level messages.
 
@@ -425,8 +433,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
         check_n_mc=check_n_mc,
         doc=_untracked(doc),
     )
-    for n in n_list:
-        plan_bandwidths(config, n)
+    orders = {order for n in n_list for order in plan_bandwidths(config, n)}
+    if risk_method == "isometry":  # risk tabulates the truth on the grid too
+        orders |= set(truth.orders)
+    top = max(orders)
+    if grid_size**top * 8 > MAX_SURFACE_BYTES:
+        raise ConfigError(
+            f"grid_size: an order-{top} surface on grid_size {grid_size} takes "
+            f"{grid_size**top * 8} bytes, more than MAX_SURFACE_BYTES = {MAX_SURFACE_BYTES}")
     return config
 
 
@@ -718,22 +732,30 @@ def load_dataset(rep_dir: Path, grid_steps: int) -> Sample:
     return _build(f"dataset {rep_dir}", Sample, grid, responses, values)
 
 
+def _fit_encoded(config: ExperimentConfig, n_index: int, n: int, rep: int,
+                 data_dir: Path | None = None) -> tuple[str, tuple]:
+    """The replication's model as ``model.json`` text, and its selection traces."""
+    model = _fit_one(config, n_index, n, rep, data_dir)
+    return model_to_json(model), model.selection_traces
+
+
 def _fit_and_write(command: str, config: ExperimentConfig, out_dir: Path, threads: int,
                    data_dir: Path | None) -> Path:
     """Fit every replication; write models, selection traces, manifest.
 
-    Nothing is written unless every fit succeeded.
+    Each worker fits and serializes its replication's model, so only text
+    and traces come back.  Nothing is written unless every fit succeeded.
     """
     started = time.time()
-    models = _replicate(partial(_fit_one, data_dir=data_dir), config, threads)
+    fitted = _replicate(partial(_fit_encoded, data_dir=data_dir), config, threads)
     outputs = []
-    for (_, n, rep), model in zip(_replications(config), models):
+    for (_, n, rep), (text, traces) in zip(_replications(config), fitted):
         rep_dir = _rep_dir(out_dir, n, rep)
         rep_dir.mkdir(parents=True, exist_ok=True)
         path = rep_dir / "model.json"
-        path.write_text(model_to_json(model))
+        path.write_text(text)
         outputs.append(path)
-        for trace in model.selection_traces:
+        for trace in traces:
             outputs.append(_write_table(
                 rep_dir / f"trace_order{trace.order}.csv", _TRACE_HEADER,
                 "%d,%.17g,%.17g,%.17g,%.17g,%d",

@@ -17,6 +17,10 @@ class GridEmptyError(ValueError):
             f"lies in [{lower:.6g}, {upper:.6g}]"
         )
 
+    def __reduce__(self):
+        # rebuilt from its fields, so it survives the trip back from a worker
+        return type(self), (self.order, self.lower, self.upper)
+
 
 class ConfigError(ValueError):
     """An experiment config or input file failed validation."""

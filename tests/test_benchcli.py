@@ -139,6 +139,22 @@ MALFORMED = [
 ]
 
 
+def test_surface_budget_covers_fitted_and_tabulated_orders():
+    fixed = {"mode": "fixed", "values": {str(o): 0.25 for o in range(1, 6)}}
+    with pytest.raises(ConfigError, match=r"^grid_size: an order-5 surface on grid_size 64 "
+                                          r"takes 8589934592 bytes, more than MAX_SURFACE"):
+        parse_config(_base_doc(path_steps=512, grid_size=64, max_order=5, bandwidths=fixed))
+    # isometry risk tabulates the truth's orders on the grid, Monte Carlo risk does not
+    order6 = _truth(components=[{"order": 6, "kind": "constant", "value": 1.0}])
+    with pytest.raises(ConfigError, match=r"^grid_size: an order-6 surface on grid_size 64 "):
+        parse_config(_base_doc(path_steps=512, grid_size=64, truth=order6))
+    parse_config(_base_doc(path_steps=512, grid_size=64, truth=order6, risk_p=4.0))
+    # the budget admits an order-3 fit on 128 points per axis
+    largest = parse_config(_base_doc(path_steps=512, grid_size=128, max_order=3, bandwidths={
+        "mode": "fixed", "values": {"1": 0.25, "2": 0.25, "3": 0.25}}))
+    assert largest.grid_size**3 * 8 == benchcli.MAX_SURFACE_BYTES
+
+
 @pytest.mark.parametrize(
     "overrides,fragment",
     [
@@ -515,9 +531,14 @@ def _output_digests(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())["outputs"]
 
 
-@pytest.mark.parametrize("command", ["simulate", "fit", "adapt", "rate"])
+@pytest.mark.parametrize("command", ["simulate", "fit", "adapt", "rate", "fit_order3"])
 def test_replications_parallel_match_serial(tmp_path, command):
-    if command == "rate":
+    if command == "fit_order3":
+        # workers serialize their own models
+        config = parse_config(_base_doc(
+            n_list=[30], max_order=3, replications=3,
+            bandwidths={"mode": "fixed", "values": {"1": 0.25, "2": 0.25, "3": 0.25}}))
+    elif command == "rate":
         config = parse_config(_base_doc(n_list=[30, 60, 120, 300], replications=2))
     elif command == "adapt":
         config = parse_config(
@@ -526,7 +547,8 @@ def test_replications_parallel_match_serial(tmp_path, command):
         )
     else:
         config = parse_config(_base_doc(n_list=[30], replications=3))
-    run = {"simulate": cmd_simulate, "fit": cmd_fit, "adapt": cmd_adapt, "rate": cmd_rate}[command]
+    run = {"simulate": cmd_simulate, "fit": cmd_fit, "adapt": cmd_adapt, "rate": cmd_rate,
+           "fit_order3": cmd_fit}[command]
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
     run(config, serial, threads=1)
     run(config, parallel, threads=2)
@@ -633,6 +655,20 @@ def test_data_tree_that_does_not_match_the_config_is_rejected(tmp_path, capsys):
                      "--data", str(data_dir)]) == 1
         assert not out.exists()
         assert rep in capsys.readouterr().err
+
+
+def test_malformed_dataset_in_a_worker_exits_1_and_writes_nothing(tmp_path, capsys):
+    doc = _base_doc(n_list=[30], replications=3)
+    data = cmd_simulate(parse_config(doc), tmp_path / "data")
+    responses = data / "n_000030" / "rep_001" / "responses.csv"
+    responses.write_text(responses.read_text().replace("\n1,", "\n1,x", 1))
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "fits"
+    capsys.readouterr()
+    assert main(["fit", "--config", str(cfg), "--out", str(out), "--data", str(data),
+                 "--threads", "2"]) == 1
+    assert not out.exists()
+    assert str(responses) in capsys.readouterr().err
 
 
 def test_manifest_replays_as_config(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from chaosbench._util import derive_seed, midpoints
 from chaosbench.benchcli import _parse_truth
 from chaosbench.chaosreg import (
+    MODEL_FORMAT,
     ChaosKernelEstimate,
     FittedModel,
     Sample,
@@ -386,6 +388,54 @@ def test_model_json_round_trip():
     for a, b in zip(back.components, model.components):
         assert a.order == b.order and a.bandwidth == b.bandwidth
         assert np.array_equal(a.values, b.values)
+
+
+def _model_json_oracle(model: FittedModel) -> str:
+    """The whole model document through ``json.dumps``."""
+    doc = {
+        "format": MODEL_FORMAT,
+        "mean_hat": model.a,
+        "orders": [
+            {"order": e.order, "bandwidth": e.bandwidth, "grid_size": e.grid_size,
+             "values": e.values.ravel(order="C").tolist()}
+            for e in model.components
+        ],
+    }
+    return json.dumps(doc, sort_keys=True)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+# -0.0 and 0.0 differ only in their bits; the smallest subnormal, a huge
+# value and integral values
+SPECIAL = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, 2.0, -3.0])
+
+
+@pytest.mark.parametrize("case", ["symmetrized", "non_symmetric", "special_values"])
+def test_model_json_equals_json_dumps(case):
+    rng = np.random.default_rng(23)
+    surfaces = {}
+    for order in (1, 2, 3, 4):
+        shape = (5,) * order
+        if case == "special_values":
+            values = rng.choice(SPECIAL, size=shape)
+            values.flat[:2] = SPECIAL[:2]
+        else:
+            values = rng.normal(size=shape)
+            if case == "symmetrized":
+                values = _symmetrize(values)
+        surfaces[order] = values
+    model = _model_with(surfaces, -0.0 if case == "special_values" else 1.25, h=0.1)
+    text = model_to_json(model)
+    assert text == _model_json_oracle(model)
+    back = model_from_json(text)
+    assert _bits(back.a) == _bits(model.a)
+    assert back.orders == model.orders
+    for a, b in zip(back.components, model.components):
+        assert (a.order, a.grid_size, a.bandwidth) == (b.order, b.grid_size, b.bandwidth)
+        assert np.array_equal(_bits(a.values), _bits(b.values))
 
 
 @pytest.mark.parametrize("build, component", [

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -41,6 +42,14 @@ def test_bandwidth_grid_empty_bracket_raises():
         bandwidth_grid(10, 3, 0.5)
     assert err.value.order == 3
     assert err.value.lower > err.value.upper
+
+
+def test_grid_empty_error_survives_pickling():
+    # a worker's exception reaches the parent pickled
+    err = pickle.loads(pickle.dumps(GridEmptyError(1, 0.1, 0.2)))
+    assert isinstance(err, GridEmptyError)
+    assert (err.order, err.lower, err.upper) == (1, 0.1, 0.2)
+    assert str(err) == str(GridEmptyError(1, 0.1, 0.2))
 
 
 def test_bandwidth_grid_values_sorted_decreasing():

@@ -39,6 +39,10 @@ def test_tracer_wraps_and_restores_program_names(tmp_path, perfbench):
     assert summary["mappingzoo.synthesize.paths"] == 60
     assert summary["chaosreg.risk_monte_carlo.draws"] == 200
     assert summary["chaosreg.fit.order2.calls"] == 2
+    # each replication's task serializes its model through the wrapped name
+    assert summary["chaosreg.model_to_json.calls"] == 2
+    assert summary["chaosreg.model_json.bytes"] == sum(
+        p.stat().st_size for p in models.glob("n_*/rep_*/model.json"))
     # one slice build per fit, on the path grid only: 4 fits x G = 16 x N = 128
     fits = summary["chaosreg.fit.order1.calls"] + summary["chaosreg.fit.order2.calls"]
     assert fits == 4
