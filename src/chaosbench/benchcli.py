@@ -75,6 +75,7 @@ from ._util import derive_seed
 from .chaoscalc import MIN_MC_DRAWS, chaos_constant
 from .chaoscalc import isometry_report, left_point_integrals, moment_bound_reports
 from .chaosreg import (
+    ChaosKernelEstimate,
     FittedModel,
     Sample,
     fit_chaos_kernel,
@@ -840,19 +841,28 @@ def cmd_risk(config: ExperimentConfig, models_dir: Path, out_dir: Path,
 def _rate_model(config: ExperimentConfig, n_index: int, n: int, rep: int) -> FittedModel:
     """The replication's model from drawn slice integrals; no path is built.
 
-    One slice block per distinct bandwidth of ``plan_bandwidths(config, n)``
-    (every candidate in adaptive mode) is drawn jointly with the truth's
-    functionals by ``synthesize_functionals``; each candidate is fitted from
-    its block and gram, and adaptive mode selects among them.
+    Every distinct bandwidth of ``plan_bandwidths(config, n)`` (every
+    candidate in adaptive mode) gets one slice block, drawn by
+    ``synthesize_functionals`` jointly with the truth's functionals.  A
+    bandwidth that some order >= 2 uses is drawn per pair and fitted from its
+    block and gram.  One used at order 1 alone is drawn as its response
+    moment sum_i Y_i x_i, and its fit is that over n.  Adaptive mode then
+    selects among the candidates.
     """
     plan = plan_bandwidths(config, n)
-    hs = sorted({h for candidates in plan.values() for h in candidates}, reverse=True)
+    per_pair = sorted({h for order, hs in plan.items() if order > 1 for h in hs}, reverse=True)
+    summed = sorted({h for hs in plan.values() for h in hs} - set(per_pair), reverse=True)
     g, kernel, grid = config.grid_size, config.kernel(), make_grid(config.path_steps)
-    x, gram, y = synthesize_functionals(
-        config.truth, np.concatenate([slice_rows(kernel, h, g, grid) for h in hs]), n,
-        config.rep_seed(n_index, rep))
-    rows = {h: slice(i * g, (i + 1) * g) for i, h in enumerate(hs)}
+    # one G-row slice block per bandwidth, largest h first in each set
+    rows = {h: slice(i * g, (i + 1) * g) for hs in (per_pair, summed) for i, h in enumerate(hs)}
+    x, gram, y, sums = synthesize_functionals(
+        config.truth,
+        *(np.reshape([slice_rows(kernel, h, g, grid) for h in hs], (-1, grid.n_steps))
+          for hs in (per_pair, summed)),
+        n, config.rep_seed(n_index, rep))
     fits = {order: {h: fit_from_parts(x[rows[h]], gram[rows[h], rows[h]], y, order, h)
+                    if h in per_pair else
+                    ChaosKernelEstimate(order, g, sums[rows[h]] / n, bandwidth=h)
                     for h in candidates}
             for order, candidates in sorted(plan.items())}
     mean = float(np.mean(y))
@@ -908,7 +918,9 @@ def cmd_rate(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
     """Full rate sweep: draw, fit, and evaluate risk for every n; fit the slope.
 
     Each replication's fits come from its drawn slice integrals (``_rate_model``),
-    not from paths.  Nothing is written unless every replication succeeded.
+    not from paths: per pair for a bandwidth some order >= 2 uses, as one
+    response-weighted sum for one used at order 1 alone.  Nothing is written
+    unless every replication succeeded.
     """
     if len(config.n_list) < 4:
         raise ConfigError("rate: n_list needs at least 4 sample sizes")

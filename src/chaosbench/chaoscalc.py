@@ -6,10 +6,13 @@ t_j = j / N, with their exact path-grid covariance A A^T / N, on which every
 multiple integral below pairs.  ``draw_left_point_integrals`` returns the same
 pair for n fresh paths without building them: A dW = R^T (Q^T dW) for the
 reduced QR A^T = Q R, and Q^T dW is r = min(k, N) independent N(0, 1/N)
-normals.  Each expansion component owns its single integrals: its
-``functional_rows(N)`` are the weight rows A, and its ``chaos_from_functionals``
-evaluates I_l(f_l) from (xi, A A^T / N), whether xi came from paths or from
-a draw:
+normals.  Rows C needed only through sum_i y_i C dW_i, for responses y that
+depend on the paths through A dW alone, are drawn as that one sum per
+batch: the part of C in the span of A's rows from the pairs' own normals,
+the orthogonal rest as ||y|| times one normal per dimension it spans.  Each
+expansion component owns its single integrals: its ``functional_rows(N)``
+are the weight rows A, and its ``chaos_from_functionals`` evaluates I_l(f_l)
+from (xi, A A^T / N), whether xi came from paths or from a draw:
 
 * ``tensor_chaos_values`` reduces a product integrand to single Ito
   integrals and their covariance through the product-formula recursion
@@ -264,19 +267,38 @@ def _functional_factor(weights: np.ndarray) -> np.ndarray:
     return np.linalg.qr(weights.T, mode="r")
 
 
-def draw_left_point_integrals(weights: np.ndarray, n: int, rng: np.random.Generator):
-    """``left_point_integrals`` of n fresh paths, drawn without the paths.
+def draw_left_point_integrals(weights: np.ndarray, summed: np.ndarray, n: int,
+                              rng: np.random.Generator):
+    """``left_point_integrals`` of n fresh paths, and response-weighted sums, without the paths.
 
-    With A^T = Q R the reduced QR of the weight rows A (k, N), A dW = R^T (Q^T dW),
-    and Q^T dW is r = min(k, N) independent N(0, 1/N) normals, since Q has
-    orthonormal columns.  So xi = R^T z for z drawn from ``rng`` as one
-    (n, r) batch: exact in distribution for any A, rank-deficient or k >= N.
-    The covariance returned is A A^T / N, as ``left_point_integrals`` gives.
+    The per-pair rows A (k, N) are stacked over the summed rows C (k_C, N):
+    [A; C]^T = Q R, a reduced QR with r = min(k + k_C, N).  Split after
+    r_A = min(k, N) columns, Q = [Q_A Q_perp], and R_A = R[:r_A, :k] is the
+    factor of A^T alone, R[:r_A, k:]^T = C Q_A, and R_perp = R[r_A:, k:] is
+    the factor of C - C Q_A Q_A^T, the part of C orthogonal to A's rows.
+    (a, b) = Q^T dW are r independent N(0, 1/N) normals, since Q has
+    orthonormal columns, so A dW = R_A^T a and C dW = R[:r_A, k:]^T a + R_perp^T b.
+    For responses y that depend on the pairs only through A dW and on noise
+    independent of the paths, b^T y given (a, y) is ||y|| z with z r - r_A
+    independent N(0, 1/N) normals.  ``rng`` gives a as one (n, r_A) batch,
+    then z.  Returns
+
+    * xi = R_A^T a (k, n), A dW for each pair;
+    * its covariance A A^T / N, as ``left_point_integrals`` gives;
+    * the map y -> sum_i y_i C dW_i = R[:r_A, k:]^T (a^T y) + ||y|| R_perp^T z (k_C,).
+
+    Exact in distribution for any rows, rank-deficient or k >= N.  Without
+    summed rows z is empty, and xi is R^T a for the factor of A alone.
     """
-    n_steps = weights.shape[1]
-    r = _functional_factor(weights)
-    z = rng.normal(0.0, math.sqrt(1.0 / n_steps), (n, r.shape[0]))
-    return r.T @ z.T, (weights @ weights.T) / n_steps
+    n_steps, k = weights.shape[1], len(weights)
+    r = _functional_factor(np.concatenate([weights, summed]))
+    r_a = min(k, n_steps)
+    sd = math.sqrt(1.0 / n_steps)
+    a = rng.normal(0.0, sd, (n, r_a))
+    z = rng.normal(0.0, sd, len(r) - r_a)
+    cross, perp = r[:r_a, k:], r[r_a:, k:]
+    return (r[:r_a, :k].T @ a.T, (weights @ weights.T) / n_steps,
+            lambda y: cross.T @ (a.T @ y) + math.sqrt(y @ y) * (perp.T @ z))
 
 
 def _left_rows(gs: Sequence[Callable], n_steps: int) -> np.ndarray:

@@ -14,9 +14,12 @@ correction removes exactly the expected diagonal of the left-point sums.
 ``chaoscalc.left_point_integrals`` gives both from sl at the left points
 (``_fit_parts``, for a sample of paths), ``chaoscalc.draw_left_point_integrals``
 draws them without paths, and ``fit_from_parts`` is the one fit formula on
-either.  The gram is therefore the exact covariance of x, and by Isserlis's theorem
-the fit's mean is exactly S^(x l) f_l with S = sl / N at any n and N
-(``fit_mean``); its continuum limit, the kernel smoothing of f_l, is not.
+either.  At order 1 the fit is M_1 alone, a linear functional of
+sum_i Y_i dW_i, so a slice block used at no other order can be drawn as the
+one sum sum_i Y_i x_i (``benchcli._rate_model``).  The gram is the exact
+covariance of x, and by Isserlis's theorem the fit's mean is exactly
+S^(x l) f_l with S = sl / N at any n and N (``fit_mean``); its continuum
+limit, the kernel smoothing of f_l, is not.
 
 The plugin regression is the chaos expansion (``chaoscalc.ChaosExpansion``)
 with Ybar in place of a and the fitted surfaces in place of f_l.  A fitted

@@ -531,9 +531,14 @@ def _output_digests(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())["outputs"]
 
 
-@pytest.mark.parametrize("command", ["simulate", "fit", "adapt", "rate", "fit_order3"])
+@pytest.mark.parametrize("command",
+                         ["simulate", "fit", "adapt", "rate", "fit_order3", "rate_order1"])
 def test_replications_parallel_match_serial(tmp_path, command):
-    if command == "fit_order3":
+    if command == "rate_order1":
+        # every slice row is drawn as one response-weighted sum per replication
+        config = parse_config(_base_doc(n_list=[30, 60, 120, 300], replications=2, max_order=1,
+                                        bandwidths={"mode": "fixed", "values": {"1": 0.25}}))
+    elif command == "fit_order3":
         # workers serialize their own models
         config = parse_config(_base_doc(
             n_list=[30], max_order=3, replications=3,
@@ -548,7 +553,7 @@ def test_replications_parallel_match_serial(tmp_path, command):
     else:
         config = parse_config(_base_doc(n_list=[30], replications=3))
     run = {"simulate": cmd_simulate, "fit": cmd_fit, "adapt": cmd_adapt, "rate": cmd_rate,
-           "fit_order3": cmd_fit}[command]
+           "fit_order3": cmd_fit, "rate_order1": cmd_rate}[command]
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
     run(config, serial, threads=1)
     run(config, parallel, threads=2)
@@ -1001,16 +1006,60 @@ _RATE_DOC = {
 }
 
 
-@pytest.mark.parametrize("mode", ["theoretical", "adaptive"])
-def test_rate_draws_match_the_path_route(tmp_path, mode):
-    # rate fits from drawn slice integrals; fits from paths (the fit command's
-    # route) must give the same per-n mean risk within 3 SE
+def _rate_case_doc(mode):
+    """Criterion 6's config, or a smaller design for one shape of the rate draw."""
     doc = dict(_RATE_DOC)
+    if mode == "theoretical":
+        return doc
+    # 20 replications: the risks are heavy-tailed, so a 3-SE test at 6 fails
+    # now and then by chance (the rank-deficient case's n = 500 gap was 3.5 SE
+    # at 6 replications and -0.3 SE at 200)
+    doc.update(n_list=[500, 1000, 2000, 5000], path_steps=128, grid_size=16, replications=20)
+    truth = dict(doc["truth"])
     if mode == "adaptive":
         # every order-1 bracket [n^-1/2, 1/log n] holds e^-3 at these n
-        doc.update(n_list=[500, 1000, 2000, 5000], path_steps=128, grid_size=16,
-                   bandwidths={"mode": "adaptive"}, replications=6)
-    config = parse_config(doc)
+        doc.update(bandwidths={"mode": "adaptive"}, replications=6)
+    elif mode == "no_components":
+        # no per-pair rows at all: every slice row is summed
+        truth.update(components=[])
+    elif mode == "gridded":
+        # the per-pair rows are the truth's G cell rows
+        values = (1.0 + np.sin(3.0 * (np.arange(16) + 0.5) / 16)).tolist()
+        truth.update(components=[{"order": 1, "kind": "gridded", "grid_size": 16,
+                                  "values": values}])
+    elif mode == "rank_deficient":
+        # two order-1 candidates at each n: G H + 1 = 65 rows on N = 64, so the
+        # slice rows' part orthogonal to the truth's row has rank below G H
+        doc.update(n_list=[500, 1000, 5000, 10000], path_steps=64, grid_size=32,
+                   bandwidths={"mode": "adaptive"})
+    else:  # mixed: order 1 at h = n^-1/3 is summed, order 2 at n^-1/4 drawn per pair
+        truth.update(components=[*truth["components"],
+                                 {"order": 2, "kind": "constant", "value": 1.0}],
+                     **{"class": dict(truth["class"], s=[1.0, 1.0], lam=[1.0, 1.0],
+                                      max_order=2)})
+        doc.update(max_order=2, bandwidths={"mode": "theoretical", "s": [1.0, 1.0],
+                                            "lam": [1.0, 1.0]})
+    doc.update(truth=truth)
+    return doc
+
+
+@pytest.mark.parametrize("mode", ["theoretical", "adaptive", "no_components", "gridded",
+                                  "rank_deficient", "mixed"])
+def test_rate_draws_match_the_path_route(tmp_path, monkeypatch, mode):
+    # rate fits from drawn slice integrals; fits from paths (the fit command's
+    # route) must give the same per-n mean risk within 3 SE
+    config = parse_config(_rate_case_doc(mode))
+    # slice rows drawn per pair and summed at n = 500
+    shapes, draw = [], benchcli.synthesize_functionals
+    monkeypatch.setattr(benchcli, "synthesize_functionals", lambda truth, rows, summed, *rest: (
+        shapes.append((rows.shape, summed.shape)) or draw(truth, rows, summed, *rest)))
+    benchcli._rate_model(config, 0, 500, 0)
+    monkeypatch.undo()
+    assert shapes == [{"theoretical": ((0, 512), (64, 512)), "adaptive": ((0, 128), (32, 128)),
+                       "no_components": ((0, 128), (16, 128)),
+                       "gridded": ((0, 128), (16, 128)),
+                       "rank_deficient": ((0, 64), (64, 64)),
+                       "mixed": ((16, 128), (16, 128))}[mode]]
     reps = config.replications
     direct, paths = (np.empty((len(config.n_list), reps)) for _ in range(2))
     for i, n in enumerate(config.n_list):

@@ -376,7 +376,8 @@ def test_drawn_left_point_integrals_are_exact_in_distribution(case):
     n_steps, n = 16, 20_000
     a = _weights(case, n_steps, np.random.default_rng(31))
     target = a @ a.T
-    xi, cov = draw_left_point_integrals(a, n, np.random.default_rng(32))
+    xi, cov, _ = draw_left_point_integrals(a, np.empty((0, n_steps)), n,
+                                           np.random.default_rng(32))
     assert xi.shape == (len(a), n)
     # the covariance is the one left_point_integrals pairs on, A A^T / N
     assert np.array_equal(cov, target / n_steps)

@@ -7,6 +7,7 @@ import pytest
 
 from chaosbench._util import derive_seed, midpoints
 from chaosbench.benchcli import _parse_truth
+from chaosbench.chaoscalc import draw_left_point_integrals
 from chaosbench.chaosreg import (
     MODEL_FORMAT,
     ChaosKernelEstimate,
@@ -214,20 +215,95 @@ def test_fit_is_centered_on_fit_mean(form):
     _assert_centered_on_fit_mean(fits, truth, h, g, grid)
 
 
-@pytest.mark.parametrize("form", ["equal_factor", "gridded"])
-def test_direct_route_fit_is_centered_on_fit_mean(form):
+@pytest.mark.parametrize("form, summed", [("equal_factor", False), ("gridded", False),
+                                          ("gridded", True)],
+                         ids=["equal_factor", "gridded", "gridded_summed"])
+def test_direct_route_fit_is_centered_on_fit_mean(form, summed):
     # the same design with fits from drawn slice integrals, no paths: the
-    # draw keeps the joint law of the slice integrals and the truth's own
+    # draw keeps the joint law of the slice integrals and the truth's own.
+    # Summed, the slice rows are drawn only as sum_i Y_i x_i, n times the
+    # order-1 fit
     g, n_steps, h, reps, n = 4, 64, 0.25, 100, 2000
     truth = _fit_mean_truth(form)
     grid = make_grid(n_steps)
-    rows = slice_rows(K1, h, g, grid)
-    fits = {order: np.empty((reps,) + (g,) * order) for order in (1, 2, 3)}
+    rows, none = slice_rows(K1, h, g, grid), np.empty((0, n_steps))
+    fits = {order: np.empty((reps,) + (g,) * order) for order in ((1,) if summed else (1, 2, 3))}
     for r in range(reps):
-        x, gram, y = synthesize_functionals(truth, rows, n, 9100 + r)
+        if summed:
+            fits[1][r] = synthesize_functionals(truth, none, rows, n, 9100 + r)[3] / n
+            continue
+        x, gram, y, _ = synthesize_functionals(truth, rows, none, n, 9100 + r)
         for order, out in fits.items():
             out[r] = fit_from_parts(x, gram, y, order, h).values
     _assert_centered_on_fit_mean(fits, truth, h, g, grid)
+
+
+class _Normals:
+    """Stands in for a Generator: ``normal`` returns the given arrays in turn."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def normal(self, loc, scale, size):
+        out = self.draws.pop(0)
+        assert out.shape == np.empty(size).shape
+        return out
+
+
+# (per-pair rows, summed rows) at N = 64: both, no per-pair rows, no summed
+# rows, and per-pair rows k >= N that span every path direction
+@pytest.mark.parametrize("k_pair, k_summed", [(5, 8), (0, 8), (5, 0), (70, 8)])
+def test_summed_route_is_the_per_pair_moment_for_the_same_coordinates(k_pair, k_summed):
+    # Per pair, the summed rows C are x = (C Q_P) a + r, with a = Q_P^T dW the
+    # pairs' coordinates and r = (C - C Q_P Q_P^T) dW; that is exactly C dW.
+    # Given the same a and the residual sum sum_i y_i r_i, the summed route's
+    # sum equals x . y
+    n_steps, n = 64, 300
+    rng = np.random.default_rng(41)
+    weights, summed = rng.normal(size=(k_pair, n_steps)), rng.normal(size=(k_summed, n_steps))
+    dw = rng.normal(0.0, math.sqrt(1.0 / n_steps), (n, n_steps))
+    y = 1.0 + rng.normal(size=n)
+    q, _ = np.linalg.qr(np.concatenate([weights, summed]).T)
+    q_p, q_perp = q[:, :min(k_pair, n_steps)], q[:, min(k_pair, n_steps):]
+    a = dw @ q_p
+    x = (summed @ q_p) @ a.T + (summed - (summed @ q_p) @ q_p.T) @ dw.T
+
+    def close(got, want):
+        return np.max(np.abs(got - want), initial=0.0) <= 1e-12 * np.max(np.abs(want), initial=1.0)
+
+    assert close(x, summed @ dw.T)
+    # the residual sum as ||y|| times coordinates of the orthogonal rest
+    z = (dw @ q_perp).T @ y / np.linalg.norm(y)
+    xi, cov, weighted_sum = draw_left_point_integrals(weights, summed, n, _Normals(a, z))
+    assert close(xi, weights @ dw.T)
+    assert np.array_equal(cov, weights @ weights.T / n_steps)
+    assert weighted_sum(y).shape == (k_summed,)
+    assert close(weighted_sum(y) / n, x @ y / n)
+
+
+def test_summed_route_matches_the_per_pair_route_in_variance():
+    # M_1 = sum_i y_i x_i / n and Ybar on G = 8, N = 64, n = 200, drawn per
+    # pair (seeds 7000 + r) and summed (seeds 17000 + r), 4000 replications
+    # each, noise sigma = 0.5.  Each variance gap is measured in standard
+    # errors of the two sample variances, sqrt(Var((m - mbar)^2) / reps)
+    # each, and each mean gap in those of the means: at most 4 over the 18
+    g, n_steps, n, reps, h = 8, 64, 200, 4000, 0.25
+    truth = MappingSpec(0.7, _fit_mean_truth("equal_factor").components, GaussianNoise(0.5))
+    rows, none = slice_rows(K1, h, g, make_grid(n_steps)), np.empty((0, n_steps))
+    per_pair, summed = np.empty((reps, g + 1)), np.empty((reps, g + 1))
+    for r in range(reps):
+        x, _, y, _ = synthesize_functionals(truth, rows, none, n, 7000 + r)
+        per_pair[r] = [*(x @ y / n), y.mean()]
+        _, _, y, sums = synthesize_functionals(truth, none, rows, n, 17000 + r)
+        summed[r] = [*(sums / n), y.mean()]
+    sq = [(m - m.mean(axis=0)) ** 2 for m in (per_pair, summed)]
+    var_z = (sq[0].mean(axis=0) - sq[1].mean(axis=0)) / np.sqrt(
+        (sq[0].var(axis=0, ddof=1) + sq[1].var(axis=0, ddof=1)) / reps)
+    mean_z = (per_pair.mean(axis=0) - summed.mean(axis=0)) / np.sqrt(
+        (per_pair.var(axis=0, ddof=1) + summed.var(axis=0, ddof=1)) / reps)
+    ratio = summed.var(axis=0) / per_pair.var(axis=0)
+    assert np.max(np.abs(var_z)) <= 4.0, (var_z, ratio)
+    assert np.max(np.abs(mean_z)) <= 4.0, mean_z
 
 
 @pytest.mark.parametrize("s_star, h, g, n_steps",
