@@ -266,8 +266,8 @@ def _parse_component(doc: dict, where: str, path_steps: int, iso_grid: int | Non
         return component
     if kind == "gridded":
         g = _require(doc, "grid_size", int, where)
-        if g < 1 or order > 3:
-            raise ConfigError(f"{where}: gridded components need grid_size >= 1 and order <= 3")
+        if g < 1:
+            raise ConfigError(f"{where}: gridded components need grid_size >= 1")
         flat = _require(doc, "values", [float], where)
         if len(flat) != g**order:
             raise ConfigError(f"{where}.values: expected {g**order} entries, got {len(flat)}")
@@ -393,13 +393,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"risk.method: unknown method '{risk_method}'")
     if risk_method == "isometry" and risk_p != 2.0:
         raise ConfigError("risk.method: isometry risk is only available for p = 2")
-    if plan.mode == "theorem41" and risk_method != "isometry":
-        raise ConfigError(
-            "risk.method: the growing-truncation bandwidth mode may fit orders "
-            "beyond the predictor's reach; only isometry risk (p = 2) is supported"
-        )
-    if risk_method == "monte_carlo" and max_order > 3:
-        raise ConfigError("max_order: the Monte Carlo risk predictor supports orders <= 3")
     risk_n_mc = _optional(risk, "n_mc", int, "risk", 400)
     if risk_method == "monte_carlo" and risk_n_mc < MIN_MC_DRAWS:
         raise ConfigError(f"risk.n_mc: Monte Carlo risk needs >= {MIN_MC_DRAWS} draws")
@@ -800,9 +793,6 @@ def _stored_risk(config: ExperimentConfig, n_index: int, n: int, rep: int, model
         if est.grid_size != config.grid_size:
             raise ConfigError(f"{path}: order-{est.order} surface on grid_size "
                               f"{est.grid_size}, the config has grid_size {config.grid_size}")
-        if config.risk_method == "monte_carlo" and est.order > 3:
-            raise ConfigError(f"{path}: order-{est.order} surface; the Monte Carlo risk "
-                              "predictor supports orders <= 3")
     return _risk_of_model(config, model, n_index, rep)
 
 

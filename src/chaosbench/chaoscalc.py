@@ -28,11 +28,11 @@ from (xi, A A^T / N), whether xi came from paths or from a draw:
   the evaluator of ``mappingzoo.EqualFactorComponent``.
 
 * ``GriddedFunction.chaos_from_functionals`` is the exact multiple integral
-  of a gridded integrand read as a step function on G cells: the
-  Wick-ordered sum of the tabulated values against the coarse-cell
-  increments (covariance 1/G each), the functionals of its cell indicator rows.
-  Tabulating a smooth integrand on finer grids approaches its integral, so it
-  is the oracle for the recursion.
+  of a gridded integrand read as a step function on G cells, at any order:
+  the Wick sum of the tabulated values against the coarse-cell increments,
+  the functionals of its cell indicator rows, paired on the ``cov`` it is
+  given.  Tabulating a smooth integrand on finer grids approaches its
+  integral, so it is the oracle for the recursion.
 
 ``tensor_chaos``, ``hermite_chaos`` and ``brute_multiple_integral`` take one
 ``BrownianPath``: the first evaluates row 0 of ``tensor_chaos_values``, the
@@ -64,7 +64,18 @@ from ._util import DEFAULT_QUAD_POINTS, midpoints
 from .kernelkit import MomentKernel, slice_matrix
 from .pathlab import BrownianPath, TimeGrid, brownian_increments
 
-_ROW_BLOCK = 512  # rows per block: bounds the (rows, G^2) order-3 temporary
+# the largest (rows, G^(l-1)) temporary of a gridded integral's row block, in
+# float64 entries: 512 rows of an order-3 surface on G = 64
+_BLOCK_ENTRIES = 2**21
+
+
+def _matchings(axes: tuple) -> list:
+    """Every partial matching of ``axes``, each a tuple of disjoint pairs."""
+    if len(axes) < 2:
+        return [()]
+    first, rest = axes[0], axes[1:]
+    return _matchings(rest) + [((first, b),) + m for i, b in enumerate(rest)
+                               for m in _matchings(rest[:i] + rest[i + 1:])]
 
 
 @dataclass(frozen=True)
@@ -116,35 +127,31 @@ class GriddedFunction:
     def chaos_from_functionals(self, x: np.ndarray, cov: np.ndarray) -> np.ndarray:
         """Exact multiple integral I_l(F) from the cell increments x (G, n), one value per path.
 
-        F is read as the step function equal to the values at the cell
-        centres, and v = x^T holds the coarse-cell increments (covariance
-        ``cov`` = 1/G times the identity).  I_l(F) is the Wick-ordered sum of
-        F against v:
+        F is the step function equal to the values at the cell centres.  With
+        v = x^T and ``cov`` the covariance of x, used as given at any order,
 
-            l = 1:  v.F
-            l = 2:  v.Fv - tr F / G
-            l = 3:  sum_abc F_abc v_a v_b v_c - v.p / G,
-                    p_c = sum_j (F_jjc + F_jcj + F_cjj).
+            I_l(F)(v) = sum_M (-1)^|M| <Tr_M F, v^(x (l - 2|M|))>
 
-        These hold for a non-symmetric F too, because I_l(F) = I_l(Sym F).
-        Supports orders 1 to 3.
+        over the partial matchings M of F's axes, where Tr_M contracts each
+        matched pair of axes with ``cov``.  It holds for a non-symmetric F too.
         """
-        if not 1 <= self.order <= 3:
-            raise ValueError(f"gridded integrals support orders 1 to 3, got {self.order}")
         g, n = x.shape
-        if n > _ROW_BLOCK:
-            return np.concatenate([self.chaos_from_functionals(x[:, i:i + _ROW_BLOCK], cov)
-                                   for i in range(0, n, _ROW_BLOCK)])
-        v, fv = x.T, self.values
-        if self.order == 1:
-            return v @ fv
-        if self.order == 2:
-            return np.einsum("nb,nb->n", v @ fv, v) - np.trace(fv) / g
-        # sum_abc F_abc v_a v_b v_c as one matrix product and two small contractions
-        full = np.einsum("nbc,nc->nb", (v @ fv.reshape(g, g * g)).reshape(n, g, g), v)
-        full = np.einsum("nb,nb->n", full, v)
-        p = np.einsum("jjc->c", fv) + np.einsum("jcj->c", fv) + np.einsum("cjj->c", fv)
-        return full - v @ p / g
+        rows = max(1, _BLOCK_ENTRIES * g // self.values.size)
+        if n > rows:
+            return np.concatenate([self.chaos_from_functionals(x[:, i:i + rows], cov)
+                                   for i in range(0, n, rows)])
+        axes, v, total = list(range(self.order)), x.T, np.zeros(n)
+        for pairs in _matchings(tuple(axes)):
+            rest = [a for a in axes if all(a not in p for p in pairs)]
+            w = np.einsum(self.values, axes,  # Tr_M F, a view of F for the empty M
+                          *itertools.chain(*((cov, list(p)) for p in pairs)), rest)
+            if rest:  # <Tr_M F, v^(x k)>: the leading axis, then the trailing ones
+                w = v @ w.reshape(g, -1)
+                for _ in rest[1:]:
+                    w = np.einsum("nji,ni->nj", w.reshape(n, -1, g), v)
+                w = w[:, 0]
+            total += (-1) ** len(pairs) * w
+        return total
 
     @classmethod
     def from_callable(cls, order: int, grid_size: int, f: Callable) -> "GriddedFunction":

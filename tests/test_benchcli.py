@@ -27,6 +27,8 @@ from chaosbench.chaoscalc import BoundReport, moment_bound_reports
 from chaosbench.chaosreg import ChaosKernelEstimate, FittedModel, model_from_json, model_to_json
 from chaosbench.errors import ConfigError
 from chaosbench.kernelkit import MomentKernel, build_kernel
+from chaosbench.mappingzoo import synthesize
+from chaosbench.pathlab import make_grid
 
 
 def _base_doc(**overrides):
@@ -130,9 +132,10 @@ MALFORMED = [
     ({"truth": _truth(components=[_gridded(1, 3, [1.0] * 3)]), "path_steps": 64},
      r"truth\.components\[0\]\.grid_size: 3 does not divide path_steps 64"),
     ({"s_star_hi": math.inf}, r"s_star_hi: expected a number, got inf"),
-    ({"risk_p": 4.0, "max_order": 4,
-      "bandwidths": {"mode": "fixed", "values": {str(o): 0.25 for o in range(1, 5)}}},
-     r"max_order: the Monte Carlo risk predictor supports orders <= 3"),
+    # Monte Carlo risk takes any order, up to the surface budget
+    ({"risk_p": 4.0, "max_order": 6,
+      "bandwidths": {"mode": "fixed", "values": {str(o): 0.25 for o in range(1, 7)}}},
+     r"^grid_size: an order-6 surface on grid_size 16 takes"),
     ({"truth": _truth(components=[{"order": 2, "kind": "constant", "value": 1.0},
                                   _gridded(1, 3, [1.0] * 3)]), "path_steps": 64},
      r"truth\.components\[1\]\.grid_size: 3 does not divide path_steps 64"),
@@ -736,13 +739,41 @@ def test_truth_config_round_trip_including_gridded():
     assert back.truth == parse_config(_base_doc()).truth
 
 
-def test_theorem41_mode_rejects_monte_carlo_risk():
+def test_gridded_order_4_truth_runs(tmp_path):
+    # the unit order-4 surface on any grid: m(W) = a + He_4(W(1)) / 4!
+    truth = _truth(a=0.5, components=[_gridded(4, 4, [1.0] * 4**4)],
+                   noise={"kind": "gaussian", "sigma": 0.0}, **{"class": {"max_order": 4}})
+    orders = {str(o): 0.25 for o in range(1, 5)}
+    doc = _base_doc(truth=truth, grid_size=4, max_order=4, risk_p=4.0, replications=1,
+                    bandwidths={"mode": "fixed", "values": orders})
+    config = parse_config(doc)
+    sample = synthesize(config.truth, 50, make_grid(config.path_steps), 7)
+    w1 = sample.path_values[:, -1]
+    assert np.allclose(sample.responses, 0.5 + (w1**4 - 6.0 * w1**2 + 3.0) / 24.0,
+                       rtol=0.0, atol=1e-12)
+    cfg = _write_config(tmp_path, doc)
+    for argv in (["simulate", "--out", str(tmp_path / "data")],
+                 ["fit", "--out", str(tmp_path / "fits")],
+                 ["risk", "--out", str(tmp_path / "risk"), "--models", str(tmp_path / "fits")]):
+        assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 0
+
+
+def test_theorem41_mode_runs_monte_carlo_risk(tmp_path):
+    # L_n = integer part of sqrt(log n): 1 at n = 50, 2 at 100 and 1000, 3 at 8104
     doc = _base_doc(
-        bandwidths={"mode": "theorem41", "s": [1.0], "lam": [1.0]},
+        n_list=[50, 100, 1000, 8104], path_steps=64, grid_size=8, max_order=3, replications=2,
+        bandwidths={"mode": "theorem41", "s": [1.0], "lam": [1.0], "practical": True},
         risk={"method": "monte_carlo", "n_mc": 200},
     )
-    with pytest.raises(ConfigError, match="isometry"):
-        parse_config(doc)
+    assert parse_config(doc).risk_method == "monte_carlo"
+    cfg = _write_config(tmp_path, doc)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"rate{threads}"
+        assert main(["rate", "--config", str(cfg), "--out", str(out),
+                     "--threads", threads]) == 0
+        outputs.append(json.loads((out / "manifest.json").read_text())["outputs"])
+    assert outputs[0] == outputs[1]
 
 
 def test_zero_poly_factor_is_rejected_before_any_output(tmp_path):
@@ -794,20 +825,26 @@ def test_risk_rejects_models_fit_at_another_grid_size(tmp_path, capsys):
         assert "grid_size 8, the config has grid_size 16" in capsys.readouterr().err
 
 
-def test_monte_carlo_risk_rejects_models_beyond_order_3(tmp_path, capsys):
-    # isometry risk takes any order, so fit writes order-4 surfaces under it
+def test_monte_carlo_risk_of_order_4_models_agrees_with_isometry(tmp_path):
     orders = {str(o): 0.25 for o in range(1, 5)}
     fit_doc = _base_doc(grid_size=8, max_order=4,
                         bandwidths={"mode": "fixed", "values": orders})
     models = cmd_fit(parse_config(fit_doc), tmp_path / "fits")
-    cfg = _write_config(tmp_path, _base_doc(grid_size=8, risk_p=4.0, risk={"n_mc": 100}))
-    out = tmp_path / "risk"
-    capsys.readouterr()
-    assert main(["risk", "--config", str(cfg), "--out", str(out),
-                 "--models", str(models)]) == 1
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert "model.json: order-4 surface; the Monte Carlo risk predictor supports orders <= 3" in err
+    risks = {}
+    for method in ("isometry", "monte_carlo"):
+        # the square of I_4 of a noisy surface is heavy-tailed: at a few
+        # thousand draws its standard error is itself too noisy to test with
+        cfg = _write_config(tmp_path, _base_doc(grid_size=8, risk={"method": method,
+                                                                   "n_mc": 100_000}),
+                            f"{method}.json")
+        out = tmp_path / method
+        assert main(["risk", "--config", str(cfg), "--out", str(out),
+                     "--models", str(models)]) == 0
+        rows = (out / "risk.csv").read_text().splitlines()[1:]
+        risks[method] = np.array([[float(v) for v in r.split(",")[4:]] for r in rows])
+    (iso, _), (mc, se) = risks["isometry"].T, risks["monte_carlo"].T
+    assert np.all(se > 0)
+    assert np.all(np.abs(mc - iso) <= 3 * se), (iso, mc, se)
 
 
 @pytest.fixture(scope="module")
@@ -1018,7 +1055,7 @@ def _rate_case_doc(mode):
     truth = dict(doc["truth"])
     if mode == "adaptive":
         # every order-1 bracket [n^-1/2, 1/log n] holds e^-3 at these n
-        doc.update(bandwidths={"mode": "adaptive"}, replications=6)
+        doc.update(bandwidths={"mode": "adaptive"})
     elif mode == "no_components":
         # no per-pair rows at all: every slice row is summed
         truth.update(components=[])

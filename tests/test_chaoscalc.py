@@ -20,6 +20,7 @@ from chaosbench.chaoscalc import (
     tensor_chaos,
     tensor_chaos_values,
 )
+from chaosbench.chaosreg import fit_from_parts, slice_rows
 from chaosbench.kernelkit import build_kernel, slice_matrix
 from chaosbench.mappingzoo import EqualFactorComponent
 from chaosbench.pathlab import make_grid, sample_brownian
@@ -160,8 +161,6 @@ def test_brute_quadratic_variation_limit():
 def test_brute_alignment_and_order_errors(path):
     with pytest.raises(ValueError, match="grid_size 100 does not divide path resolution"):
         brute_multiple_integral(GriddedFunction(1, 100, np.ones(100)), path)
-    with pytest.raises(ValueError, match="gridded integrals support orders 1 to 3, got 4"):
-        brute_multiple_integral(GriddedFunction(4, 4, np.ones((4, 4, 4, 4))), path)
 
 
 def test_gridded_functional_rows_are_cell_indicators():
@@ -297,7 +296,7 @@ def _increment_rows(n_rows, n_steps, seed):
     return np.random.default_rng(seed).normal(0.0, np.sqrt(1.0 / n_steps), (n_rows, n_steps))
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_gridded_batch_matches_explicit_distinct_index_sum(order):
     # I_l(F) = sum over all index tuples of F_idx times the multiple integral of
     # the product of the cell indicators, whose pairwise inner products are
@@ -319,7 +318,7 @@ def test_gridded_batch_matches_explicit_distinct_index_sum(order):
 
 
 @pytest.mark.parametrize("g_size", [4, 8])
-@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_gridded_form_equals_hermite_form_on_a_step_function(order, g_size):
     # g is the step function with value u_a on cell a; the midpoint quadrature
     # of ||g||^2 is exact for it, so the two integrand forms of g^(x l) agree
@@ -353,9 +352,27 @@ def test_batches_match_single_path_wrappers_row_by_row():
             )
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_gridded_batch_is_adjoint_to_the_fit_on_the_slice_gram(order):
+    # <F, fit_from_parts(x, cov, y, l)> = mean(y I_l(F)): the fit is the Wick
+    # product of the same functionals, here slice integrals with a
+    # non-diagonal covariance, which the evaluator must pair on
+    g_size, n_steps, n = 4, 16, 30
+    rows = slice_rows(build_kernel(2.0), 0.3, g_size, make_grid(n_steps))
+    x, cov = left_point_integrals(rows, _increment_rows(n, n_steps, 40 + order))
+    assert np.max(np.abs(cov - np.diag(np.diag(cov)))) > 0.1 * np.max(cov)
+    rng = np.random.default_rng(50 + order)
+    f = GriddedFunction(order, g_size, rng.normal(size=(g_size,) * order))
+    y = rng.normal(size=n)
+    fit = fit_from_parts(x, cov, y, order, 0.3)
+    assert np.sum(f.values * fit.values) == pytest.approx(
+        np.mean(y * f.chaos_from_functionals(x, cov)), rel=1e-12)
+
+
 def test_gridded_batch_row_blocks_match_one_block():
+    # an order-3 surface on G = 64 is evaluated 512 rows at a time
     rows = _increment_rows(1100, 64, 8)
-    f = GriddedFunction(3, 8, np.random.default_rng(9).normal(size=(8, 8, 8)))
+    f = GriddedFunction(3, 64, np.random.default_rng(9).normal(size=(64, 64, 64)))
     batch = _chaos(f, rows)
     assert batch.shape == (1100,)
     for i in (0, 511, 512, 1099):

@@ -386,10 +386,14 @@ def test_predict_order_two_quadratic_variation():
         assert predict(model, w) == pytest.approx(target, abs=1e-12)
 
 
-def test_predict_rejects_high_orders():
-    model = _model_with({4: np.ones((4,) * 4)}, 0.0)
-    with pytest.raises(ValueError, match="gridded integrals support orders 1 to 3, got 4"):
-        predict(model, sample_brownian(make_grid(64), 0))
+def test_predict_order_four_unit_surface_is_hermite():
+    # the unit order-4 surface integrates exactly to He_4(W(1)) on every grid
+    w = sample_brownian(make_grid(64), 0)
+    w1 = w.values[-1]
+    target = (w1**4 - 6.0 * w1**2 + 3.0) / math.factorial(4)
+    for g in (4, 8):
+        model = _model_with({4: np.ones((g,) * 4)}, 0.0)
+        assert predict(model, w) == pytest.approx(target, abs=1e-12)
 
 
 def test_risk_isometry_zero_for_exact_model():
@@ -423,9 +427,9 @@ def test_risk_monte_carlo_agrees_with_isometry():
 def test_risk_monte_carlo_self_comparison_is_discretization_floor():
     # a constant surface integrates exactly on any grid, so a perfect model of
     # a constant-surface truth has no discretization floor under Monte Carlo risk
-    for order in (2, 3):
+    for order, g in ((2, 64), (3, 64), (4, 16)):
         truth = MappingSpec(1.0, (ConstantComponent(order, 1.0),), GaussianNoise(0.0))
-        perfect = _model_with({order: truth.component_values(order, 64)}, truth.a)
+        perfect = _model_with({order: truth.component_values(order, g)}, truth.a)
         assert risk_monte_carlo(perfect, truth, 2.0, 300, 11, 512).value < 1e-12
 
 
