@@ -62,7 +62,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -100,6 +99,7 @@ from .mappingzoo import (
     UniformNoise,
     quadratic_terminal,
     synthesize,
+    synthesis_factor,
     synthesize_functionals,
 )
 from .pathlab import make_grid
@@ -540,17 +540,25 @@ def _replications(config: ExperimentConfig) -> list[tuple[int, int, int]]:
             for rep in range(config.replications)]
 
 
+def _pool(workers: int):
+    """A process pool; its module is imported only here, when a pool starts."""
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def _replicate(task, config: ExperimentConfig, threads: int) -> list:
     """``task(config, n_index, n, rep)`` for every replication, results n-major.
 
-    In this process when ``threads <= 1``, else in a process pool, so ``task``
+    In this process when ``threads <= 1``, else in a ``_pool``, so ``task``
     must pickle (a module-level function or a ``functools.partial`` of one).
+    ``rate`` does not use it, and isometry ``risk`` passes ``threads`` 1.
     """
     jobs = _replications(config)
     columns = [[config] * len(jobs), *zip(*jobs)]
     if threads <= 1:
         return list(map(task, *columns))
-    with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
+    with _pool(min(threads, len(jobs))) as pool:
         return list(pool.map(task, *columns))
 
 
@@ -828,16 +836,16 @@ def cmd_risk(config: ExperimentConfig, models_dir: Path, out_dir: Path,
     return out_dir
 
 
-def _rate_model(config: ExperimentConfig, n_index: int, n: int, rep: int) -> FittedModel:
-    """The replication's model from drawn slice integrals; no path is built.
+def _rate_models(config: ExperimentConfig, n_index: int, n: int):
+    """Each replication's model at n, in order, from drawn slice integrals; no path is built.
 
     Every distinct bandwidth of ``plan_bandwidths(config, n)`` (every
     candidate in adaptive mode) gets one slice block, drawn by
-    ``synthesize_functionals`` jointly with the truth's functionals.  A
-    bandwidth that some order >= 2 uses is drawn per pair and fitted from its
-    block and gram.  One used at order 1 alone is drawn as its response
-    moment sum_i Y_i x_i, and its fit is that over n.  Adaptive mode then
-    selects among the candidates.
+    ``synthesize_functionals`` jointly with the truth's functionals from one
+    ``synthesis_factor`` for all replications.  A bandwidth that some order
+    >= 2 uses is drawn per pair and fitted from its block and gram.  One used
+    at order 1 alone is drawn as its response moment sum_i Y_i x_i, and its
+    fit is that over n.  Adaptive mode then selects among the candidates.
     """
     plan = plan_bandwidths(config, n)
     per_pair = sorted({h for order, hs in plan.items() if order > 1 for h in hs}, reverse=True)
@@ -845,25 +853,22 @@ def _rate_model(config: ExperimentConfig, n_index: int, n: int, rep: int) -> Fit
     g, kernel, grid = config.grid_size, config.kernel(), make_grid(config.path_steps)
     # one G-row slice block per bandwidth, largest h first in each set
     rows = {h: slice(i * g, (i + 1) * g) for hs in (per_pair, summed) for i, h in enumerate(hs)}
-    x, gram, y, sums = synthesize_functionals(
+    factor = synthesis_factor(
         config.truth,
         *(np.reshape([slice_rows(kernel, h, g, grid) for h in hs], (-1, grid.n_steps))
-          for hs in (per_pair, summed)),
-        n, config.rep_seed(n_index, rep))
-    fits = {order: {h: fit_from_parts(x[rows[h]], gram[rows[h], rows[h]], y, order, h)
-                    if h in per_pair else
-                    ChaosKernelEstimate(order, g, sums[rows[h]] / n, bandwidth=h)
-                    for h in candidates}
-            for order, candidates in sorted(plan.items())}
-    mean = float(np.mean(y))
-    if config.bandwidths.mode == "adaptive":
-        return select_model(mean, n, fits, config.majorant)
-    return FittedModel(mean, tuple(fit for by_h in fits.values() for fit in by_h.values()))
-
-
-def _fitted_risk(config: ExperimentConfig, n_index: int, n: int, rep: int) -> float:
-    model = _rate_model(config, n_index, n, rep)
-    return _risk_of_model(config, model, n_index, rep).value
+          for hs in (per_pair, summed)))
+    for rep in range(config.replications):
+        x, gram, y, sums = synthesize_functionals(config.truth, factor, n,
+                                                  config.rep_seed(n_index, rep))
+        fits = {order: {h: fit_from_parts(x[rows[h]], gram[rows[h], rows[h]], y, order, h)
+                        if h in per_pair else
+                        ChaosKernelEstimate(order, g, sums[rows[h]] / n, bandwidth=h)
+                        for h in candidates}
+                for order, candidates in sorted(plan.items())}
+        mean = float(np.mean(y))
+        yield (select_model(mean, n, fits, config.majorant)
+               if config.bandwidths.mode == "adaptive" else
+               FittedModel(mean, tuple(fit for by_h in fits.values() for fit in by_h.values())))
 
 
 def theoretical_rate_curve(config: ExperimentConfig) -> np.ndarray:
@@ -907,17 +912,20 @@ def _loglog_slope(n_values: np.ndarray, y_values: np.ndarray) -> tuple[float, fl
 def cmd_rate(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
     """Full rate sweep: draw, fit, and evaluate risk for every n; fit the slope.
 
-    Each replication's fits come from its drawn slice integrals (``_rate_model``),
+    Each replication's fits come from its drawn slice integrals (``_rate_models``),
     not from paths: per pair for a bandwidth some order >= 2 uses, as one
-    response-weighted sum for one used at order 1 alone.  Nothing is written
-    unless every replication succeeded.
+    response-weighted sum for one used at order 1 alone.  The replications
+    run in this process whatever ``threads`` says, since a pool costs more to
+    start than all of them.  Nothing is written unless every one succeeded.
     """
     if len(config.n_list) < 4:
         raise ConfigError("rate: n_list needs at least 4 sample sizes")
     if max(config.n_list) < 10 * min(config.n_list):
         raise ConfigError("rate: n_list should span at least one decade")
     started = time.time()
-    values = _replicate(_fitted_risk, config, threads)
+    values = [_risk_of_model(config, model, n_index, rep).value
+              for n_index, n in enumerate(config.n_list)
+              for rep, model in enumerate(_rate_models(config, n_index, n))]
     out_dir.mkdir(parents=True, exist_ok=True)
     risk_csv = out_dir / "risk_by_n.csv"
     means = _write_aggregates(risk_csv, config, values)
@@ -1117,7 +1125,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override master seed")
-        p.add_argument("--threads", type=int, default=1, help="replication workers")
+        p.add_argument("--threads", type=int, default=1,
+                       help="replication workers (rate and isometry risk run in process)")
 
     for name in ("simulate", "rate", "check"):
         common(sub.add_parser(name))

@@ -9,7 +9,8 @@ reduced QR A^T = Q R, and Q^T dW is r = min(k, N) independent N(0, 1/N)
 normals.  Rows C needed only through sum_i y_i C dW_i, for responses y that
 depend on the paths through A dW alone, are drawn as that one sum per
 batch: the part of C in the span of A's rows from the pairs' own normals,
-the orthogonal rest as ||y|| times one normal per dimension it spans.  Each
+the orthogonal rest as ||y|| times one normal per dimension it spans.  Many
+draws share one ``left_point_factor`` (``draw_from_factor``).  Each
 expansion component owns its single integrals: its ``functional_rows(N)``
 are the weight rows A, and its ``chaos_from_functionals`` evaluates I_l(f_l)
 from (xi, A A^T / N), whether xi came from paths or from a draw:
@@ -274,6 +275,13 @@ def _functional_factor(weights: np.ndarray) -> np.ndarray:
     return np.linalg.qr(weights.T, mode="r")
 
 
+def left_point_factor(weights: np.ndarray, summed: np.ndarray):
+    """What ``draw_from_factor`` needs of [A; C] for any n: (R of [A; C]^T, k, N, A A^T / N)."""
+    n_steps = weights.shape[1]
+    return (_functional_factor(np.concatenate([weights, summed])), len(weights), n_steps,
+            (weights @ weights.T) / n_steps)
+
+
 def draw_left_point_integrals(weights: np.ndarray, summed: np.ndarray, n: int,
                               rng: np.random.Generator):
     """``left_point_integrals`` of n fresh paths, and response-weighted sums, without the paths.
@@ -297,14 +305,18 @@ def draw_left_point_integrals(weights: np.ndarray, summed: np.ndarray, n: int,
     Exact in distribution for any rows, rank-deficient or k >= N.  Without
     summed rows z is empty, and xi is R^T a for the factor of A alone.
     """
-    n_steps, k = weights.shape[1], len(weights)
-    r = _functional_factor(np.concatenate([weights, summed]))
+    return draw_from_factor(left_point_factor(weights, summed), n, rng)
+
+
+def draw_from_factor(factor, n: int, rng: np.random.Generator):
+    """``draw_left_point_integrals`` of the rows whose ``left_point_factor`` is ``factor``."""
+    r, k, n_steps, cov = factor
     r_a = min(k, n_steps)
     sd = math.sqrt(1.0 / n_steps)
     a = rng.normal(0.0, sd, (n, r_a))
     z = rng.normal(0.0, sd, len(r) - r_a)
     cross, perp = r[:r_a, k:], r[r_a:, k:]
-    return (r[:r_a, :k].T @ a.T, (weights @ weights.T) / n_steps,
+    return (r[:r_a, :k].T @ a.T, cov,
             lambda y: cross.T @ (a.T @ y) + math.sqrt(y @ y) * (perp.T @ z))
 
 

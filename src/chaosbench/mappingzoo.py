@@ -15,10 +15,10 @@ the exact step-function integral on the cell increments.
 ``evaluate_mapping`` is its row 0 for a single path.
 
 ``synthesize`` draws a sample of paths and responses.  ``synthesize_functionals``
-draws only given linear functionals of the paths (the fit's slice integrals)
-jointly with the truth's own, and the responses, without building a path;
-rows the fit needs only through their order-1 moment sum_i Y_i x_i it draws
-as that one sum, not per pair.
+draws only given linear functionals of the paths (the fit's slice integrals,
+factored once by ``synthesis_factor``) jointly with the truth's own, and the
+responses, without building a path; rows the fit needs only through their
+order-1 moment sum_i Y_i x_i it draws as that one sum, not per pair.
 
 The bump family implements the disjoint-support construction used for hard
 instances: scaled copies of psi(u) = exp(-1/(1-u^2)) centered at
@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Union
 import numpy as np
 
 from ._util import derive_seed, midpoints
-from .chaoscalc import ChaosExpansion, GriddedFunction, draw_left_point_integrals
+from .chaoscalc import ChaosExpansion, GriddedFunction, draw_from_factor, left_point_factor
 from .chaoscalc import _left_rows, hermite_from_integral, l2_inner
 from .chaosreg import Sample
 from .pathlab import BrownianPath, TimeGrid, sample_brownian_paths
@@ -173,26 +173,32 @@ def synthesize(spec: MappingSpec, n: int, grid: TimeGrid, seed: int) -> Sample:
     return sample
 
 
-def synthesize_functionals(spec: MappingSpec, weights: np.ndarray, summed: np.ndarray,
-                           n: int, seed: int):
+def synthesis_factor(spec: MappingSpec, weights: np.ndarray, summed: np.ndarray):
+    """(edges, factor) of ``weights`` stacked over the truth's ``functional_rows``, for any n."""
+    blocks = [weights, *(c.functional_rows(weights.shape[1]) for c in spec.components)]
+    return (np.cumsum([0] + [len(b) for b in blocks]),
+            left_point_factor(np.concatenate(blocks), summed))
+
+
+def synthesize_functionals(spec: MappingSpec, factor, n: int, seed: int):
     """Functionals of n pairs and their responses, without paths: (x, cov, y, sum_i y_i x_C,i).
 
     ``synthesize`` followed by ``left_point_integrals`` without the paths.
-    The rows of ``weights`` (k, N), stacked over the truth components'
+    ``factor`` is ``synthesis_factor(spec, weights, summed)``: the rows of
+    ``weights`` (k, N), stacked over the truth components'
     ``functional_rows``, are drawn per pair: x = weights dW (k, n) and its
     covariance (k, k).  The rows of ``summed`` (k_C, N) are drawn only as the
     response-weighted sum sum_i y_i summed dW_i (k_C,), the order-1 moment
     times n.  All of it comes from the stream (seed, 0) by
-    ``chaoscalc.draw_left_point_integrals``: n x r_P normals for the per-pair
+    ``chaoscalc.draw_from_factor``: n x r_P normals for the per-pair
     rows, r_P = min(k + k_t, N) with k_t the truth's, then min(k_C, N - r_P)
     for the summed rows.  The responses y are m from the truth's functionals
     plus noise from the stream (seed, 1).  Same law as the path route, not
     the same draws; with no summed rows, the draws of the per-pair rows alone.
     """
-    blocks = [weights, *(c.functional_rows(weights.shape[1]) for c in spec.components)]
-    xi, cov, weighted_sum = draw_left_point_integrals(
-        np.concatenate(blocks), summed, n, np.random.default_rng(derive_seed(seed, 0)))
-    edges = np.cumsum([0] + [len(b) for b in blocks])
+    edges, rows_factor = factor
+    xi, cov, weighted_sum = draw_from_factor(
+        rows_factor, n, np.random.default_rng(derive_seed(seed, 0)))
     parts = [(xi[lo:hi], cov[lo:hi, lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]
     noise_rng = np.random.default_rng(derive_seed(seed, 1))
     responses = spec.values_from_functionals(n, parts[1:]) + spec.noise.sample(noise_rng, n)

@@ -20,6 +20,7 @@ from chaosbench.chaoscalc import (
     chaos_constant,
     hermite_chaos,
     isometry_report,
+    left_point_integrals,
     moment_bound_report,
     tensor_chaos,
 )
@@ -116,23 +117,26 @@ def test_criterion_3_chaos_evaluator_equivalence():
             value = value * g(x)
         return value
 
-    monotone_ok = True
+    monotone_ok = oracle_ok = True
     trend_detail = []
+    paths = [sample_brownian(grid, seed) for seed in range(100)]
+    increments = np.stack([w.increments for w in paths])
     for order in (2, 3):
         means = []
         for g_size in (32, 64, 128, 256):
             f = GriddedFunction.from_callable(order, g_size, rank_one)
-            gaps = [
-                abs(
-                    tensor_chaos([g] * order, sample_brownian(grid, seed))
-                    - brute_multiple_integral(f, sample_brownian(grid, seed))
-                )
-                for seed in range(100)
-            ]
+            # the 100 paths in one batch; the single-path oracle agrees on the first 3
+            batch = f.chaos_from_functionals(*left_point_integrals(f.functional_rows(512),
+                                                                   increments))
+            oracle_ok = oracle_ok and all(
+                abs(brute_multiple_integral(f, w) - value) <= 1e-12
+                for w, value in zip(paths[:3], batch)
+            )
+            gaps = [abs(tensor_chaos([g] * order, w) - value) for w, value in zip(paths, batch)]
             means.append(float(np.mean(gaps)))
         monotone_ok = monotone_ok and all(a > b for a, b in zip(means, means[1:]))
         trend_detail.append(f"l={order}: " + "->".join(f"{m:.3f}" for m in means))
-    passed = equiv_ok and monotone_ok
+    passed = equiv_ok and monotone_ok and oracle_ok
     _report(
         3, passed,
         f"max tensor/hermite gap {worst_gap:.1e}; " + "; ".join(trend_detail),

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chaosbench import benchcli
+from chaosbench import benchcli, chaoscalc, chaosreg
 from chaosbench.benchcli import (
     cmd_adapt,
     cmd_check,
@@ -577,13 +577,39 @@ def test_monte_carlo_risk_parallel_matches_serial(tmp_path, monkeypatch):
     iso = parse_config(_base_doc(n_list=[30], replications=3))
     assert iso.risk_method == "isometry"
     serial = cmd_risk(iso, models, tmp_path / "iso_serial", threads=1)
-    monkeypatch.setattr(benchcli, "ProcessPoolExecutor", None)
+    monkeypatch.setattr(benchcli, "_pool", None)
     parallel = cmd_risk(iso, models, tmp_path / "iso_parallel", threads=2)
     assert _output_digests(serial) == _output_digests(parallel)
     # and with one thread every other command runs in process too
     cmd_fit(config, tmp_path / "refit", threads=1)
     cmd_simulate(config, tmp_path / "data", threads=1)
     cmd_rate(parse_config(_rate_doc()), tmp_path / "rate", threads=1)
+
+
+def test_rate_runs_in_process_and_builds_each_n_once(tmp_path, monkeypatch):
+    # rate starts no pool whatever --threads says (starting one would fail
+    # here), and each n's slice rows and their QR factor are built once, not
+    # once per replication: two distinct bandwidths at each of four n
+    config = parse_config(_base_doc(n_list=[30, 60, 120, 300], replications=3,
+                                    bandwidths={"mode": "fixed", "values": {"1": 0.25, "2": 0.2}}))
+    serial = tmp_path / "serial"
+    cmd_rate(config, serial, threads=1)
+    calls = {"slice_matrix": 0, "_functional_factor": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(chaosreg, "slice_matrix")
+    counted(chaoscalc, "_functional_factor")
+    monkeypatch.setattr(benchcli, "_pool", None)
+    cmd_rate(config, tmp_path / "parallel", threads=2)
+    assert _output_digests(tmp_path / "parallel") == _output_digests(serial)
+    assert calls == {"slice_matrix": 4 * 2, "_functional_factor": 4}
 
 
 def test_empty_adaptive_bracket_is_rejected_before_any_output(tmp_path):
@@ -1001,7 +1027,7 @@ def test_process_pool_is_bounded_by_the_job_count(tmp_path, monkeypatch):
 
     config = parse_config(_base_doc(n_list=[30], replications=2))
     serial = cmd_simulate(config, tmp_path / "serial", threads=1)
-    monkeypatch.setattr(benchcli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(benchcli, "_pool", InProcessPool)
     wide = cmd_simulate(config, tmp_path / "wide", threads=64)
     assert started == [2]
     assert _output_digests(wide) == _output_digests(serial)
@@ -1087,10 +1113,10 @@ def test_rate_draws_match_the_path_route(tmp_path, monkeypatch, mode):
     # route) must give the same per-n mean risk within 3 SE
     config = parse_config(_rate_case_doc(mode))
     # slice rows drawn per pair and summed at n = 500
-    shapes, draw = [], benchcli.synthesize_functionals
-    monkeypatch.setattr(benchcli, "synthesize_functionals", lambda truth, rows, summed, *rest: (
-        shapes.append((rows.shape, summed.shape)) or draw(truth, rows, summed, *rest)))
-    benchcli._rate_model(config, 0, 500, 0)
+    shapes, factor = [], benchcli.synthesis_factor
+    monkeypatch.setattr(benchcli, "synthesis_factor", lambda truth, rows, summed: (
+        shapes.append((rows.shape, summed.shape)) or factor(truth, rows, summed)))
+    next(benchcli._rate_models(config, 0, 500))
     monkeypatch.undo()
     assert shapes == [{"theoretical": ((0, 512), (64, 512)), "adaptive": ((0, 128), (32, 128)),
                        "no_components": ((0, 128), (16, 128)),
@@ -1100,8 +1126,9 @@ def test_rate_draws_match_the_path_route(tmp_path, monkeypatch, mode):
     reps = config.replications
     direct, paths = (np.empty((len(config.n_list), reps)) for _ in range(2))
     for i, n in enumerate(config.n_list):
+        direct[i] = [benchcli._risk_of_model(config, model, i, rep).value
+                     for rep, model in enumerate(benchcli._rate_models(config, i, n))]
         for rep in range(reps):
-            direct[i, rep] = benchcli._fitted_risk(config, i, n, rep)
             model = benchcli._fit_one(config, i, n, rep)
             paths[i, rep] = benchcli._risk_of_model(config, model, i, rep).value
     se = np.sqrt((direct.var(axis=1, ddof=1) + paths.var(axis=1, ddof=1)) / reps)
@@ -1111,7 +1138,7 @@ def test_rate_draws_match_the_path_route(tmp_path, monkeypatch, mode):
     report = cmd_rate(config, tmp_path / "rate")
     assert report["mean_risk"] == direct.mean(axis=1).tolist()
     if mode == "adaptive":
-        model = benchcli._rate_model(config, 0, 500, 0)
+        model = next(benchcli._rate_models(config, 0, 500))
         (trace,) = model.selection_traces
         assert [r.h for r in trace.records] == list(benchcli.plan_bandwidths(config, 500)[1])
         assert len(trace.records) > 1

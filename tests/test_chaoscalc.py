@@ -396,6 +396,16 @@ def test_drawn_left_point_integrals_are_exact_in_distribution(case):
     xi, cov, _ = draw_left_point_integrals(a, np.empty((0, n_steps)), n,
                                            np.random.default_rng(32))
     assert xi.shape == (len(a), n)
+    # one factor drawn twice gives the bits of two one-shot draws from the
+    # same generator states, the summed rows' sums included
+    summed, y = _weights("k < N", n_steps, np.random.default_rng(33))[:3], np.arange(50.0)
+    factor = chaoscalc.left_point_factor(a, summed)
+    once, reused = np.random.default_rng(34), np.random.default_rng(34)
+    for _ in range(2):
+        want = draw_left_point_integrals(a, summed, 50, once)
+        got = chaoscalc.draw_from_factor(factor, 50, reused)
+        for w, g in zip((*want[:2], want[2](y)), (*got[:2], got[2](y))):
+            assert np.array_equal(w.view(np.uint64), g.view(np.uint64))
     # the covariance is the one left_point_integrals pairs on, A A^T / N
     assert np.array_equal(cov, target / n_steps)
     assert np.array_equal(cov, left_point_integrals(a, np.zeros((1, n_steps)))[1])

@@ -37,6 +37,7 @@ from chaosbench.mappingzoo import (
     evaluate_mapping,
     quadratic_terminal,
     synthesize,
+    synthesis_factor,
     synthesize_functionals,
 )
 from chaosbench.pathlab import BrownianPath, make_grid, sample_brownian, sample_brownian_paths
@@ -228,11 +229,12 @@ def test_direct_route_fit_is_centered_on_fit_mean(form, summed):
     grid = make_grid(n_steps)
     rows, none = slice_rows(K1, h, g, grid), np.empty((0, n_steps))
     fits = {order: np.empty((reps,) + (g,) * order) for order in ((1,) if summed else (1, 2, 3))}
+    factor = synthesis_factor(truth, *((none, rows) if summed else (rows, none)))
     for r in range(reps):
         if summed:
-            fits[1][r] = synthesize_functionals(truth, none, rows, n, 9100 + r)[3] / n
+            fits[1][r] = synthesize_functionals(truth, factor, n, 9100 + r)[3] / n
             continue
-        x, gram, y, _ = synthesize_functionals(truth, rows, none, n, 9100 + r)
+        x, gram, y, _ = synthesize_functionals(truth, factor, n, 9100 + r)
         for order, out in fits.items():
             out[r] = fit_from_parts(x, gram, y, order, h).values
     _assert_centered_on_fit_mean(fits, truth, h, g, grid)
@@ -291,10 +293,11 @@ def test_summed_route_matches_the_per_pair_route_in_variance():
     truth = MappingSpec(0.7, _fit_mean_truth("equal_factor").components, GaussianNoise(0.5))
     rows, none = slice_rows(K1, h, g, make_grid(n_steps)), np.empty((0, n_steps))
     per_pair, summed = np.empty((reps, g + 1)), np.empty((reps, g + 1))
+    drawn, moments = synthesis_factor(truth, rows, none), synthesis_factor(truth, none, rows)
     for r in range(reps):
-        x, _, y, _ = synthesize_functionals(truth, rows, none, n, 7000 + r)
+        x, _, y, _ = synthesize_functionals(truth, drawn, n, 7000 + r)
         per_pair[r] = [*(x @ y / n), y.mean()]
-        _, _, y, sums = synthesize_functionals(truth, none, rows, n, 17000 + r)
+        _, _, y, sums = synthesize_functionals(truth, moments, n, 17000 + r)
         summed[r] = [*(sums / n), y.mean()]
     sq = [(m - m.mean(axis=0)) ** 2 for m in (per_pair, summed)]
     var_z = (sq[0].mean(axis=0) - sq[1].mean(axis=0)) / np.sqrt(
