@@ -77,7 +77,7 @@ from .chaosreg import (
     ChaosKernelEstimate,
     FittedModel,
     Sample,
-    fit_chaos_kernel,
+    _fit_parts,
     fit_from_parts,
     estimate_mean,
     model_from_json,
@@ -87,7 +87,10 @@ from .chaosreg import (
     slice_rows,
 )
 from .errors import ConfigError
-from .glselect import MajorantParams, adaptive_fit, bandwidth_grid, select_model
+from .glselect import MajorantParams, bandwidth_grid, select_model
+# tracer shims: unused here, but perfbench/tracing.py wraps them by name in this module
+from .chaosreg import fit_chaos_kernel  # noqa: F401
+from .glselect import adaptive_fit  # noqa: F401
 from .kernelkit import MomentKernel, build_kernel, kernel_moment
 from .mappingzoo import (
     ClassParams,
@@ -574,20 +577,30 @@ def _sample_for(config: ExperimentConfig, n_index: int, n: int, rep: int,
     return synthesize(config.truth, n, grid, config.rep_seed(n_index, rep))
 
 
+def _plan_model(config: ExperimentConfig, n: int, mean: float, fit_at) -> FittedModel:
+    """The model at n with mean ``mean``, from ``fit_at(h, orders)`` = {order: fit at h}.
+
+    One call per distinct h of ``plan_bandwidths(config, n)``, largest first,
+    for the orders with h as a candidate; adaptive mode then selects.
+    """
+    plan = plan_bandwidths(config, n)
+    by_h = {h: fit_at(h, [order for order in sorted(plan) if h in plan[order]])
+            for h in sorted({h for hs in plan.values() for h in hs}, reverse=True)}
+    if config.bandwidths.mode == "adaptive":
+        fits = {order: {h: by_h[h][order] for h in hs} for order, hs in plan.items()}
+        return select_model(mean, n, fits, config.majorant)
+    return FittedModel(mean, tuple(by_h[h][order] for order, (h,) in sorted(plan.items())))
+
+
 def _fit_one(config: ExperimentConfig, n_index: int, n: int, rep: int,
              data_dir: Path | None = None) -> FittedModel:
     sample = _sample_for(config, n_index, n, rep, data_dir)
-    kernel = config.kernel()
-    if config.bandwidths.mode == "adaptive":
-        return adaptive_fit(
-            sample, config.max_order, config.majorant, config.s_star_lo,
-            config.grid_size, kernel,
-        )
-    estimates = tuple(
-        fit_chaos_kernel(sample, order, h, config.grid_size, kernel)
-        for order, (h,) in sorted(plan_bandwidths(config, n).items())
-    )
-    return FittedModel(estimate_mean(sample), estimates)
+
+    def fit_at(h, orders):
+        x, gram = _fit_parts(sample, h, config.grid_size, config.kernel())
+        return {order: fit_from_parts(x, gram, sample.responses, order, h) for order in orders}
+
+    return _plan_model(config, n, estimate_mean(sample), fit_at)
 
 
 def _risk_of_model(config: ExperimentConfig, model: FittedModel, n_index: int, rep: int):
@@ -843,9 +856,8 @@ def _rate_models(config: ExperimentConfig, n_index: int, n: int):
     candidate in adaptive mode) gets one slice block, drawn by
     ``synthesize_functionals`` jointly with the truth's functionals from one
     ``synthesis_factor`` for all replications.  A bandwidth that some order
-    >= 2 uses is drawn per pair and fitted from its block and gram.  One used
-    at order 1 alone is drawn as its response moment sum_i Y_i x_i, and its
-    fit is that over n.  Adaptive mode then selects among the candidates.
+    >= 2 uses is drawn per pair and fitted from its block and gram, one used at
+    order 1 alone as its response moment sum_i Y_i x_i, whose fit is that over n.
     """
     plan = plan_bandwidths(config, n)
     per_pair = sorted({h for order, hs in plan.items() if order > 1 for h in hs}, reverse=True)
@@ -860,15 +872,10 @@ def _rate_models(config: ExperimentConfig, n_index: int, n: int):
     for rep in range(config.replications):
         x, gram, y, sums = synthesize_functionals(config.truth, factor, n,
                                                   config.rep_seed(n_index, rep))
-        fits = {order: {h: fit_from_parts(x[rows[h]], gram[rows[h], rows[h]], y, order, h)
-                        if h in per_pair else
-                        ChaosKernelEstimate(order, g, sums[rows[h]] / n, bandwidth=h)
-                        for h in candidates}
-                for order, candidates in sorted(plan.items())}
-        mean = float(np.mean(y))
-        yield (select_model(mean, n, fits, config.majorant)
-               if config.bandwidths.mode == "adaptive" else
-               FittedModel(mean, tuple(fit for by_h in fits.values() for fit in by_h.values())))
+        yield _plan_model(config, n, float(np.mean(y)), lambda h, orders: {
+            order: fit_from_parts(x[rows[h]], gram[rows[h], rows[h]], y, order, h)
+            if h in per_pair else ChaosKernelEstimate(order, g, sums[rows[h]] / n, bandwidth=h)
+            for order in orders})
 
 
 def theoretical_rate_curve(config: ExperimentConfig) -> np.ndarray:
@@ -909,13 +916,11 @@ def _loglog_slope(n_values: np.ndarray, y_values: np.ndarray) -> tuple[float, fl
     return float(coef[1]), stderr
 
 
-def cmd_rate(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
+def cmd_rate(config: ExperimentConfig, out_dir: Path) -> dict:
     """Full rate sweep: draw, fit, and evaluate risk for every n; fit the slope.
 
-    Each replication's fits come from its drawn slice integrals (``_rate_models``),
-    not from paths: per pair for a bandwidth some order >= 2 uses, as one
-    response-weighted sum for one used at order 1 alone.  The replications
-    run in this process whatever ``threads`` says, since a pool costs more to
+    Each replication's model comes from its drawn slice integrals, not from
+    paths (``_rate_models``), in this process, since a pool costs more to
     start than all of them.  Nothing is written unless every one succeeded.
     """
     if len(config.n_list) < 4:
@@ -1162,7 +1167,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif args.command == "risk":
             cmd_risk(config, Path(args.models), out_dir, args.threads)
         elif args.command == "rate":
-            report = cmd_rate(config, out_dir, args.threads)
+            report = cmd_rate(config, out_dir)
             print(
                 f"slope {report['slope']:.4f} +- {report['slope_stderr']:.4f} "
                 f"(theory {report['theoretical_slope']:.4f})"

@@ -16,7 +16,7 @@ correction removes exactly the expected diagonal of the left-point sums.
 draws them without paths, and ``fit_from_parts`` is the one fit formula on
 either.  At order 1 the fit is M_1 alone, a linear functional of
 sum_i Y_i dW_i, so a slice block used at no other order can be drawn as the
-one sum sum_i Y_i x_i (``benchcli._rate_model``).  The gram is the exact
+one sum sum_i Y_i x_i (``benchcli._rate_models``).  The gram is the exact
 covariance of x, and by Isserlis's theorem the fit's mean is exactly
 S^(x l) f_l with S = sl / N at any n and N (``fit_mean``); its continuum
 limit, the kernel smoothing of f_l, is not.

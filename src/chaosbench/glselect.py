@@ -16,8 +16,8 @@ proxy
 The selected bandwidth minimizes B + M, with ties broken toward the larger
 (smoother) bandwidth.  The maximum in B ranges over the whole grid, and at
 the smallest grid bandwidth every term collapses to 0.  Selection
-(``select_model``) takes the candidate fits, so it serves fits from a sample
-of paths (``adaptive_fit``) and fits from drawn slice integrals alike.
+(``select_model``) takes the candidate fits, so it serves path fits and drawn
+ones alike (``benchcli._plan_model``); ``adaptive_fit`` fits one sample.
 """
 
 from __future__ import annotations

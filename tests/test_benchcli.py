@@ -24,8 +24,16 @@ from chaosbench.benchcli import (
     truncation_order,
 )
 from chaosbench.chaoscalc import BoundReport, moment_bound_reports
-from chaosbench.chaosreg import ChaosKernelEstimate, FittedModel, model_from_json, model_to_json
+from chaosbench.chaosreg import (
+    ChaosKernelEstimate,
+    FittedModel,
+    estimate_mean,
+    fit_chaos_kernel,
+    model_from_json,
+    model_to_json,
+)
 from chaosbench.errors import ConfigError
+from chaosbench.glselect import adaptive_fit
 from chaosbench.kernelkit import MomentKernel, build_kernel
 from chaosbench.mappingzoo import synthesize
 from chaosbench.pathlab import make_grid
@@ -555,8 +563,16 @@ def test_replications_parallel_match_serial(tmp_path, command):
         )
     else:
         config = parse_config(_base_doc(n_list=[30], replications=3))
-    run = {"simulate": cmd_simulate, "fit": cmd_fit, "adapt": cmd_adapt, "rate": cmd_rate,
-           "fit_order3": cmd_fit, "rate_order1": cmd_rate}[command]
+    if command.startswith("rate"):
+        # --threads reaches rate only as a CLI flag, which it ignores
+        cfg = str(_write_config(tmp_path, config.doc))
+
+        def run(config, out, threads):
+            assert main(["rate", "--config", cfg, "--out", str(out),
+                         "--threads", str(threads)]) == 0
+    else:
+        run = {"simulate": cmd_simulate, "fit": cmd_fit, "adapt": cmd_adapt,
+               "fit_order3": cmd_fit}[command]
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
     run(config, serial, threads=1)
     run(config, parallel, threads=2)
@@ -583,33 +599,86 @@ def test_monte_carlo_risk_parallel_matches_serial(tmp_path, monkeypatch):
     # and with one thread every other command runs in process too
     cmd_fit(config, tmp_path / "refit", threads=1)
     cmd_simulate(config, tmp_path / "data", threads=1)
-    cmd_rate(parse_config(_rate_doc()), tmp_path / "rate", threads=1)
+    cmd_rate(parse_config(_rate_doc()), tmp_path / "rate")
+
+
+def _count_calls(monkeypatch, calls, module, name):
+    """Count in ``calls[name]`` each call of ``module.name``."""
+    inner = getattr(module, name)
+
+    def wrapper(*args):
+        calls[name] += 1
+        return inner(*args)
+    monkeypatch.setattr(module, name, wrapper)
 
 
 def test_rate_runs_in_process_and_builds_each_n_once(tmp_path, monkeypatch):
     # rate starts no pool whatever --threads says (starting one would fail
     # here), and each n's slice rows and their QR factor are built once, not
     # once per replication: two distinct bandwidths at each of four n
-    config = parse_config(_base_doc(n_list=[30, 60, 120, 300], replications=3,
-                                    bandwidths={"mode": "fixed", "values": {"1": 0.25, "2": 0.2}}))
+    doc = _base_doc(n_list=[30, 60, 120, 300], replications=3,
+                    bandwidths={"mode": "fixed", "values": {"1": 0.25, "2": 0.2}})
+    cfg = str(_write_config(tmp_path, doc))
+
+    def rate(out, threads):
+        assert main(["rate", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+
     serial = tmp_path / "serial"
-    cmd_rate(config, serial, threads=1)
+    rate(serial, "1")
     calls = {"slice_matrix": 0, "_functional_factor": 0}
-
-    def counted(module, name):
-        inner = getattr(module, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return inner(*args)
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(chaosreg, "slice_matrix")
-    counted(chaoscalc, "_functional_factor")
+    _count_calls(monkeypatch, calls, chaosreg, "slice_matrix")
+    _count_calls(monkeypatch, calls, chaoscalc, "_functional_factor")
     monkeypatch.setattr(benchcli, "_pool", None)
-    cmd_rate(config, tmp_path / "parallel", threads=2)
+    rate(tmp_path / "parallel", "2")
     assert _output_digests(tmp_path / "parallel") == _output_digests(serial)
     assert calls == {"slice_matrix": 4 * 2, "_functional_factor": 4}
+
+
+def test_fit_and_adapt_build_each_distinct_bandwidth_once(tmp_path, monkeypatch):
+    # orders that share a bandwidth share its slice integrals.  In adaptive
+    # mode order 1's candidates (e^-2, e^-3) hold order 2's one (e^-2) at both
+    # n: 2 blocks per replication, not 3 (one per order and candidate)
+    adapt = parse_config(_base_doc(n_list=[500, 1000], path_steps=512, grid_size=64,
+                                   bandwidths={"mode": "adaptive"}))
+    for n in adapt.n_list:
+        plan = benchcli.plan_bandwidths(adapt, n)
+        assert plan == {1: (math.exp(-2), math.exp(-3)), 2: (math.exp(-2),)}
+    calls = {"slice_matrix": 0}
+    _count_calls(monkeypatch, calls, chaosreg, "slice_matrix")
+    cmd_adapt(adapt, tmp_path / "adapt", threads=1)
+    assert calls["slice_matrix"] == 2 * 2 * 2
+    # the fixed plan gives both orders h = 0.25: one block per replication
+    calls["slice_matrix"] = 0
+    cmd_fit(parse_config(_base_doc()), tmp_path / "fit", threads=1)
+    assert calls["slice_matrix"] == 2
+
+
+@pytest.mark.parametrize("route", ["seed", "data"])
+@pytest.mark.parametrize("mode", ["fixed", "theoretical", "theorem41", "adaptive"])
+def test_fit_one_matches_the_per_order_fits(tmp_path, mode, route):
+    # one fit per (order, h) from its own slice integrals, and selection by
+    # adaptive_fit, give the models _fit_one builds from shared ones, bit for bit
+    bandwidths = {"fixed": {"mode": "fixed", "values": {"1": 0.25, "2": 0.25}},
+                  "theoretical": {"mode": "theoretical", "s": [1.0, 1.0], "lam": [1.0, 1.0]},
+                  "theorem41": {"mode": "theorem41", "s": [1.0], "lam": [1.0],
+                                "practical": True},
+                  "adaptive": {"mode": "adaptive"}}[mode]
+    config = parse_config(_base_doc(n_list=[500], path_steps=256, replications=1,
+                                    bandwidths=bandwidths))
+    data = cmd_simulate(config, tmp_path / "data") if route == "data" else None
+    model = benchcli._fit_one(config, 0, 500, 0, data)
+    sample = benchcli._sample_for(config, 0, 500, 0, data)
+    kernel = config.kernel()
+    if mode == "adaptive":
+        expected = adaptive_fit(sample, config.max_order, config.majorant, config.s_star_lo,
+                                config.grid_size, kernel)
+    else:
+        expected = FittedModel(estimate_mean(sample), tuple(
+            fit_chaos_kernel(sample, order, h, config.grid_size, kernel)
+            for order, (h,) in sorted(benchcli.plan_bandwidths(config, 500).items())))
+    assert len(expected.components) == 2
+    assert model_to_json(model) == model_to_json(expected)
+    assert model.selection_traces == expected.selection_traces
 
 
 def test_empty_adaptive_bracket_is_rejected_before_any_output(tmp_path):

@@ -38,16 +38,17 @@ def test_tracer_wraps_and_restores_program_names(tmp_path, perfbench):
     summary = tracer.summary()
     assert summary["mappingzoo.synthesize.paths"] == 60
     assert summary["chaosreg.risk_monte_carlo.draws"] == 200
-    assert summary["chaosreg.fit.order2.calls"] == 2
+    # the CLI fits from shared slice integrals, not through the wrapped
+    # fit_chaos_kernel, which it keeps only as a name
+    assert not any(key.startswith("chaosreg.fit.") for key in summary)
     # each replication's task serializes its model through the wrapped name
     assert summary["chaosreg.model_to_json.calls"] == 2
     assert summary["chaosreg.model_json.bytes"] == sum(
         p.stat().st_size for p in models.glob("n_*/rep_*/model.json"))
-    # one slice build per fit, on the path grid only: 4 fits x G = 16 x N = 128
-    fits = summary["chaosreg.fit.order1.calls"] + summary["chaosreg.fit.order2.calls"]
-    assert fits == 4
-    assert summary["kernelkit.slice_matrix.calls"] == fits
-    assert summary["kernelkit.slice_matrix.points"] == fits * 16 * 128
+    # one slice build per replication, on the path grid only: both orders
+    # have h = 0.25, so 2 builds x G = 16 x N = 128
+    assert summary["kernelkit.slice_matrix.calls"] == 2
+    assert summary["kernelkit.slice_matrix.points"] == 2 * 16 * 128
     # Monte Carlo risk predicts and evaluates the truth on all draws at once:
     # no per-draw prediction, and no quadrature (the truth pairs on its path-grid
     # single integrals)
