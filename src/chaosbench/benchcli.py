@@ -33,7 +33,7 @@ must be positive and ||g||^l finite.  ``bandwidths.practical`` is read in
 ``theorem41`` mode only.  A key that no reader takes, at the top level or in
 any block (a misspelling, or ``practical`` in another mode), is a
 ConfigError naming it.  A gridded component's ``grid_size`` must divide
-``path_steps`` and, under isometry risk, equal the config's.  The optional
+``path_steps``, and may differ from the config's.  The optional
 ``risk`` and ``check`` objects take an integer ``n_mc``, at least
 ``chaoscalc.MIN_MC_DRAWS`` (100) wherever it sets a Monte Carlo draw count:
 always for ``check``, for ``risk`` when its method is ``monte_carlo``.
@@ -251,7 +251,7 @@ def _parse_noise(doc: dict):
     raise ConfigError(f"truth.noise.kind: unknown noise '{kind}'")
 
 
-def _parse_component(doc: dict, where: str, path_steps: int, iso_grid: int | None):
+def _parse_component(doc: dict, where: str, path_steps: int):
     order = _require(doc, "order", int, where)
     if order < 1:
         raise ConfigError(f"{where}.order: must be >= 1")
@@ -259,8 +259,8 @@ def _parse_component(doc: dict, where: str, path_steps: int, iso_grid: int | Non
     if kind == "constant":
         return ConstantComponent(order, _require(doc, "value", float, where))
     if kind == "poly":
-        component = EqualFactorComponent(
-            order, np.polynomial.Polynomial(_require(doc, "coeffs", [float], where)))
+        component = EqualFactorComponent(order, _build(
+            f"{where}.coeffs", np.polynomial.Polynomial, _require(doc, "coeffs", [float], where)))
         # synthesis divides by the factor's path-grid norm: its functionals on one
         # zero row check it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -271,22 +271,16 @@ def _parse_component(doc: dict, where: str, path_steps: int, iso_grid: int | Non
         g = _require(doc, "grid_size", int, where)
         if g < 1:
             raise ConfigError(f"{where}: gridded components need grid_size >= 1")
-        flat = _require(doc, "values", [float], where)
-        if len(flat) != g**order:
-            raise ConfigError(f"{where}.values: expected {g**order} entries, got {len(flat)}")
-        values = np.asarray(flat).reshape((g,) * order)
+        values = _build(f"{where}.values", np.reshape, _require(doc, "values", [float], where),
+                        (g,) * order)
         component = _build(where, GriddedComponent, order, g, values)
-        # summed on path cells; compared on the config's grid under isometry risk
-        if path_steps % g != 0:
+        if path_steps % g != 0:  # its single integrals sum the path increments of each cell
             raise ConfigError(f"{where}.grid_size: {g} does not divide path_steps {path_steps}")
-        if iso_grid is not None and g != iso_grid:
-            raise ConfigError(f"{where}.grid_size: isometry risk compares surfaces on "
-                              f"grid_size {iso_grid}, not {g}")
         return component
     raise ConfigError(f"{where}.kind: unknown component kind '{kind}'")
 
 
-def _parse_truth(doc, path_steps: int, iso_grid: int | None) -> MappingSpec:
+def _parse_truth(doc, path_steps: int) -> MappingSpec:
     if isinstance(doc, str):
         if doc == "quadratic_terminal":
             return quadratic_terminal()
@@ -294,7 +288,7 @@ def _parse_truth(doc, path_steps: int, iso_grid: int | None) -> MappingSpec:
     if not isinstance(doc, dict):
         raise ConfigError("truth: expected a name or an object")
     a = _require(doc, "a", float, "truth")
-    comps = tuple(_parse_component(c, f"truth.components[{i}]", path_steps, iso_grid)
+    comps = tuple(_parse_component(c, f"truth.components[{i}]", path_steps)
                   for i, c in enumerate(_require(doc, "components", [dict], "truth")))
     noise = _parse_noise(_require(doc, "noise", dict, "truth"))
     cls = _block(doc, "class", "truth")
@@ -322,6 +316,9 @@ def _parse_bandwidths(doc: dict, max_order: int) -> BandwidthPlan:
             name = f"bandwidths.values[{key}]"
             if not str(key).isdecimal() or not 1 <= int(key) <= max_order:
                 raise ConfigError(f"{name}: keys must be orders in 1..max_order = {max_order}")
+            if int(key) in fixed:  # every earlier key is decimal
+                first = next(k for k in raw if int(k) == int(key))
+                raise ConfigError(f"bandwidths.values: keys {first!r} and {key!r} name one order")
             fixed[int(key)] = _typed(_take(raw, key), float, name)
         missing = [o for o in range(1, max_order + 1) if o not in fixed]
         if missing:
@@ -341,11 +338,11 @@ def _parse_bandwidths(doc: dict, max_order: int) -> BandwidthPlan:
     raise ConfigError(f"bandwidths.mode: unknown mode '{mode}'")
 
 
-# The largest G^l surface of float64 a config may fit or, under isometry risk,
-# tabulate: 16 MiB, an order-3 surface on 128 points per axis or an order-4
-# one on 38.  A fit holds a few temporaries of its surface's size and the
-# model's JSON text about 2.5 times it, so this keeps a replication within a
-# few hundred MB; an order-5 fit on 64 points would take 8.6 GB per surface.
+# The largest G^l surface of float64 a config may fit (risk builds no larger
+# tensor): 16 MiB, an order-3 surface on 128 points per axis or an order-4 one
+# on 38.  A fit holds a few temporaries of its surface's size and the model's
+# JSON text about 2.5 times it, so this keeps a replication within a few
+# hundred MB; an order-5 fit on 64 points would take 8.6 GB per surface.
 MAX_SURFACE_BYTES = 2**24
 
 
@@ -400,8 +397,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if risk_method == "monte_carlo" and risk_n_mc < MIN_MC_DRAWS:
         raise ConfigError(f"risk.n_mc: Monte Carlo risk needs >= {MIN_MC_DRAWS} draws")
     doc.setdefault("truth", "quadratic_terminal")
-    truth = _parse_truth(_take(doc, "truth"), path_steps,
-                         grid_size if risk_method == "isometry" else None)
+    truth = _parse_truth(_take(doc, "truth"), path_steps)
     replications = _require(doc, "replications", int)
     if replications < 1:
         raise ConfigError("replications: must be >= 1")
@@ -430,10 +426,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         check_n_mc=check_n_mc,
         doc=_untracked(doc),
     )
-    orders = {order for n in n_list for order in plan_bandwidths(config, n)}
-    if risk_method == "isometry":  # risk tabulates the truth on the grid too
-        orders |= set(truth.orders)
-    top = max(orders)
+    top = max(order for n in n_list for order in plan_bandwidths(config, n))
     if grid_size**top * 8 > MAX_SURFACE_BYTES:
         raise ConfigError(
             f"grid_size: an order-{top} surface on grid_size {grid_size} takes "
@@ -605,7 +598,7 @@ def _fit_one(config: ExperimentConfig, n_index: int, n: int, rep: int,
 
 def _risk_of_model(config: ExperimentConfig, model: FittedModel, n_index: int, rep: int):
     if config.risk_method == "isometry":
-        return risk_isometry(model, config.truth, config.grid_size)
+        return risk_isometry(model, config.truth, config.path_steps)
     return risk_monte_carlo(
         model, config.truth, config.risk_p, config.risk_n_mc,
         derive_seed(config.seed, 1_000_000 + n_index, rep), config.path_steps,

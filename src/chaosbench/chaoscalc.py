@@ -40,8 +40,9 @@ from (xi, A A^T / N), whether xi came from paths or from a draw:
 other two run the equal-factor and the gridded evaluator on the path's
 single integrals.
 
-``ChaosExpansion`` is a + sum_l I_l(f_l)(W) / l!, the one type of synthetic
-truths and fitted models, and ``ChaosExpansion.values`` evaluates both.
+``ChaosExpansion`` is a + sum_l I_l(f_l)(W) / l!, the one type of truths and
+fitted models; ``ChaosExpansion.values`` evaluates both, and ``path_grid_inner``
+pairs two components on the path grid through ``project``, as the fit's mean does.
 
 ``l2_inner``, a continuum quadrature, serves only the class-check norms.
 ``monte_carlo_mean``, the one Monte Carlo estimator, serves the validators
@@ -111,11 +112,9 @@ class GriddedFunction:
                 return False
         return True
 
-    def gridded(self, grid_size: int) -> np.ndarray:
-        """The tabulated values; only its own grid can be asked for."""
-        if grid_size != self.grid_size:
-            raise ValueError(
-                f"order-{self.order} surface on G={self.grid_size}, requested G={grid_size}")
+    @property
+    def coefficients(self) -> np.ndarray:
+        """Its coefficient tensor on its functional rows: the tabulated values."""
         return self.values
 
     def functional_rows(self, n_steps: int) -> np.ndarray:
@@ -169,12 +168,11 @@ class ChaosExpansion:
     """a + sum_l I_l(f_l)(W) / l!, with at most one component per order l >= 1.
 
     A component is one of the two integrand forms, a ``GriddedFunction`` or a
-    ``mappingzoo.EqualFactorComponent``.  It has an ``order``,
-    ``gridded(grid_size)`` (f_l on the G-per-axis midpoint grid) and the one
-    owner of its single integrals: ``functional_rows(N)`` gives their weight
-    rows A_c (k_c, N), and ``chaos_from_functionals(x, cov)`` I_l(f_l) from
-    x = A_c dW (k_c, n) and cov = A_c A_c^T / N.  Components are kept sorted
-    by order.
+    ``mappingzoo.EqualFactorComponent``.  It has an ``order`` and owns its
+    single integrals: ``functional_rows(N)`` gives their weight rows A_c
+    (k_c, N), ``coefficients`` the tensor C_c (k_c,)^l of f_l on them, and
+    ``chaos_from_functionals(x, cov)`` I_l(f_l) from x = A_c dW (k_c, n) and
+    cov = A_c A_c^T / N.  Components are kept sorted by order.
     """
 
     a: float
@@ -193,13 +191,6 @@ class ChaosExpansion:
     def orders(self) -> tuple[int, ...]:
         return tuple(c.order for c in self.components)
 
-    def component_values(self, order: int, grid_size: int) -> np.ndarray:
-        """f_l on the G-per-axis midpoint grid; zero for an order without a component."""
-        for c in self.components:
-            if c.order == order:
-                return c.gridded(grid_size)
-        return np.zeros((grid_size,) * order)
-
     def values(self, increments: np.ndarray) -> np.ndarray:
         """a + sum_l I_l(f_l)(W) / l! for each row of an (n, N) increment matrix."""
         n, n_steps = increments.shape
@@ -213,6 +204,27 @@ class ChaosExpansion:
         for c, (x, cov) in zip(self.components, parts):
             values += c.chaos_from_functionals(x, cov) / math.factorial(c.order)
         return values
+
+
+def project(component, own_rows: np.ndarray, rows: np.ndarray, n_steps: int) -> np.ndarray:
+    """C_c contracted on each axis with B A_c^T / N, A_c = ``own_rows``: (k,)^l for B (k, N)."""
+    proj = rows @ own_rows.T / n_steps
+    values = component.coefficients
+    for _ in range(component.order):  # each pass contracts the leading axis
+        values = np.tensordot(values, proj, axes=(0, 1))
+    return values
+
+
+def path_grid_inner(c, c_rows: np.ndarray, c2, c2_rows: np.ndarray, n_steps: int) -> float:
+    """<f_l, f'_l>_N = (1/N^l) sum_j f_l(t_j) f'_l(t_j) over the left-point tuples j.
+
+    Two equal-factor components (with a ``scale``) give scale scale' <g, g'>_N^l, no tensor.
+    """
+    if hasattr(c, "scale") and hasattr(c2, "scale"):
+        return float(c.scale * c2.scale * (c_rows[0] @ c2_rows[0] / n_steps) ** c.order)
+    if len(c_rows) > len(c2_rows):  # project the one with more rows on the other's
+        c, c_rows, c2, c2_rows = c2, c2_rows, c, c_rows
+    return float(np.sum(c.coefficients * project(c2, c2_rows, c_rows, n_steps)))
 
 
 def chaos_constant(order: int, q: float) -> float:

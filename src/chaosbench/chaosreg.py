@@ -32,11 +32,11 @@ once, and ``predict`` is its row 0 for a single path.
 Risk against a truth expansion (``mappingzoo.MappingSpec``) is computed two
 ways: the exact conditional decomposition
 
-    R_2^2 = (Ybar - a)^2 + sum_l ||fhat_l - f_l||^2 / l!
+    R_2^2 = (Ybar - a)^2 + sum_l ||fhat_l - f_l||_N^2 / l!
 
-valid for p = 2 (norms on the G grid), and a plain Monte Carlo prediction error
-E |mhat(W) - m(W)|^p for any p >= 2 (``chaoscalc.monte_carlo_mean`` over
-batches of raw increment rows).
+valid for p = 2 (norms over the N^l left-point tuples of the path grid), and a
+plain Monte Carlo prediction error E |mhat(W) - m(W)|^p for any p >= 2
+(``chaoscalc.monte_carlo_mean`` over batches of raw increment rows).
 
 ``model_to_json`` writes the text of ``json.dumps(doc, sort_keys=True)`` byte
 for byte, but formats each distinct value of a surface once: a fitted
@@ -61,6 +61,7 @@ from ._util import midpoints
 from ._util import derive_seed  # noqa: F401
 from .chaoscalc import ChaosExpansion, GriddedFunction, _chaos_from_parts
 from .chaoscalc import left_point_integrals, left_points, monte_carlo_mean
+from .chaoscalc import path_grid_inner, project
 from .chaoscalc import brute_multiple_integral  # noqa: F401
 from .kernelkit import MomentKernel, slice_matrix
 from .pathlab import BrownianPath, TimeGrid
@@ -251,22 +252,13 @@ def fit_mean(truth: ChaosExpansion, order: int, bandwidth: float, grid_size: int
     of the slice integrals x with the path increments, and the fit's gram is
     the exact covariance of x, so by Isserlis's theorem the Wick product
     removes every order but l at any n and N: the mean a, the noise and the
-    other components drop out.  S maps the component's functional rows A_c
-    (k_c, N) to P = S A_c^T (G, k_c), and f_l's coefficient tensor on those
-    functionals, the values of a gridded component or scale on the one row
-    of an equal-factor one, is contracted with P on each axis.  An order
-    without a component gives zeros.  Exact for both forms: each lies in its
-    own order's chaos on the path grid.
+    other components drop out, for either integrand form.  What remains is
+    f_l's ``chaoscalc.project`` on the slice rows, zeros without a component.
     """
-    s = slice_rows(kernel, bandwidth, grid_size, grid) / grid.n_steps
     for c in truth.components:
-        if c.order != order:
-            continue
-        proj = s @ c.functional_rows(grid.n_steps).T
-        values = c.values if isinstance(c, GriddedFunction) else np.full((1,) * order, c.scale)
-        for _ in range(order):  # each pass contracts the leading axis
-            values = np.tensordot(values, proj, axes=(0, 1))
-        return values
+        if c.order == order:
+            return project(c, c.functional_rows(grid.n_steps),
+                           slice_rows(kernel, bandwidth, grid_size, grid), grid.n_steps)
     return np.zeros((grid_size,) * order)
 
 
@@ -275,21 +267,22 @@ def predict(model: FittedModel, path: BrownianPath) -> float:
     return float(model.values(path.increments[None])[0])
 
 
-def risk_isometry(model: FittedModel, truth: ChaosExpansion,
-                  grid_size: int | None = None) -> RiskReport:
-    """Exact conditional R_2, the isometry distance between two expansions.
+def risk_isometry(model: FittedModel, truth: ChaosExpansion, n_steps: int) -> RiskReport:
+    """Exact conditional R_2 = (E |mhat(W) - m(W)|^2)^(1/2) on the path grid of ``n_steps``.
 
-    An order present on one side only contributes the other side's norm.
-    Both sides are tabulated at ``grid_size`` (default: the model's grid), so
-    every estimate must lie on that grid.
+    ||fhat_l - f_l||_N^2 = <fhat, fhat>_N - 2 <fhat, f>_N + <f, f>_N (``path_grid_inner``),
+    each side's rows built once; an order on one side only gives that side's norm.
     """
-    if grid_size is None:
-        grid_size = model.components[0].grid_size if model.components else 64
+    sides = [{c.order: (c, c.functional_rows(n_steps)) for c in e.components}
+             for e in (model, truth)]
     total = (model.a - truth.a) ** 2
     breakdown: dict = {"mean": float(total)}
-    for order in sorted(set(model.orders) | set(truth.orders)):
-        diff = model.component_values(order, grid_size) - truth.component_values(order, grid_size)
-        breakdown[order] = float(np.mean(diff**2)) / math.factorial(order)
+    for order in sorted(sides[0].keys() | sides[1].keys()):
+        parts = [side[order] for side in sides if order in side]
+        sq = sum(path_grid_inner(*part, *part, n_steps) for part in parts)
+        if len(parts) == 2:
+            sq -= 2.0 * path_grid_inner(*parts[0], *parts[1], n_steps)
+        breakdown[order] = max(sq, 0.0) / math.factorial(order)  # rounding can leave sq < 0
         total += breakdown[order]
     return RiskReport(2.0, float(np.sqrt(total)), "isometry", 0.0, breakdown)
 

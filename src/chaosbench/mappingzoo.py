@@ -86,9 +86,10 @@ class EqualFactorComponent:
     def l2_norm_sq(self) -> float:
         return self.scale**2 * l2_inner(self.g, self.g) ** self.order
 
-    def gridded(self, grid_size: int) -> np.ndarray:
-        row = np.asarray(self.g(midpoints(grid_size)), dtype=float)
-        return self.scale * functools.reduce(np.multiply.outer, [row] * self.order)
+    @property
+    def coefficients(self) -> np.ndarray:
+        """Its coefficient tensor (1,)^l on its one functional row: the scale."""
+        return np.full((1,) * self.order, self.scale)
 
     def functional_rows(self, n_steps: int) -> np.ndarray:
         """The one row g(t_left) (1, N) of its single integral xi = I_1(g)."""

@@ -195,7 +195,7 @@ def test_criterion_5_quadratic_terminal_recovery():
                 fit_chaos_kernel(sample, order, h, g_size, kernel) for order in (1, 2)
             )
             model = FittedModel(estimate_mean(sample), estimates)
-            risks.append(risk_isometry(model, truth).value)
+            risks.append(risk_isometry(model, truth, grid.n_steps).value)
         mean_risk[n] = float(np.mean(risks))
     decrease_ok = mean_risk[4000] < mean_risk[1000]
     passed = recovery_ok and decrease_ok
@@ -270,7 +270,7 @@ def test_criterion_7_oracle_behavior():
         for rep in range(reps):
             sample = synthesize(truth, n, grid, derive_seed(77, key, rep))
             model = adaptive_fit(sample, max_order, params, 0.5, g_size, kernel)
-            adaptive_risks.append(risk_isometry(model, truth).value)
+            adaptive_risks.append(risk_isometry(model, truth, grid.n_steps).value)
             fits = {
                 (o, h): fit_chaos_kernel(sample, o, h, g_size, kernel)
                 for o in range(1, max_order + 1)
@@ -281,7 +281,7 @@ def test_criterion_7_oracle_behavior():
                 fixed = FittedModel(
                     mean_hat, tuple(fits[(o, combo[o - 1])] for o in range(1, max_order + 1))
                 )
-                fixed_risks[combo].append(risk_isometry(fixed, truth).value)
+                fixed_risks[combo].append(risk_isometry(fixed, truth, grid.n_steps).value)
         mean_adaptive = float(np.mean(adaptive_risks))
         best_fixed = min(float(np.mean(v)) for v in fixed_risks.values())
         ok = mean_adaptive <= 4.0 * best_fixed

@@ -135,8 +135,8 @@ MALFORMED = [
     ({"truth": _truth(components=[_gridded(2, 2, [1.0, 2.0, 3.0, 4.0])])},
      r"truth\.components\[0\]: gridded components must be symmetric"),
     ({"seed": -1}, r"seed: must be >= 0"),
-    ({"truth": _truth(components=[_gridded(2, 16, [1.0] * 256)]), "grid_size": 8},
-     r"truth\.components\[0\]\.grid_size: isometry risk compares surfaces on grid_size 8"),
+    ({"bandwidths": {"mode": "fixed", "values": {"1": 0.1, "01": 0.2, "2": 0.25}}},
+     r"bandwidths\.values: keys '1' and '01' name one order"),
     ({"truth": _truth(components=[_gridded(1, 3, [1.0] * 3)]), "path_steps": 64},
      r"truth\.components\[0\]\.grid_size: 3 does not divide path_steps 64"),
     ({"s_star_hi": math.inf}, r"s_star_hi: expected a number, got inf"),
@@ -147,19 +147,57 @@ MALFORMED = [
     ({"truth": _truth(components=[{"order": 2, "kind": "constant", "value": 1.0},
                                   _gridded(1, 3, [1.0] * 3)]), "path_steps": 64},
      r"truth\.components\[1\]\.grid_size: 3 does not divide path_steps 64"),
+    ({"majorant": {"mu4": 0, "class_bound": 1.0}}, "majorant:"),
+    ({"majorant": {"mu4": 0.66, "class_bound": -1}}, "majorant:"),
+    ({"s_star_hi": 1e7}, r"s_star_hi: s_star must be at most 232"),
+    # the factor's path-grid norm overflows, or is 0 though the factor is not
+    ({"truth": _truth(components=[{"order": 1, "kind": "poly", "coeffs": [1e200, 0.5]}])},
+     r"truth\.components\[0\]\.coeffs: hermite_chaos requires"),
+    ({"truth": _truth(components=[{"order": 2, "kind": "poly",
+                                   "coeffs": [0.0, -0.5, 1.0]}]),
+      "path_steps": 2, "grid_size": 2},
+     r"truth\.components\[0\]\.coeffs: hermite_chaos requires"),
+    # the norm is finite, its fourth power is not
+    ({"truth": _truth(components=[{"order": 4, "kind": "poly", "coeffs": [1e100]}])},
+     r"truth\.components\[0\]\.coeffs: hermite_chaos requires"),
+    # a key that no reader takes, at the top level and in each block
+    ({"gird_size": 8}, r"^gird_size: unknown key"),
+    ({"risk": {"nmc": 5}}, r"^risk\.nmc: unknown key"),
+    ({"check": {"n_mc": 1500, "kernel_coeff_perturbation": 0.1}},
+     r"^check\.kernel_coeff_perturbation: unknown key"),
+    ({"majorant": {"mu4": 0.66, "class_bound": 1.0, "mu_4": 0.5}},
+     r"^majorant\.mu_4: unknown key"),
+    ({"bandwidths": {"mode": "theoretical", "s": [1.0], "lam": [1.0], "practical": True}},
+     r"^bandwidths\.practical: unknown key"),
+    ({"bandwidths": {"mode": "fixed", "values": {"1": 0.25, "2": 0.25}, "s": [1.0]}},
+     r"^bandwidths\.s: unknown key"),
+    ({"truth": _truth(sigma=0.5)}, r"^truth\.sigma: unknown key"),
+    ({"truth": _truth(noise={"kind": "gaussian", "sigma": 0.5, "half_width": 1.0})},
+     r"^truth\.noise\.half_width: unknown key"),
+    ({"truth": _truth(**{"class": {"max_order": 2, "bound": 1.0}})},
+     r"^truth\.class\.bound: unknown key"),
+    ({"truth": _truth(components=[{"order": 2, "kind": "constant", "value": 1.0,
+                                   "coeffs": [1.0]}])},
+     r"^truth\.components\[0\]\.coeffs: unknown key"),
+    # an empty factor, a surface of more axes than numpy allows, two keys of one order
+    ({"truth": _truth(components=[{"order": 1, "kind": "poly", "coeffs": []}])},
+     r"truth\.components\[0\]\.coeffs: Coefficient array is empty"),
+    ({"truth": _truth(components=[_gridded(70, 1, [1.0])])},
+     r"truth\.components\[0\]\.values: "),
+    ({"bandwidths": {"mode": "fixed", "values": {"1": 0.1, "\u0661": 0.2, "2": 0.25}}},
+     r"bandwidths\.values: keys '1' and '\u0661' name one order"),
 ]
 
 
-def test_surface_budget_covers_fitted_and_tabulated_orders():
+def test_surface_budget_counts_fitted_orders_only():
     fixed = {"mode": "fixed", "values": {str(o): 0.25 for o in range(1, 6)}}
     with pytest.raises(ConfigError, match=r"^grid_size: an order-5 surface on grid_size 64 "
                                           r"takes 8589934592 bytes, more than MAX_SURFACE"):
         parse_config(_base_doc(path_steps=512, grid_size=64, max_order=5, bandwidths=fixed))
-    # isometry risk tabulates the truth's orders on the grid, Monte Carlo risk does not
+    # neither risk builds a G^l tensor of an order only the truth has
     order6 = _truth(components=[{"order": 6, "kind": "constant", "value": 1.0}])
-    with pytest.raises(ConfigError, match=r"^grid_size: an order-6 surface on grid_size 64 "):
-        parse_config(_base_doc(path_steps=512, grid_size=64, truth=order6))
-    parse_config(_base_doc(path_steps=512, grid_size=64, truth=order6, risk_p=4.0))
+    for risk_p in (2.0, 4.0):
+        parse_config(_base_doc(path_steps=512, grid_size=64, truth=order6, risk_p=risk_p))
     # the budget admits an order-3 fit on 128 points per axis
     largest = parse_config(_base_doc(path_steps=512, grid_size=128, max_order=3, bandwidths={
         "mode": "fixed", "values": {"1": 0.25, "2": 0.25, "3": 0.25}}))
@@ -186,38 +224,6 @@ def test_surface_budget_covers_fitted_and_tabulated_orders():
         ({"risk": {"n_mc": "many"}}, r"risk\.n_mc: expected an integer"),
         ({"majorant": {"mu4": "x", "class_bound": 1.0}}, "expected a number"),
         *MALFORMED,
-        ({"majorant": {"mu4": 0, "class_bound": 1.0}}, "majorant:"),
-        ({"majorant": {"mu4": 0.66, "class_bound": -1}}, "majorant:"),
-        ({"s_star_hi": 1e7}, r"s_star_hi: s_star must be at most 232"),
-        # the factor's path-grid norm overflows, or is 0 though the factor is not
-        ({"truth": _truth(components=[{"order": 1, "kind": "poly", "coeffs": [1e200, 0.5]}])},
-         r"truth\.components\[0\]\.coeffs: hermite_chaos requires"),
-        ({"truth": _truth(components=[{"order": 2, "kind": "poly",
-                                       "coeffs": [0.0, -0.5, 1.0]}]),
-          "path_steps": 2, "grid_size": 2},
-         r"truth\.components\[0\]\.coeffs: hermite_chaos requires"),
-        # the norm is finite, its fourth power is not
-        ({"truth": _truth(components=[{"order": 4, "kind": "poly", "coeffs": [1e100]}])},
-         r"truth\.components\[0\]\.coeffs: hermite_chaos requires"),
-        # a key that no reader takes, at the top level and in each block
-        ({"gird_size": 8}, r"^gird_size: unknown key"),
-        ({"risk": {"nmc": 5}}, r"^risk\.nmc: unknown key"),
-        ({"check": {"n_mc": 1500, "kernel_coeff_perturbation": 0.1}},
-         r"^check\.kernel_coeff_perturbation: unknown key"),
-        ({"majorant": {"mu4": 0.66, "class_bound": 1.0, "mu_4": 0.5}},
-         r"^majorant\.mu_4: unknown key"),
-        ({"bandwidths": {"mode": "theoretical", "s": [1.0], "lam": [1.0], "practical": True}},
-         r"^bandwidths\.practical: unknown key"),
-        ({"bandwidths": {"mode": "fixed", "values": {"1": 0.25, "2": 0.25}, "s": [1.0]}},
-         r"^bandwidths\.s: unknown key"),
-        ({"truth": _truth(sigma=0.5)}, r"^truth\.sigma: unknown key"),
-        ({"truth": _truth(noise={"kind": "gaussian", "sigma": 0.5, "half_width": 1.0})},
-         r"^truth\.noise\.half_width: unknown key"),
-        ({"truth": _truth(**{"class": {"max_order": 2, "bound": 1.0}})},
-         r"^truth\.class\.bound: unknown key"),
-        ({"truth": _truth(components=[{"order": 2, "kind": "constant", "value": 1.0,
-                                       "coeffs": [1.0]}])},
-         r"^truth\.components\[0\]\.coeffs: unknown key"),
     ],
 )
 def test_parse_config_rejects(overrides, fragment):
@@ -315,8 +321,9 @@ def test_fit_and_risk_pipeline(tmp_path):
 def test_risk_zero_for_perfect_model(tmp_path):
     config = parse_config(_base_doc(replications=1))
     truth = config.truth
-    values = truth.component_values(2, config.grid_size)
-    estimate = ChaosKernelEstimate(2, config.grid_size, values, bandwidth=0.25)
+    # the unit surface of the quadratic_terminal truth
+    estimate = ChaosKernelEstimate(2, config.grid_size, np.ones((config.grid_size,) * 2),
+                                   bandwidth=0.25)
     model = FittedModel(truth.a, (estimate,))
     rep_dir = tmp_path / "models" / "n_000040" / "rep_000"
     rep_dir.mkdir(parents=True)
@@ -453,7 +460,6 @@ def test_main_exit_codes(tmp_path, monkeypatch):
         {"check": []},
         {"risk": {"n_mc": "many"}},
         *(overrides for overrides, _ in MALFORMED),
-        {"s_star_hi": 1e7},
     ]
     runs = [(_base_doc(**overrides), []) for overrides in bad_blocks]
     runs.append(([_base_doc()], ["--seed", "5"]))  # a top-level list, with --seed
@@ -829,7 +835,7 @@ def test_truth_config_round_trip_including_gridded():
                    noise={"kind": "gaussian", "sigma": 0.0})
     config = parse_config(_base_doc(truth=truth, grid_size=16, max_order=2))
     assert config.truth.orders == (2,)
-    assert np.array_equal(config.truth.component_values(2, 16), bump.values)
+    assert np.array_equal(config.truth.components[0].values, bump.values)
     back = parse_config(_base_doc(truth=_truth()))
     assert back.truth == parse_config(_base_doc()).truth
 
@@ -851,6 +857,35 @@ def test_gridded_order_4_truth_runs(tmp_path):
                  ["fit", "--out", str(tmp_path / "fits")],
                  ["risk", "--out", str(tmp_path / "risk"), "--models", str(tmp_path / "fits")]):
         assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 0
+
+
+def test_isometry_risk_pairs_a_gridded_truth_on_another_grid(tmp_path):
+    # the unit order-2 surface on G = 32 is the quadratic_terminal truth on the
+    # path grid, so models on the config's G = 16 score the same against both
+    models = cmd_fit(parse_config(_base_doc()), tmp_path / "fits")
+    gridded = _truth(components=[_gridded(2, 32, [1.0] * 32**2)])
+    risks = []
+    for i, truth in enumerate(("quadratic_terminal", gridded)):
+        cfg = _write_config(tmp_path, _base_doc(truth=truth), f"cfg{i}.json")
+        out = tmp_path / f"risk{i}"
+        assert main(["risk", "--config", str(cfg), "--out", str(out),
+                     "--models", str(models)]) == 0
+        rows = (out / "risk.csv").read_text().splitlines()[1:]
+        risks.append([float(row.split(",")[4]) for row in rows])
+    assert np.allclose(risks[0], risks[1], rtol=1e-12, atol=0.0)
+
+
+def test_order_70_constant_truth_runs_under_isometry_risk(tmp_path):
+    # isometry risk pairs the truth's order 70 in closed form, so no (1,)^70
+    # or G^70 tensor is built
+    truth = _truth(components=[{"order": 70, "kind": "constant", "value": 1.0}],
+                   **{"class": {"max_order": 70}})
+    cfg = _write_config(tmp_path, _base_doc(truth=truth, replications=1))
+    for argv in (["simulate", "--out", str(tmp_path / "data")],
+                 ["fit", "--out", str(tmp_path / "fits")],
+                 ["risk", "--out", str(tmp_path / "risk"), "--models", str(tmp_path / "fits")]):
+        assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 0
+    assert parse_config(_base_doc(truth=truth)).risk_method == "isometry"
 
 
 def test_theorem41_mode_runs_monte_carlo_risk(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -7,7 +8,7 @@ import pytest
 
 from chaosbench._util import derive_seed, midpoints
 from chaosbench.benchcli import _parse_truth
-from chaosbench.chaoscalc import draw_left_point_integrals
+from chaosbench.chaoscalc import GriddedFunction, draw_left_point_integrals
 from chaosbench.chaosreg import (
     MODEL_FORMAT,
     ChaosKernelEstimate,
@@ -318,7 +319,7 @@ def test_fit_mean_order_one_matches_benchmark_moments(s_star, h, g, n_steps, per
     coeffs, _ = checks.kernel_poly(s_star)
     for doc in (workloads.RATE_TRUTH, "quadratic_terminal"):
         means, _ = checks.order1_moments(doc, coeffs, h, g, n_steps)
-        exact = fit_mean(_parse_truth(doc, n_steps, None), 1, h, g, build_kernel(s_star),
+        exact = fit_mean(_parse_truth(doc, n_steps), 1, h, g, build_kernel(s_star),
                          make_grid(n_steps))
         assert np.max(np.abs(exact - means)) <= 1e-12, doc
 
@@ -401,9 +402,8 @@ def test_predict_order_four_unit_surface_is_hermite():
 
 def test_risk_isometry_zero_for_exact_model():
     truth = quadratic_terminal()
-    values = truth.component_values(2, 16)
-    model = _model_with({2: values}, truth.a)
-    report = risk_isometry(model, truth)
+    model = _model_with({2: np.ones((16, 16))}, truth.a)
+    report = risk_isometry(model, truth, 512)
     assert report.value == 0.0
     assert report.mc_stderr == 0.0
 
@@ -411,19 +411,26 @@ def test_risk_isometry_zero_for_exact_model():
 def test_risk_isometry_missing_order_breakdown():
     truth = quadratic_terminal()
     model = FittedModel(truth.a, ())
-    report = risk_isometry(model, truth, grid_size=16)
+    report = risk_isometry(model, truth, 512)
     # || f_2 ||^2 / 2! = 1/2 for the unit constant component
     assert report.breakdown[2] == pytest.approx(0.5, abs=1e-12)
     assert report.value == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
 
-def test_risk_monte_carlo_agrees_with_isometry():
-    truth = quadratic_terminal()
+# criterion 7's two-order mix: a non-constant order-1 factor, whose path-grid
+# norm is not its norm on the G midpoints
+TWO_ORDER_MIX = MappingSpec(1.0, (EqualFactorComponent(1, np.polynomial.Polynomial([0.0, 1.0])),
+                                  ConstantComponent(2, 0.5)), GaussianNoise(0.5))
+
+
+@pytest.mark.parametrize("truth", [quadratic_terminal(), TWO_ORDER_MIX], ids=["quadratic", "mix"])
+def test_risk_monte_carlo_agrees_with_isometry(truth):
     sample = synthesize(truth, 2000, make_grid(512), 424242)
-    est = fit_chaos_kernel(sample, 2, 0.25, 64, K1)
-    model = FittedModel(estimate_mean(sample), (est,))
-    iso = risk_isometry(model, truth)
-    mc = risk_monte_carlo(model, truth, 2.0, 400, 777, 512)
+    model = FittedModel(estimate_mean(sample), tuple(
+        fit_chaos_kernel(sample, order, 0.25, 64, K1) for order in truth.orders))
+    iso = risk_isometry(model, truth, 512)
+    # 20 000 draws put 3 se at about 2 % of the risk
+    mc = risk_monte_carlo(model, truth, 2.0, 20_000, 777, 512)
     assert abs(iso.value - mc.value) <= 3 * mc.mc_stderr
 
 
@@ -432,7 +439,7 @@ def test_risk_monte_carlo_self_comparison_is_discretization_floor():
     # a constant-surface truth has no discretization floor under Monte Carlo risk
     for order, g in ((2, 64), (3, 64), (4, 16)):
         truth = MappingSpec(1.0, (ConstantComponent(order, 1.0),), GaussianNoise(0.0))
-        perfect = _model_with({order: truth.component_values(order, g)}, truth.a)
+        perfect = _model_with({order: np.ones((g,) * order)}, truth.a)
         assert risk_monte_carlo(perfect, truth, 2.0, 300, 11, 512).value < 1e-12
 
 
@@ -456,7 +463,7 @@ def test_risk_decreases_with_sample_size():
             sample = synthesize(truth, n, grid, derive_seed(33, n, rep))
             est = fit_chaos_kernel(sample, 2, 0.25, 16, K1)
             model = FittedModel(estimate_mean(sample), (est,))
-            risks.append(risk_isometry(model, truth).value)
+            risks.append(risk_isometry(model, truth, grid.n_steps).value)
         means[n] = np.mean(risks)
     assert means[1600] < means[400]
 
@@ -543,20 +550,60 @@ def test_model_of_a_gridded_truth_reproduces_it_exactly():
         GriddedComponent(order, g, values)
         for order, values in surfaces.items()), GaussianNoise(0.0))
     model = FittedModel(truth.a, tuple(
-        ChaosKernelEstimate(order, g, truth.component_values(order, g), bandwidth=0.25)
-        for order in truth.orders))
+        ChaosKernelEstimate(order, g, values, bandwidth=0.25)
+        for order, values in surfaces.items()))
     increments = np.diff(sample_brownian_paths(make_grid(64), 50, 5), axis=1)
     assert np.array_equal(model.values(increments), truth.values(increments))
-    assert risk_isometry(model, truth).value == 0.0
+    assert risk_isometry(model, truth, 64).value == 0.0
     assert risk_monte_carlo(model, truth, 2.0, 200, 9, 64).value == 0.0
 
 
-def test_risk_isometry_rejects_an_estimate_on_another_grid():
+def test_risk_isometry_of_an_exact_model_is_zero_on_every_path_grid():
+    # the unit surface is the unit truth on every path grid its cells divide
     truth = quadratic_terminal()
-    model = _model_with({2: truth.component_values(2, 16)}, truth.a)
-    assert risk_isometry(model, truth, 16).value == 0.0
-    with pytest.raises(ValueError, match="G=16"):
+    model = _model_with({2: np.ones((16, 16))}, truth.a)
+    for n_steps in (16, 64, 512):
+        assert risk_isometry(model, truth, n_steps).value == 0.0
+    with pytest.raises(ValueError, match="grid_size 16 does not divide"):
         risk_isometry(model, truth, 8)
+
+
+def _on_left_tuples(component, n_steps):
+    """f_l at all N^l left-point tuples (t_j1, ..., t_jl), tabulated directly."""
+    if isinstance(component, GriddedFunction):
+        cell = np.arange(n_steps) * component.grid_size // n_steps  # the cell holding t_j
+        return component.values[np.ix_(*[cell] * component.order)]
+    row = np.asarray(component.g(np.arange(n_steps) / n_steps), dtype=float)
+    return component.scale * functools.reduce(np.multiply.outer, [row] * component.order)
+
+
+def _symmetric_surface(rng, order, g):
+    return _symmetrize(rng.normal(size=(g,) * order))
+
+
+@pytest.mark.parametrize("form", ["equal_factor", "gridded"])
+def test_risk_isometry_is_the_brute_path_grid_second_moment(form):
+    # R_2^2 = (Ybar - a)^2 + sum_l mean_j (fhat_l(t_j) - f_l(t_j))^2 / l! over
+    # all N^l left-point tuples j; the model's G is 8, a gridded truth's 16 and 4
+    n_steps, rng = 64, np.random.default_rng(11)
+    if form == "equal_factor":  # order 2 only in the truth
+        model_orders = (1, 3)
+        comps = tuple(EqualFactorComponent(order, np.polynomial.Polynomial(coeffs), scale)
+                      for order, coeffs, scale in ((1, [1.0, 0.5], 0.8),
+                                                   (2, [0.2, -1.0, 2.0], 1.5),
+                                                   (3, [0.5, 1.0], -0.7)))
+    else:  # order 1 only in the model
+        model_orders = (1, 2, 3)
+        comps = (GriddedComponent(2, 16, _symmetric_surface(rng, 2, 16)),
+                 GriddedComponent(3, 4, _symmetric_surface(rng, 3, 4)))
+    truth = MappingSpec(0.4, comps, GaussianNoise(0.0))
+    model = _model_with({order: _symmetric_surface(rng, order, 8) for order in model_orders}, 0.3)
+    brute = (model.a - truth.a) ** 2
+    for order in range(1, 4):
+        sides = [sum((_on_left_tuples(c, n_steps) for c in e.components if c.order == order),
+                     np.zeros((n_steps,) * order)) for e in (model, truth)]
+        brute += np.mean((sides[0] - sides[1]) ** 2) / math.factorial(order)
+    assert risk_isometry(model, truth, n_steps).value ** 2 == pytest.approx(brute, rel=1e-12)
 
 
 def test_sample_rejects_non_finite_responses():

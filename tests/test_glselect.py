@@ -190,7 +190,7 @@ def test_adaptive_second_order_reduces_risk_on_quadratic_truth():
         sample = synthesize(truth, 1000, grid, derive_seed(15, rep))
         for max_order in (1, 2):
             model = adaptive_fit(sample, max_order, params, 0.5, 16, K0)
-            risks[max_order].append(risk_isometry(model, truth, 16).value)
+            risks[max_order].append(risk_isometry(model, truth, grid.n_steps).value)
     # without order 2 the (missing) unit component dominates: risk ~ sqrt(1/2)
     assert np.mean(risks[2]) < np.mean(risks[1])
     assert np.mean(risks[1]) >= np.sqrt(0.5) * 0.9

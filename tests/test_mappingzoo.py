@@ -26,7 +26,7 @@ def test_quadratic_terminal_shape():
     spec = quadratic_terminal()
     assert spec.a == 1.0
     assert spec.orders == (2,)
-    assert np.all(spec.component_values(2, 8) == 1.0)
+    assert spec.components[0].coefficients.tolist() == [[1.0]]
 
 
 def test_quadratic_terminal_evaluates_to_affine_square_of_terminal():
