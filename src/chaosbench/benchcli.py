@@ -77,7 +77,6 @@ from .chaosreg import (
     ChaosKernelEstimate,
     FittedModel,
     Sample,
-    _fit_parts,
     fit_from_parts,
     estimate_mean,
     model_from_json,
@@ -559,7 +558,11 @@ def _replicate(task, config: ExperimentConfig, threads: int) -> list:
 
 
 def _sample_for(config: ExperimentConfig, n_index: int, n: int, rep: int,
-                data_dir: Path | None = None) -> Sample:
+                data_dir: Path | None = None, weights=()) -> Sample:
+    """The replication's dataset from ``data_dir``, or synthesized from its seed.
+
+    A synthesized sample has ``weights``' integrals reduced with its responses.
+    """
     if data_dir is not None:
         rep_dir = _rep_dir(data_dir, n, rep)
         sample = load_dataset(rep_dir, config.path_steps)
@@ -567,7 +570,12 @@ def _sample_for(config: ExperimentConfig, n_index: int, n: int, rep: int,
             raise ConfigError(f"dataset {rep_dir} holds {sample.n} paths, the config n is {n}")
         return sample
     grid = make_grid(config.path_steps)
-    return synthesize(config.truth, n, grid, config.rep_seed(n_index, rep))
+    return synthesize(config.truth, n, grid, config.rep_seed(n_index, rep), weights)
+
+
+def _distinct_bandwidths(plan: dict) -> list[float]:
+    """Every distinct h of a ``plan_bandwidths`` plan, largest first."""
+    return sorted({h for hs in plan.values() for h in hs}, reverse=True)
 
 
 def _plan_model(config: ExperimentConfig, n: int, mean: float, fit_at) -> FittedModel:
@@ -578,7 +586,7 @@ def _plan_model(config: ExperimentConfig, n: int, mean: float, fit_at) -> Fitted
     """
     plan = plan_bandwidths(config, n)
     by_h = {h: fit_at(h, [order for order in sorted(plan) if h in plan[order]])
-            for h in sorted({h for hs in plan.values() for h in hs}, reverse=True)}
+            for h in _distinct_bandwidths(plan)}
     if config.bandwidths.mode == "adaptive":
         fits = {order: {h: by_h[h][order] for h in hs} for order, hs in plan.items()}
         return select_model(mean, n, fits, config.majorant)
@@ -587,13 +595,19 @@ def _plan_model(config: ExperimentConfig, n: int, mean: float, fit_at) -> Fitted
 
 def _fit_one(config: ExperimentConfig, n_index: int, n: int, rep: int,
              data_dir: Path | None = None) -> FittedModel:
-    sample = _sample_for(config, n_index, n, rep, data_dir)
+    """The replication's model from one pass over its paths, one row block at a time.
 
-    def fit_at(h, orders):
-        x, gram = _fit_parts(sample, h, config.grid_size, config.kernel())
-        return {order: fit_from_parts(x, gram, sample.responses, order, h) for order in orders}
-
-    return _plan_model(config, n, estimate_mean(sample), fit_at)
+    The pass fills the slice integrals of every distinct bandwidth, and on the
+    seed route the truth's functionals for the responses (``synthesize``);
+    no (n, N) matrix of increments is formed.
+    """
+    grid, kernel = make_grid(config.path_steps), config.kernel()
+    hs = _distinct_bandwidths(plan_bandwidths(config, n))
+    rows = [slice_rows(kernel, h, config.grid_size, grid) for h in hs]
+    sample = _sample_for(config, n_index, n, rep, data_dir, rows)
+    parts = dict(zip(hs, sample.left_point_integrals(rows)))
+    return _plan_model(config, n, estimate_mean(sample), lambda h, orders: {
+        order: fit_from_parts(*parts[h], sample.responses, order, h) for order in orders})
 
 
 def _risk_of_model(config: ExperimentConfig, model: FittedModel, n_index: int, rep: int):
@@ -778,8 +792,8 @@ def cmd_fit(config: ExperimentConfig, out_dir: Path, threads: int = 1,
     """Fit per-replication models with the configured bandwidth rule.
 
     Datasets are read from ``data_dir`` (a ``cmd_simulate`` output tree) when
-    given, otherwise re-synthesized from the replication seeds; both routes
-    produce identical samples.
+    given, otherwise re-synthesized from the replication seeds; a fit reads
+    the same row blocks of paths on both routes, so their models are identical.
     """
     if config.bandwidths.mode == "adaptive":
         return cmd_adapt(config, out_dir, threads, data_dir)
@@ -854,7 +868,7 @@ def _rate_models(config: ExperimentConfig, n_index: int, n: int):
     """
     plan = plan_bandwidths(config, n)
     per_pair = sorted({h for order, hs in plan.items() if order > 1 for h in hs}, reverse=True)
-    summed = sorted({h for hs in plan.values() for h in hs} - set(per_pair), reverse=True)
+    summed = [h for h in _distinct_bandwidths(plan) if h not in per_pair]
     g, kernel, grid = config.grid_size, config.kernel(), make_grid(config.path_steps)
     # one G-row slice block per bandwidth, largest h first in each set
     rows = {h: slice(i * g, (i + 1) * g) for hs in (per_pair, summed) for i, h in enumerate(hs)}

@@ -3,10 +3,12 @@
 ``left_point_integrals`` alone decides the Ito correction: it returns the
 single integrals xi = A dW^T of weight rows A (k, N), taken at the left points
 t_j = j / N, with their exact path-grid covariance A A^T / N, on which every
-multiple integral below pairs.  ``draw_left_point_integrals`` returns the same
-pair for n fresh paths without building them: A dW = R^T (Q^T dW) for the
-reduced QR A^T = Q R, and Q^T dW is r = min(k, N) independent N(0, 1/N)
-normals.  Rows C needed only through sum_i y_i C dW_i, for responses y that
+multiple integral below pairs.  ``block_left_point_integrals`` returns the
+same pairs for several A in one pass over row blocks of the increments, so a
+sample's paths need never be held whole.  ``draw_left_point_integrals``
+returns the same pair for n fresh paths without building them:
+A dW = R^T (Q^T dW) for the reduced QR A^T = Q R, and Q^T dW is
+r = min(k, N) independent N(0, 1/N) normals.  Rows C needed only through sum_i y_i C dW_i, for responses y that
 depend on the paths through A dW alone, are drawn as that one sum per
 batch: the part of C in the span of A's rows from the pairs' own normals,
 the orthogonal rest as ||y|| times one normal per dimension it spans.  Many
@@ -57,14 +59,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial import hermite_e
 
 from ._util import DEFAULT_QUAD_POINTS, midpoints
 from .kernelkit import MomentKernel, slice_matrix
-from .pathlab import BrownianPath, TimeGrid, brownian_increments
+from .pathlab import BrownianPath, TimeGrid, brownian_blocks
 
 # the largest (rows, G^(l-1)) temporary of a gridded integral's row block, in
 # float64 entries: 512 rows of an order-3 surface on G = 64
@@ -107,8 +109,14 @@ class GriddedFunction:
         return float(np.mean(self.values**2))
 
     def is_symmetric(self, tol: float = 1e-10) -> bool:
-        for perm in itertools.permutations(range(self.order)):
-            if np.max(np.abs(self.values - np.transpose(self.values, perm))) > tol:
+        """Whether swapping any two adjacent axes moves no value by more than ``tol``.
+
+        The l - 1 adjacent transpositions generate every axis permutation, so
+        ``tol`` bounds each generator; a permutation composed of k of them can
+        move a value by up to k ``tol``.
+        """
+        for axis in range(self.order - 1):
+            if np.max(np.abs(self.values - np.swapaxes(self.values, axis, axis + 1))) > tol:
                 return False
         return True
 
@@ -219,9 +227,14 @@ def path_grid_inner(c, c_rows: np.ndarray, c2, c2_rows: np.ndarray, n_steps: int
     """<f_l, f'_l>_N = (1/N^l) sum_j f_l(t_j) f'_l(t_j) over the left-point tuples j.
 
     Two equal-factor components (with a ``scale``) give scale scale' <g, g'>_N^l, no tensor.
+    Two gridded ones on one grid give sum f f' / G^l: their cell rows A, with G
+    dividing N, have A A^T / N = I / G.
     """
     if hasattr(c, "scale") and hasattr(c2, "scale"):
         return float(c.scale * c2.scale * (c_rows[0] @ c2_rows[0] / n_steps) ** c.order)
+    if (isinstance(c, GriddedFunction) and isinstance(c2, GriddedFunction)
+            and c.grid_size == c2.grid_size):
+        return float(np.sum(c.values * c2.values)) / c.grid_size**c.order
     if len(c_rows) > len(c2_rows):  # project the one with more rows on the other's
         c, c_rows, c2, c2_rows = c2, c2_rows, c, c_rows
     return float(np.sum(c.coefficients * project(c2, c2_rows, c_rows, n_steps)))
@@ -280,6 +293,26 @@ def left_point_integrals(weights: np.ndarray, increments: np.ndarray):
     the covariance is the pairing term of every Wick product of xi.
     """
     return weights @ increments.T, (weights @ weights.T) / increments.shape[1]
+
+
+def block_left_point_integrals(weights: Sequence[np.ndarray], blocks: Iterable[np.ndarray],
+                               n: int) -> list:
+    """``left_point_integrals`` of each weight matrix on n paths, in one pass over row blocks.
+
+    ``blocks`` are consecutive row blocks of the (n, N) increments, each read
+    once (``pathlab.increment_blocks``).  Each x (k, n) is filled block by
+    block, by its own (k, N) @ (N, rows) product, so it does not depend on
+    which other weights share the pass.
+    """
+    xs = [np.empty((len(w), n)) for w in weights]
+    lo = 0
+    for block in blocks:
+        for w, x in zip(weights, xs):
+            x[:, lo:lo + len(block)] = w @ block.T
+        lo += len(block)
+    if lo != n:
+        raise ValueError(f"the blocks hold {lo} rows, not {n}")
+    return [(x, (w @ w.T) / w.shape[1]) for w, x in zip(weights, xs)]
 
 
 def _functional_factor(weights: np.ndarray) -> np.ndarray:
@@ -409,15 +442,14 @@ class BoundReport:
 
 
 MIN_MC_DRAWS = 100
-_MC_BATCH = 20_000  # rows per draw: bounds the (rows, N) increment matrix
 
 
 def monte_carlo_mean(statistic: Callable[[np.ndarray], np.ndarray], n_mc: int, n_steps: int,
                      seed: int, root: float = 1.0) -> tuple[float, float]:
     """(E statistic(dW))^(1/root) over ``n_mc`` paths and its standard error.
 
-    ``statistic`` maps (m, N) increments to m values.  The paths are batches of
-    at most ``_MC_BATCH`` rows from one stream, ``default_rng(seed)``, so they
+    ``statistic`` maps (m, N) increments to m values.  The paths are the
+    ``pathlab.brownian_blocks`` of one stream, ``default_rng(seed)``, so they
     equal one (n_mc, N) draw.  The stderr std(ddof=1)/sqrt(n_mc) goes through
     the delta method for x -> x^(1/root).
     """
@@ -428,9 +460,8 @@ def _monte_carlo_values(statistic, n_mc: int, n_steps: int, seed: int) -> np.nda
     """``statistic`` on the ``n_mc`` paths of ``monte_carlo_mean``, one value per path."""
     if n_mc < MIN_MC_DRAWS:
         raise ValueError(f"n_mc must be >= {MIN_MC_DRAWS}, got {n_mc}")
-    grid, rng = TimeGrid(n_steps), np.random.default_rng(seed)
-    return np.concatenate([statistic(brownian_increments(grid, min(_MC_BATCH, n_mc - i), rng))
-                           for i in range(0, n_mc, _MC_BATCH)])
+    return np.concatenate([statistic(dw) for dw in brownian_blocks(
+        TimeGrid(n_steps), n_mc, np.random.default_rng(seed))])
 
 
 def _mean_and_stderr(values: np.ndarray, root: float) -> tuple[float, float]:

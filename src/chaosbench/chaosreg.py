@@ -11,8 +11,9 @@ the Wick product of the slice integrals x_a = sum_j K_h(c_a, t_j) dW_j:
 with response moments M_k = (1/n) sum_i Y_i x_i^(x k), M_0 = Ybar, and the
 slice gram sl sl^T / N taken on the same path grid as x, so the Ito
 correction removes exactly the expected diagonal of the left-point sums.
-``chaoscalc.left_point_integrals`` gives both from sl at the left points
-(``_fit_parts``, for a sample of paths), ``chaoscalc.draw_left_point_integrals``
+``Sample.left_point_integrals`` gives both from sl at the left points, in one
+pass over the sample's row blocks of increments (``_fit_parts``), so no fit
+holds the (n, N) increments; ``chaoscalc.draw_left_point_integrals``
 draws them without paths, and ``fit_from_parts`` is the one fit formula on
 either.  At order 1 the fit is M_1 alone, a linear functional of
 sum_i Y_i dW_i, so a slice block used at no other order can be drawn as the
@@ -36,7 +37,7 @@ ways: the exact conditional decomposition
 
 valid for p = 2 (norms over the N^l left-point tuples of the path grid), and a
 plain Monte Carlo prediction error E |mhat(W) - m(W)|^p for any p >= 2
-(``chaoscalc.monte_carlo_mean`` over batches of raw increment rows).
+(``chaoscalc.monte_carlo_mean`` over row blocks of raw increments).
 
 ``model_to_json`` writes the text of ``json.dumps(doc, sort_keys=True)`` byte
 for byte, but formats each distinct value of a surface once: a fitted
@@ -60,29 +61,45 @@ from ._util import midpoints
 # name in this module
 from ._util import derive_seed  # noqa: F401
 from .chaoscalc import ChaosExpansion, GriddedFunction, _chaos_from_parts
-from .chaoscalc import left_point_integrals, left_points, monte_carlo_mean
+from .chaoscalc import block_left_point_integrals, left_points, monte_carlo_mean
 from .chaoscalc import path_grid_inner, project
 from .chaoscalc import brute_multiple_integral  # noqa: F401
 from .kernelkit import MomentKernel, slice_matrix
-from .pathlab import BrownianPath, TimeGrid
+from .pathlab import BrownianPath, BrownianPaths, TimeGrid, increment_blocks
+from .pathlab import sample_brownian_paths
 from .pathlab import sample_brownian  # noqa: F401
 
 
 @dataclass(frozen=True)
 class Sample:
-    """Regression sample: responses and Brownian covariates on one shared grid."""
+    """Regression sample: responses and Brownian covariates on one shared grid.
+
+    ``paths`` is the (n, N+1) path matrix, or ``pathlab.BrownianPaths``, the
+    seed of drawn paths, which are never held whole.  Either way a fit reads
+    them as ``pathlab.increment_blocks``, the same row blocks on both routes,
+    so fits from synthesized and from re-read datasets are bit-identical.
+    ``reduced`` holds (weights, (x, cov)) pairs reduced with the responses at
+    synthesis (``mappingzoo.synthesize``).
+    """
 
     grid: TimeGrid
     responses: np.ndarray
-    path_values: np.ndarray
+    paths: np.ndarray | BrownianPaths
+    reduced: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         responses = np.asarray(self.responses, dtype=float)
-        values = np.asarray(self.path_values, dtype=float)
         object.__setattr__(self, "responses", responses)
-        object.__setattr__(self, "path_values", values)
         if responses.ndim != 1 or len(responses) < 2:
             raise ValueError("need at least two observations")
+        if not np.all(np.isfinite(responses)):
+            raise ValueError("responses must be finite")
+        if isinstance(self.paths, BrownianPaths):
+            if (self.paths.grid, self.paths.n) != (self.grid, len(responses)):
+                raise ValueError("the drawn paths must match the grid and the responses")
+            return
+        values = np.asarray(self.paths, dtype=float)
+        object.__setattr__(self, "paths", values)
         if values.shape != (len(responses), self.grid.n_steps + 1):
             raise ValueError(
                 f"path_values must have shape {(len(responses), self.grid.n_steps + 1)}"
@@ -91,21 +108,28 @@ class Sample:
             raise ValueError("all covariate paths must start at 0")
         if not np.all(np.isfinite(values)):
             raise ValueError("path values must be finite")
-        if not np.all(np.isfinite(responses)):
-            raise ValueError("responses must be finite")
 
     @property
     def n(self) -> int:
         return len(self.responses)
 
     @cached_property
-    def increments(self) -> np.ndarray:
-        """Path increments (n, N), computed once from ``path_values``.
+    def path_values(self) -> np.ndarray:
+        """The (n, N+1) path matrix, built from the seed once when the paths were drawn."""
+        if isinstance(self.paths, BrownianPaths):
+            return sample_brownian_paths(self.grid, self.n, self.paths.seed)
+        return self.paths
 
-        Always ``np.diff(path_values)``, whichever route built the sample, so
-        fits from synthesized and from re-read datasets are bit-identical.
+    def left_point_integrals(self, weights) -> list:
+        """``chaoscalc.left_point_integrals`` of each weight matrix (k, N) on the sample.
+
+        The pairs reduced at synthesis when ``weights`` equal the weights
+        reduced, else one pass over the sample's increment blocks.
         """
-        return np.diff(self.path_values, axis=1)
+        if len(weights) == len(self.reduced) and all(
+                np.array_equal(w, v) for w, (v, _) in zip(weights, self.reduced)):
+            return [pair for _, pair in self.reduced]
+        return block_left_point_integrals(weights, increment_blocks(self.paths), self.n)
 
 
 @dataclass(frozen=True)
@@ -150,8 +174,7 @@ def slice_rows(kernel: MomentKernel, bandwidth: float, grid_size: int, grid: Tim
 
 def _fit_parts(sample: Sample, bandwidth: float, grid_size: int, kernel: MomentKernel):
     """Slice single-integrals X (G, n) and their path-grid gram sl sl^T / N (G, G)."""
-    return left_point_integrals(slice_rows(kernel, bandwidth, grid_size, sample.grid),
-                                sample.increments)
+    return sample.left_point_integrals([slice_rows(kernel, bandwidth, grid_size, sample.grid)])[0]
 
 
 def _symmetrize(values: np.ndarray) -> np.ndarray:

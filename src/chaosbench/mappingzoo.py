@@ -14,7 +14,9 @@ the first form through the Hermite identity on I_1(g), the second through
 the exact step-function integral on the cell increments.
 ``evaluate_mapping`` is its row 0 for a single path.
 
-``synthesize`` draws a sample of paths and responses.  ``synthesize_functionals``
+``synthesize`` draws a sample of paths and responses in row blocks, reducing
+with the truth's functionals any the fit needs, so it never holds the
+(n, N) paths.  ``synthesize_functionals``
 draws only given linear functionals of the paths (the fit's slice integrals,
 factored once by ``synthesis_factor``) jointly with the truth's own, and the
 responses, without building a path; rows the fit needs only through their
@@ -31,15 +33,15 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
 from ._util import derive_seed, midpoints
 from .chaoscalc import ChaosExpansion, GriddedFunction, draw_from_factor, left_point_factor
-from .chaoscalc import _left_rows, hermite_from_integral, l2_inner
+from .chaoscalc import _left_rows, block_left_point_integrals, hermite_from_integral, l2_inner
 from .chaosreg import Sample
-from .pathlab import BrownianPath, TimeGrid, sample_brownian_paths
+from .pathlab import BrownianPath, BrownianPaths, TimeGrid, increment_blocks
 # unused here but importable: the per-layer tracer in perfbench/tracing.py
 # wraps these by name in this module
 from .chaoscalc import brute_multiple_integral, hermite_chaos  # noqa: F401
@@ -156,22 +158,24 @@ def evaluate_mapping(spec: MappingSpec, path: BrownianPath) -> float:
     return float(spec.values(path.increments[None])[0])
 
 
-def synthesize(spec: MappingSpec, n: int, grid: TimeGrid, seed: int) -> Sample:
+def synthesize(spec: MappingSpec, n: int, grid: TimeGrid, seed: int,
+               weights: Sequence[np.ndarray] = ()) -> Sample:
     """Draw n independent (W_i, Y_i = m(W_i) + eps_i) pairs, deterministic given seed.
 
-    The n paths are one batch, ``sample_brownian_paths(grid, n, derive_seed(seed, 0))``;
-    the noise vector uses the stream (seed, 1).  Noise is independent of the
-    paths.
+    The n paths are ``sample_brownian_paths(grid, n, derive_seed(seed, 0))``,
+    kept as their seed (``pathlab.BrownianPaths``).  One pass over their
+    increment blocks reduces the truth's ``functional_rows``, from which
+    ``values_from_functionals`` gives m, and the rows of each of ``weights``
+    (k, N), whose (x, cov) the sample keeps as ``reduced`` for its fits.  The
+    noise vector uses the stream (seed, 1).  Noise is independent of the paths.
     """
-    rows = sample_brownian_paths(grid, n, derive_seed(seed, 0))
-    increments = np.diff(rows, axis=1)
-    m_values = spec.values(increments)
+    paths = BrownianPaths(grid, n, derive_seed(seed, 0))
+    rows = [c.functional_rows(grid.n_steps) for c in spec.components]
+    parts = block_left_point_integrals([*weights, *rows], increment_blocks(paths), n)
+    m_values = spec.values_from_functionals(n, parts[len(weights):])
     noise_rng = np.random.default_rng(derive_seed(seed, 1))
     responses = m_values + spec.noise.sample(noise_rng, n)
-    sample = Sample(grid, responses, rows)
-    # fill the Sample.increments cache with the np.diff it would compute itself
-    sample.__dict__["increments"] = increments
-    return sample
+    return Sample(grid, responses, paths, tuple(zip(weights, parts)))
 
 
 def synthesis_factor(spec: MappingSpec, weights: np.ndarray, summed: np.ndarray):

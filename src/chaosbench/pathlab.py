@@ -5,12 +5,17 @@ Brownian path; geometric Brownian motion uses its exact pathwise solution
 while Ornstein-Uhlenbeck and generic diffusions use Euler-Maruyama with
 left-point increments.  ``reconstruct_coprocess`` inverts a diffusion path
 back into the driving Brownian path.
+
+Many paths are read in row blocks of ``BLOCK_ENTRIES`` float64 entries
+(``path_blocks``), from a path matrix or drawn from a seed
+(``BrownianPaths``), so that fits, synthesis and Monte Carlo reduce their
+paths without holding an (n, N) matrix of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -133,19 +138,82 @@ def brownian_increments(grid: TimeGrid, n: int, rng: np.random.Generator) -> np.
     return rng.normal(0.0, np.sqrt(grid.dt), (n, grid.n_steps))
 
 
+# The float64 entries of one row block of paths: 256 rows at N = 512.  Fits,
+# synthesis and Monte Carlo read paths one block at a time, so none holds an
+# (n, N) matrix; a constant, so the blocks, and every output, are the same at
+# any number of workers.
+BLOCK_ENTRIES = 2**17
+
+
+def block_rows(n_steps: int) -> int:
+    """Rows of one block of paths with ``n_steps`` increments (at least 1)."""
+    return max(1, BLOCK_ENTRIES // n_steps)
+
+
+def brownian_blocks(grid: TimeGrid, n: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """``brownian_increments(grid, n, rng)`` as consecutive blocks of ``block_rows(N)`` rows."""
+    rows = block_rows(grid.n_steps)
+    for lo in range(0, n, rows):
+        yield brownian_increments(grid, min(rows, n - lo), rng)
+
+
+@dataclass(frozen=True)
+class BrownianPaths:
+    """The paths ``sample_brownian_paths(grid, n, seed)``, held as their seed.
+
+    ``path_blocks`` draws them one row block at a time whenever they are read.
+    """
+
+    grid: TimeGrid
+    n: int
+    seed: int
+
+
+def path_blocks(paths: Union[np.ndarray, BrownianPaths]) -> Iterator[np.ndarray]:
+    """Consecutive (rows, N+1) row blocks of an (n, N+1) path matrix or of ``BrownianPaths``.
+
+    Blocks hold ``block_rows(N)`` rows (the last one the rest).  A drawn block
+    is 0 followed by the cumulative sum of one ``brownian_blocks`` block, which
+    is its rows of the matrix ``sample_brownian_paths`` returns, bit for bit.
+    """
+    if isinstance(paths, BrownianPaths):
+        return (_levels(dw) for dw in brownian_blocks(
+            paths.grid, paths.n, np.random.default_rng(paths.seed)))
+    rows = block_rows(paths.shape[1] - 1)
+    return (paths[lo:lo + rows] for lo in range(0, len(paths), rows))
+
+
+def increment_blocks(paths: Union[np.ndarray, BrownianPaths]) -> Iterator[np.ndarray]:
+    """The (rows, N) ``np.diff`` of each of ``path_blocks(paths)``.
+
+    Row for row these are ``np.diff`` of the whole path matrix, whether the
+    paths were drawn or read from a matrix.
+    """
+    return (np.diff(block, axis=1) for block in path_blocks(paths))
+
+
+def _levels(dw: np.ndarray) -> np.ndarray:
+    """Paths (rows, N+1) from their increments: 0, then the cumulative sum of each row."""
+    values = np.empty((len(dw), dw.shape[1] + 1))
+    values[:, 0] = 0.0
+    np.cumsum(dw, axis=1, out=values[:, 1:])
+    return values
+
+
 def sample_brownian_paths(grid: TimeGrid, n: int, seed: int) -> np.ndarray:
     """Sample ``n`` standard Brownian paths on ``grid`` as an (n, N+1) array.
 
     Row i is 0 followed by the cumulative sum of row i of
-    ``brownian_increments(grid, n, numpy.random.default_rng(seed))``.
+    ``brownian_increments(grid, n, numpy.random.default_rng(seed))``; the
+    matrix is filled from ``path_blocks(BrownianPaths(grid, n, seed))``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    dw = brownian_increments(grid, n, np.random.default_rng(seed))
     values = np.empty((n, grid.n_steps + 1))
-    values[:, 0] = 0.0
-    np.cumsum(dw, axis=1, out=values[:, 1:])
-    del dw  # at most two (n, N) arrays are alive at once
+    lo = 0
+    for block in path_blocks(BrownianPaths(grid, n, seed)):
+        values[lo:lo + len(block)] = block
+        lo += len(block)
     return values
 
 

@@ -1,6 +1,8 @@
 import json
 import math
 import shutil
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +37,9 @@ from chaosbench.chaosreg import (
 from chaosbench.errors import ConfigError
 from chaosbench.glselect import adaptive_fit
 from chaosbench.kernelkit import MomentKernel, build_kernel
+from chaosbench._util import derive_seed
 from chaosbench.mappingzoo import synthesize
-from chaosbench.pathlab import make_grid
+from chaosbench.pathlab import block_rows, make_grid, sample_brownian_paths
 
 
 def _base_doc(**overrides):
@@ -685,6 +688,54 @@ def test_fit_one_matches_the_per_order_fits(tmp_path, mode, route):
     assert len(expected.components) == 2
     assert model_to_json(model) == model_to_json(expected)
     assert model.selection_traces == expected.selection_traces
+
+
+def test_routes_agree_on_a_sample_that_ends_in_a_part_block(tmp_path):
+    # n = 1300 at N = 256 is two blocks of block_rows(256) = 512 rows and 276:
+    # the seed route, the --data route and fit_chaos_kernel give one model.json
+    config = parse_config(_base_doc(
+        n_list=[1300], path_steps=256, replications=1,
+        bandwidths={"mode": "fixed", "values": {"1": 0.25, "2": 0.2}}))
+    assert 1300 % block_rows(256) != 0
+    data = cmd_simulate(config, tmp_path / "data")
+    texts = [(cmd_fit(config, tmp_path / route, data_dir=data_dir)
+              / "n_001300" / "rep_000" / "model.json").read_text()
+             for route, data_dir in (("seeds", None), ("data", data))]
+    grid, seed = make_grid(256), config.rep_seed(0, 0)
+    paths = sample_brownian_paths(grid, 1300, derive_seed(seed, 0))
+    kernel = config.kernel()
+    for sample in (synthesize(config.truth, 1300, grid, seed),
+                   load_dataset(data / "n_001300" / "rep_000", 256)):
+        assert np.array_equal(sample.path_values, paths)
+        texts.append(model_to_json(FittedModel(estimate_mean(sample), tuple(
+            fit_chaos_kernel(sample, order, h, config.grid_size, kernel)
+            for order, (h,) in sorted(benchcli.plan_bandwidths(config, 1300).items())))))
+    assert texts[1:] == texts[:-1]
+
+
+def test_seed_route_fit_holds_no_path_matrix():
+    # one (n, N) float64 matrix at n = 20 000 and N = 512 is 82 MB; the fit
+    # holds x (G, n) per bandwidth and one row block of paths
+    n, n_steps = 20_000, 512
+    config = parse_config(_base_doc(
+        n_list=[n], path_steps=n_steps, replications=1,
+        bandwidths={"mode": "fixed", "values": {"1": 0.25, "2": 0.2}}))
+    tracemalloc.start()
+    try:
+        model = benchcli._fit_one(config, 0, n, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.orders == (1, 2)
+    assert peak < n * n_steps * 8 / 5
+
+
+def test_high_order_gridded_truth_parses_in_adjacent_swaps():
+    # all 9! axis permutations take seconds to compare; 8 adjacent swaps generate them
+    doc = _base_doc(truth=_truth(components=[_gridded(9, 1, [1.0])]))
+    started = time.perf_counter()
+    parse_config(doc)
+    assert time.perf_counter() - started < 0.1
 
 
 def test_empty_adaptive_bracket_is_rejected_before_any_output(tmp_path):

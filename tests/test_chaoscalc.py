@@ -17,13 +17,15 @@ from chaosbench.chaoscalc import (
     left_point_integrals,
     moment_bound_report,
     monte_carlo_mean,
+    path_grid_inner,
+    project,
     tensor_chaos,
     tensor_chaos_values,
 )
 from chaosbench.chaosreg import fit_from_parts, slice_rows
 from chaosbench.kernelkit import build_kernel, slice_matrix
 from chaosbench.mappingzoo import EqualFactorComponent
-from chaosbench.pathlab import make_grid, sample_brownian
+from chaosbench.pathlab import block_rows, make_grid, sample_brownian
 
 ONE = np.polynomial.Polynomial([1.0])
 RAMP = np.polynomial.Polynomial([0.0, 1.0])
@@ -214,7 +216,7 @@ def test_isometry_report_input_validation():
 
 def test_monte_carlo_mean_batches_continue_one_stream():
     # a run just over one batch equals the statistics of a single (n_mc, N) draw
-    n_mc, n_steps, seed = chaoscalc._MC_BATCH + 37, 4, 2718
+    n_mc, n_steps, seed = block_rows(4) + 37, 4, 2718
     rows = []
 
     def statistic(dw):
@@ -222,7 +224,7 @@ def test_monte_carlo_mean_batches_continue_one_stream():
         return dw.sum(axis=1) ** 2
 
     mean, stderr = monte_carlo_mean(statistic, n_mc, n_steps, seed)
-    assert rows == [chaoscalc._MC_BATCH, 37]
+    assert rows == [block_rows(4), 37]
     values = statistic(np.random.default_rng(seed).normal(0.0, 0.5, (n_mc, n_steps)))
     assert mean == np.mean(values)
     assert stderr == np.std(values, ddof=1) / np.sqrt(n_mc)
@@ -283,6 +285,23 @@ def test_gridded_function_symmetry_helper():
     assert sym.is_symmetric()
     asym = GriddedFunction.from_callable(2, 8, lambda a, b: a + 2 * b)
     assert not asym.is_symmetric()
+
+
+def test_symmetry_check_swaps_every_adjacent_axis_pair():
+    # a + b + 2c is symmetric in its first two axes only
+    partial = GriddedFunction.from_callable(3, 4, lambda a, b, c: a + b + 2 * c)
+    assert not partial.is_symmetric()
+    assert GriddedFunction.from_callable(4, 3, lambda a, b, c, d: a * b * c * d).is_symmetric()
+
+
+def test_gridded_pairs_on_one_grid_match_the_cell_row_projection():
+    # sum f f' / G^l against f contracted with f' projected on the cell rows
+    rng = np.random.default_rng(21)
+    for order, g, n_steps in ((1, 64, 512), (2, 16, 64), (3, 4, 64)):
+        f, f2 = (GriddedFunction(order, g, rng.normal(size=(g,) * order)) for _ in range(2))
+        rows = f.functional_rows(n_steps)
+        assert path_grid_inner(f, rows, f2, rows, n_steps) == pytest.approx(
+            float(np.sum(f.values * project(f2, rows, rows, n_steps))), rel=1e-12)
 
 
 def test_gridded_function_validation():

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from chaosbench.pathlab import (
+    BrownianPaths,
+    brownian_blocks,
+    increment_blocks,
+    path_blocks,
     BrownianPath,
     GenericDiffusion,
     GeometricBM,
@@ -63,6 +67,23 @@ def test_batch_shape_and_validation():
     assert np.array_equal(batch[:, 1:], np.cumsum(dw, axis=1))
     with pytest.raises(ValueError):
         sample_brownian_paths(make_grid(16), 0, 1)
+
+
+def test_path_blocks_are_the_rows_of_one_draw():
+    # n = 1300 at N = 256: two blocks of block_rows(256) = 512 rows, then 276
+    grid, n, seed = make_grid(256), 1300, 4
+    paths = sample_brownian_paths(grid, n, seed)
+    dw = brownian_increments(grid, n, np.random.default_rng(seed))
+    assert np.array_equal(paths[:, 1:], np.cumsum(dw, axis=1))
+    drawn = list(path_blocks(BrownianPaths(grid, n, seed)))
+    assert [len(block) for block in drawn] == [512, 512, 276]
+    assert all(np.array_equal(a, b) for a, b in zip(drawn, path_blocks(paths), strict=True))
+    # drawn or read, the increments are np.diff of the whole matrix, bit for bit
+    for source in (paths, BrownianPaths(grid, n, seed)):
+        assert np.array_equal(np.concatenate(list(increment_blocks(source))),
+                              np.diff(paths, axis=1))
+    draws = np.random.default_rng(seed)
+    assert np.array_equal(np.concatenate(list(brownian_blocks(grid, n, draws))), dw)
 
 
 def test_batch_pooled_increment_variance():
