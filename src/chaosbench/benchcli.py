@@ -708,7 +708,9 @@ def _paths_header(n: int) -> str:
 
 def _simulate_one(config: ExperimentConfig, n_index: int, n: int, rep: int,
                   out_dir: Path) -> tuple[Path, Path]:
-    sample = _sample_for(config, n_index, n, rep)
+    """Write the replication's two CSV files from one draw of its paths."""
+    sample = synthesize(config.truth, n, make_grid(config.path_steps),
+                        config.rep_seed(n_index, rep), hold_paths=True)
     rep_dir = _rep_dir(out_dir, n, rep)
     rep_dir.mkdir(parents=True, exist_ok=True)
     responses = _write_table(rep_dir / "responses.csv", "index,y", "%d,%.17g",

@@ -39,10 +39,12 @@ valid for p = 2 (norms over the N^l left-point tuples of the path grid), and a
 plain Monte Carlo prediction error E |mhat(W) - m(W)|^p for any p >= 2
 (``chaoscalc.monte_carlo_mean`` over row blocks of raw increments).
 
-``model_to_json`` writes the text of ``json.dumps(doc, sort_keys=True)`` byte
-for byte, but formats each distinct value of a surface once: a fitted
-surface is exactly symmetric, so an order-3 one on G = 64 holds 45 760
-distinct values among its 262 144 entries.
+A fit computes only the C(G+l-1, l) distinct values of its surface, at the
+sorted index tuples a_1 <= ... <= a_l (45 760 of 262 144 at G = 64, l = 3),
+and fills the G^l tensor from them by one gather (``fit_from_parts``), so a
+fitted surface is exactly symmetric.  ``model_to_json`` writes the text of
+``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` byte for byte, with
+each distinct value of a surface formatted once.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from ._util import midpoints
 # stay importable: the per-layer tracer in perfbench/tracing.py wraps them by
 # name in this module
 from ._util import derive_seed  # noqa: F401
-from .chaoscalc import ChaosExpansion, GriddedFunction, _chaos_from_parts
+from .chaoscalc import ChaosExpansion, GriddedFunction, _chaos_from_parts, _matchings
 from .chaoscalc import block_left_point_integrals, left_points, monte_carlo_mean
 from .chaoscalc import path_grid_inner, project
 from .chaoscalc import brute_multiple_integral  # noqa: F401
@@ -123,13 +125,18 @@ class Sample:
     def left_point_integrals(self, weights) -> list:
         """``chaoscalc.left_point_integrals`` of each weight matrix (k, N) on the sample.
 
-        The pairs reduced at synthesis when ``weights`` equal the weights
-        reduced, else one pass over the sample's increment blocks.
+        A weight matrix reduced at synthesis gives its reduced pair, and the
+        others take one pass over the sample's increment blocks.  Each x is
+        filled by its own products, so a pair is the same bits either way.
         """
-        if len(weights) == len(self.reduced) and all(
-                np.array_equal(w, v) for w, (v, _) in zip(weights, self.reduced)):
-            return [pair for _, pair in self.reduced]
-        return block_left_point_integrals(weights, increment_blocks(self.paths), self.n)
+        pairs = [next((pair for v, pair in self.reduced if np.array_equal(w, v)), None)
+                 for w in weights]
+        missing = [w for w, pair in zip(weights, pairs) if pair is None]
+        if missing:
+            reduced = iter(block_left_point_integrals(missing, increment_blocks(self.paths),
+                                                      self.n))
+            pairs = [next(reduced) if pair is None else pair for pair in pairs]
+        return pairs
 
 
 @dataclass(frozen=True)
@@ -177,30 +184,16 @@ def _fit_parts(sample: Sample, bandwidth: float, grid_size: int, kernel: MomentK
     return sample.left_point_integrals([slice_rows(kernel, bandwidth, grid_size, sample.grid)])[0]
 
 
-def _symmetrize(values: np.ndarray) -> np.ndarray:
-    """Mean of all axis transposes, exactly symmetric.
-
-    Every entry takes the value at its sorted index, so mirrored entries are
-    equal whatever order the transposes were summed in.
-    """
-    dim = values.ndim
-    if dim == 1:
-        return values
-    acc = np.zeros_like(values)
-    for perm in itertools.permutations(range(dim)):
-        acc += np.transpose(values, perm)
-    acc /= math.factorial(dim)
-    # the smallest index dtype keeps the index grid small next to the tensor
-    idx = np.indices(values.shape, dtype=np.min_scalar_type(max(values.shape) - 1))
-    idx.sort(axis=0)
-    return acc[tuple(idx)]
-
-
 def _response_moment(x: np.ndarray, y: np.ndarray, k: int):
-    """M_k = (1/n) sum_i y_i x_i^(x k); M_0 = Ybar.
+    """M_k = (1/n) sum_i y_i x_i^(x k), set at its sorted index tuples; M_0 = Ybar.
 
-    Orders k >= 2 are built one (k-2)-tuple of leading indices at a time as a
-    (G, n) @ (n, G) product, so no (G^(k-1), n) temporary is formed.
+    Orders k >= 2 are built one sorted tuple of middle indices
+    m_1 <= ... <= m_(k-2) at a time: with w = y x_(m_1) ... x_(m_(k-2)), the
+    block (x[:m_1+1] * w) @ x[m_(k-2):].T / n holds exactly the sorted k-tuples
+    (a, m_1, ..., m_(k-2), c), a <= m_1 and c >= m_(k-2).  Order 2 has no
+    middle, and its one block is the whole (x * y) @ x.T / n.  Other entries
+    are left unset, so M_k is read only at sorted tuples, and no
+    (G^(k-1), n) temporary is formed.
     """
     n = len(y)
     if k == 0:
@@ -209,11 +202,12 @@ def _response_moment(x: np.ndarray, y: np.ndarray, k: int):
         return x @ y / n
     g = x.shape[0]
     out = np.empty((g,) * k)
-    for lead in np.ndindex(*(g,) * (k - 2)):
+    for middle in itertools.combinations_with_replacement(range(g), k - 2):
+        first, last = (middle[0] + 1, middle[-1]) if middle else (g, 0)
         w = y
-        for a in lead:
-            w = w * x[a]
-        out[lead] = (x * w) @ x.T / n
+        for b in middle:
+            w = w * x[b]
+        out[(slice(first), *middle, slice(last, None))] = (x[:first] * w) @ x[last:].T / n
     return out
 
 
@@ -237,21 +231,54 @@ def fit_chaos_kernel(
     return fit_from_parts(x, gram, sample.responses, order, bandwidth)
 
 
+def _sorted_positions(g: int, order: int) -> np.ndarray:
+    """The flat C-order position of each (G,)^l entry's sorted index tuple.
+
+    The l index rows are sorted by a network of elementwise min/max swaps,
+    which is cheaper than ``np.sort`` along an axis of length l.
+    """
+    # the smallest index dtype keeps the index grid small next to the tensor
+    rows = list(np.indices((g,) * order, dtype=np.min_scalar_type(g - 1)).reshape(order, -1))
+    for last in range(order - 1, 0, -1):
+        for i in range(last):
+            low, high = rows[i], rows[i + 1]
+            rows[i], rows[i + 1] = np.minimum(low, high), np.maximum(low, high)
+    positions = np.zeros(g**order, dtype=np.intp)
+    for row in rows:
+        positions = positions * g + row
+    return positions
+
+
 def fit_from_parts(x: np.ndarray, gram: np.ndarray, y: np.ndarray, order: int,
                    bandwidth: float) -> ChaosKernelEstimate:
     """The order-l surface from slice integrals x (G, n), their gram (G, G) and responses y.
 
-    Linear in the responses; the returned tensor is exactly symmetric.
+    Linear in the responses.  It is computed at the C(G+l-1, l) sorted index
+    tuples a_1 <= ... <= a_l only.  There the Wick term gram^(x p) x M_(l-2p),
+    averaged over its l! axis permutations and scaled by its coefficient, is
+    (-1)^p times the sum over the partial matchings of p pairs of axes of
+    prod gram[a_i, a_j] times M_(l-2p) at the unmatched axes: each matching
+    stands for 2^p p! (l-2p)! of the permutations.  One gather through the
+    sorted-index map then fills the G^l tensor, so it is exactly symmetric.
+    At order 1 the surface is x @ y / n.
     """
-    values = _response_moment(x, y, order)
-    for p in range(1, order // 2 + 1):
-        term = _response_moment(x, y, order - 2 * p)
-        for _ in range(p):
-            term = np.multiply.outer(gram, term)
-        coeff = (-1) ** p * math.factorial(order) // (
-            2**p * math.factorial(p) * math.factorial(order - 2 * p))
-        values = values + coeff * term
-    return ChaosKernelEstimate(order, len(x), _symmetrize(values), bandwidth=bandwidth)
+    g, shape = len(x), (len(x),) * order
+    positions = _sorted_positions(g, order)
+    distinct = np.flatnonzero(positions == np.arange(g**order))
+    at = np.unravel_index(distinct, shape)
+    moments = {k: _response_moment(x, y, k) for k in range(order, -1, -2)}
+    values = moments[order][at]
+    for pairs in _matchings(tuple(range(order))):
+        if not pairs:
+            continue
+        rest = [i for i in range(order) if all(i not in pair for pair in pairs)]
+        term = moments[len(rest)][tuple(at[i] for i in rest)]
+        for i, j in pairs:
+            term = term * gram[at[i], at[j]]
+        values = values - term if len(pairs) % 2 else values + term
+    dense = np.empty(g**order)
+    dense[distinct] = values
+    return ChaosKernelEstimate(order, g, dense[positions].reshape(shape), bandwidth=bandwidth)
 
 
 def _fit_generic(x, gram, y, order, grid_size):
@@ -343,24 +370,30 @@ def _float_list_json(values: np.ndarray) -> str:
     """
     bits, inverse = np.unique(values.ravel().view(np.uint64), return_inverse=True)
     text = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
-    return "[" + ", ".join(text[inverse].tolist()) + "]"
+    return "[" + ",".join(text[inverse].tolist()) + "]"
 
 
 def model_to_json(model: FittedModel) -> str:
-    """The model document, byte for byte ``json.dumps(doc, sort_keys=True)``.
+    """The model document in the compact layout of ``json.dumps``, byte for byte.
 
-    Each surface goes through ``_float_list_json``, the scalars through
-    ``json.dumps``.
+    The text is ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``,
+    with no space after a comma or a colon.  Each surface goes through
+    ``_float_list_json``, the scalars through ``json.dumps``.
     """
-    orders = ", ".join(
-        f'{{"bandwidth": {json.dumps(e.bandwidth)}, "grid_size": {json.dumps(e.grid_size)}, '
-        f'"order": {json.dumps(e.order)}, "values": {_float_list_json(e.values)}}}'
+    orders = ",".join(
+        f'{{"bandwidth":{json.dumps(e.bandwidth)},"grid_size":{json.dumps(e.grid_size)},'
+        f'"order":{json.dumps(e.order)},"values":{_float_list_json(e.values)}}}'
         for e in model.components)
-    return (f'{{"format": {json.dumps(MODEL_FORMAT)}, "mean_hat": {json.dumps(model.a)}, '
-            f'"orders": [{orders}]}}')
+    return (f'{{"format":{json.dumps(MODEL_FORMAT)},"mean_hat":{json.dumps(model.a)},'
+            f'"orders":[{orders}]}}')
 
 
 def model_from_json(text: str) -> FittedModel:
+    """The model of a ``model_to_json`` document, or of any JSON text of the same value.
+
+    Files written with the spaced separators of ``json.dumps``' default read
+    the same.
+    """
     doc = json.loads(text)
     if doc["format"] != MODEL_FORMAT:
         raise ValueError(f"unknown model format {doc['format']!r}")

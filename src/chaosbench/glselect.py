@@ -17,7 +17,8 @@ The selected bandwidth minimizes B + M, with ties broken toward the larger
 (smoother) bandwidth.  The maximum in B ranges over the whole grid, and at
 the smallest grid bandwidth every term collapses to 0.  Selection
 (``select_model``) takes the candidate fits, so it serves path fits and drawn
-ones alike (``benchcli._plan_model``); ``adaptive_fit`` fits one sample.
+ones alike (``benchcli._plan_model``); ``adaptive_fit`` fits one sample, every
+candidate from one pass over its paths.
 """
 
 from __future__ import annotations
@@ -28,7 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaoscalc import chaos_constant
-from .chaosreg import ChaosKernelEstimate, FittedModel, Sample, estimate_mean, fit_chaos_kernel
+from .chaosreg import ChaosKernelEstimate, FittedModel, Sample, estimate_mean, fit_from_parts
+from .chaosreg import slice_rows
+# fit_chaos_kernel is unused here but stays importable: the per-layer tracer in
+# perfbench/tracing.py wraps it by name in this module
+from .chaosreg import fit_chaos_kernel  # noqa: F401
 from .errors import GridEmptyError
 from .kernelkit import MomentKernel
 
@@ -187,12 +192,17 @@ def adaptive_fit(
 ) -> FittedModel:
     """``select_model`` on the sample's fits at every candidate of its bandwidth grids.
 
-    Raises GridEmptyError for the first order whose bandwidth bracket is
-    empty.
+    One pass over the sample's paths reduces the slice integrals of every
+    distinct candidate h (``Sample.left_point_integrals``), as
+    ``benchcli._fit_one`` does, so the two give the same model.  Raises
+    GridEmptyError for the first order whose bandwidth bracket is empty,
+    before any fit.
     """
-    candidates = {}
-    for order in range(1, max_order + 1):
-        grid = bandwidth_grid(sample.n, order, s_star_lo)
-        candidates[order] = {h: fit_chaos_kernel(sample, order, h, grid_size, kernel)
-                             for h in grid.values}
+    grids = {order: bandwidth_grid(sample.n, order, s_star_lo).values
+             for order in range(1, max_order + 1)}
+    hs = sorted({h for values in grids.values() for h in values}, reverse=True)
+    parts = dict(zip(hs, sample.left_point_integrals(
+        [slice_rows(kernel, h, grid_size, sample.grid) for h in hs])))
+    candidates = {order: {h: fit_from_parts(*parts[h], sample.responses, order, h)
+                          for h in values} for order, values in grids.items()}
     return select_model(estimate_mean(sample), sample.n, candidates, params)

@@ -42,6 +42,7 @@ from .chaoscalc import ChaosExpansion, GriddedFunction, draw_from_factor, left_p
 from .chaoscalc import _left_rows, block_left_point_integrals, hermite_from_integral, l2_inner
 from .chaosreg import Sample
 from .pathlab import BrownianPath, BrownianPaths, TimeGrid, increment_blocks
+from .pathlab import sample_brownian_paths
 # unused here but importable: the per-layer tracer in perfbench/tracing.py
 # wraps these by name in this module
 from .chaoscalc import brute_multiple_integral, hermite_chaos  # noqa: F401
@@ -159,17 +160,21 @@ def evaluate_mapping(spec: MappingSpec, path: BrownianPath) -> float:
 
 
 def synthesize(spec: MappingSpec, n: int, grid: TimeGrid, seed: int,
-               weights: Sequence[np.ndarray] = ()) -> Sample:
+               weights: Sequence[np.ndarray] = (), hold_paths: bool = False) -> Sample:
     """Draw n independent (W_i, Y_i = m(W_i) + eps_i) pairs, deterministic given seed.
 
     The n paths are ``sample_brownian_paths(grid, n, derive_seed(seed, 0))``,
-    kept as their seed (``pathlab.BrownianPaths``).  One pass over their
-    increment blocks reduces the truth's ``functional_rows``, from which
-    ``values_from_functionals`` gives m, and the rows of each of ``weights``
-    (k, N), whose (x, cov) the sample keeps as ``reduced`` for its fits.  The
-    noise vector uses the stream (seed, 1).  Noise is independent of the paths.
+    kept as their seed (``pathlab.BrownianPaths``), or with ``hold_paths`` as
+    that matrix, drawn once, for a caller that reads ``path_values``.  One pass
+    over their increment blocks, the same bits on both, reduces the truth's
+    ``functional_rows``, from which ``values_from_functionals`` gives m, and
+    the rows of each of ``weights`` (k, N), whose (x, cov) the sample keeps as
+    ``reduced`` for its fits.  The noise vector uses the stream (seed, 1).
+    Noise is independent of the paths.
     """
     paths = BrownianPaths(grid, n, derive_seed(seed, 0))
+    if hold_paths:
+        paths = sample_brownian_paths(grid, n, paths.seed)
     rows = [c.functional_rows(grid.n_steps) for c in spec.components]
     parts = block_left_point_integrals([*weights, *rows], increment_blocks(paths), n)
     m_values = spec.values_from_functionals(n, parts[len(weights):])

@@ -29,6 +29,7 @@ from chaosbench.chaosreg import (
     estimate_mean,
     fit_chaos_kernel,
     risk_isometry,
+    slice_rows,
 )
 from chaosbench.errors import GridEmptyError
 from chaosbench.glselect import MajorantParams, adaptive_fit, bandwidth_grid
@@ -175,9 +176,11 @@ def test_criterion_5_quadratic_terminal_recovery():
     grid = make_grid(512)
     g_size, h = 64, 0.25
 
+    # synthesis reduces the slice rows with the responses, so no fit redraws the paths
+    rows = [slice_rows(kernel, h, g_size, grid)]
     rep_means = []
     for rep in range(20):
-        sample = synthesize(truth, 5000, grid, derive_seed(55, 0, rep))
+        sample = synthesize(truth, 5000, grid, derive_seed(55, 0, rep), rows)
         est = fit_chaos_kernel(sample, 2, h, g_size, kernel)
         c = midpoints(g_size)
         interior = (c >= h) & (c <= 1 - h)
@@ -190,7 +193,7 @@ def test_criterion_5_quadratic_terminal_recovery():
     for n in (1000, 4000):
         risks = []
         for rep in range(20):
-            sample = synthesize(truth, n, grid, derive_seed(55, n, rep))
+            sample = synthesize(truth, n, grid, derive_seed(55, n, rep), rows)
             estimates = tuple(
                 fit_chaos_kernel(sample, order, h, g_size, kernel) for order in (1, 2)
             )
@@ -265,10 +268,14 @@ def test_criterion_7_oracle_behavior():
         params = MajorantParams(0.66, 1.0, max_order, kernel.l2_norm)
         grids = {o: bandwidth_grid(n, o, 0.5) for o in range(1, max_order + 1)}
         combos = list(itertools.product(*[grids[o].values for o in range(1, max_order + 1)]))
+        # synthesis reduces every candidate's slice rows with the responses,
+        # so neither the adaptive fit nor the fixed ones redraw the paths
+        rows = [slice_rows(kernel, h, g_size, grid)
+                for h in {h for bw in grids.values() for h in bw.values}]
         adaptive_risks = []
         fixed_risks = {combo: [] for combo in combos}
         for rep in range(reps):
-            sample = synthesize(truth, n, grid, derive_seed(77, key, rep))
+            sample = synthesize(truth, n, grid, derive_seed(77, key, rep), rows)
             model = adaptive_fit(sample, max_order, params, 0.5, g_size, kernel)
             adaptive_risks.append(risk_isometry(model, truth, grid.n_steps).value)
             fits = {

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chaosbench import benchcli, chaoscalc, chaosreg
+from chaosbench import benchcli, chaoscalc, chaosreg, pathlab
 from chaosbench.benchcli import (
     cmd_adapt,
     cmd_check,
@@ -297,6 +297,21 @@ def test_simulate_reproducible_digests(tmp_path):
     assert d1 == d2
 
 
+def test_simulate_draws_each_replication_once(tmp_path, monkeypatch):
+    # the responses and paths.csv come from one draw of each replication's
+    # paths: n rows of increments per replication, not 2n
+    config = parse_config(_base_doc(n_list=[40, 60]))
+    rows = []
+    inner = pathlab.brownian_increments
+
+    def counted(grid, n, rng):
+        rows.append(n)
+        return inner(grid, n, rng)
+    monkeypatch.setattr(pathlab, "brownian_increments", counted)
+    cmd_simulate(config, tmp_path / "sim", threads=1)
+    assert sum(rows) == (40 + 60) * config.replications
+
+
 def test_dataset_round_trip(tmp_path):
     config = parse_config(_base_doc())
     out = cmd_simulate(config, tmp_path / "sim")
@@ -319,6 +334,24 @@ def test_fit_and_risk_pipeline(tmp_path):
     agg = (risks / "aggregates.csv").read_text().splitlines()
     values = [float(r.split(",")[4]) for r in rows[1:]]
     assert float(agg[1].split(",")[1]) == pytest.approx(np.mean(values))
+
+
+def test_spaced_model_json_gives_the_same_risk(tmp_path):
+    # model.json files in the spaced layout of json.dumps' default separators,
+    # which earlier versions wrote, give the risk output of the compact ones
+    config = parse_config(_base_doc())
+    fits = cmd_fit(config, tmp_path / "fits")
+    spaced = tmp_path / "spaced"
+    for path in fits.glob("n_*/rep_*/model.json"):
+        text = json.dumps(json.loads(path.read_text()), sort_keys=True)
+        assert ", " in text and ", " not in path.read_text()
+        target = spaced / path.relative_to(fits)
+        target.parent.mkdir(parents=True)
+        target.write_text(text)
+    risks = [cmd_risk(config, models, tmp_path / f"risk_{models.name}")
+             for models in (fits, spaced)]
+    for name in ("risk.csv", "aggregates.csv"):
+        assert (risks[0] / name).read_bytes() == (risks[1] / name).read_bytes()
 
 
 def test_risk_zero_for_perfect_model(tmp_path):

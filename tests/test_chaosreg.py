@@ -16,7 +16,6 @@ from chaosbench.chaosreg import (
     Sample,
     _fit_generic,
     _fit_parts,
-    _symmetrize,
     estimate_mean,
     fit_chaos_kernel,
     fit_from_parts,
@@ -45,6 +44,11 @@ from chaosbench.pathlab import BrownianPath, make_grid, sample_brownian, sample_
 
 K0 = build_kernel(1.0)
 K1 = build_kernel(2.0)
+
+
+def _symmetric(values):
+    """The symmetric tensor that takes each entry of ``values`` at its sorted index tuple."""
+    return values[tuple(np.sort(np.indices(values.shape), axis=0))]
 
 
 def _toy_sample(n=16, n_steps=64, seed=0, responses=None):
@@ -76,6 +80,19 @@ def test_sample_validation():
         Sample(grid, np.array([1.0, 2.0]), np.ones((2, 9)))  # paths must start at 0
 
 
+def test_sample_reuses_each_reduced_pair_and_reduces_the_rest():
+    # pairs reduced at synthesis, asked for in any subset and order, and the
+    # pairs of weights it did not reduce are the bits of a pass over the paths
+    grid = make_grid(64)
+    a, b, c = (slice_rows(K1, h, 8, grid) for h in (0.4, 0.3, 0.2))
+    sample = synthesize(quadratic_terminal(), 50, grid, 3, [a, b])
+    got = sample.left_point_integrals([c, b, a])
+    assert got[1] is sample.reduced[1][1] and got[2] is sample.reduced[0][1]
+    want = Sample(grid, sample.responses, sample.path_values).left_point_integrals([c, b, a])
+    for (x, cov), (x0, cov0) in zip(got, want):
+        assert np.array_equal(x, x0) and np.array_equal(cov, cov0)
+
+
 def test_fit_zero_responses_gives_zero_surface():
     sample = _toy_sample(8, responses=np.zeros(8))
     est = fit_chaos_kernel(sample, 2, 0.25, 8, K1)
@@ -103,20 +120,34 @@ def test_order_three_fit_is_exactly_symmetric():
         assert np.array_equal(values, np.transpose(values, perm))
 
 
-def test_symmetrize_order_two_is_plain_average():
-    m = np.random.default_rng(2).normal(size=(8, 8))
-    assert np.array_equal(_symmetrize(m), (m + m.T) / 2)
+@pytest.mark.parametrize("g", [2, 5])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_fit_is_exactly_symmetric_under_every_transpose(order, g):
+    # every entry is read from its sorted index tuple, on the smallest grid too
+    sample = _toy_sample(12, seed=5)
+    values = fit_chaos_kernel(sample, order, 0.3, g, K1).values
+    for perm in itertools.permutations(range(order)):
+        assert np.array_equal(values, np.transpose(values, perm))
+
+
+def test_order_one_fit_is_the_first_moment_bit_for_bit():
+    sample = _toy_sample(11, seed=4)
+    x, gram = _fit_parts(sample, 0.3, 8, K1)
+    values = fit_from_parts(x, gram, sample.responses, 1, 0.3).values
+    assert np.array_equal(values, x @ sample.responses / sample.n)
 
 
 def test_order_three_matches_generic_route():
-    # the one fit path and the ordered-node recursion on the path-grid gram
-    # must agree at every order, the order-4 fallback included
+    # the sorted-tuple fit and the ordered-node recursion on the path-grid
+    # gram must agree at every order, on grids of 2 and 4 points per axis
     sample = _toy_sample(9, seed=11)
-    x, gram = _fit_parts(sample, 0.4, 4, K1)
-    for order in (1, 2, 3, 4):
-        est = fit_chaos_kernel(sample, order, 0.4, 4, K1)
-        generic = _fit_generic(x, gram, sample.responses, order, 4)
-        assert np.allclose(est.values, generic, rtol=1e-10, atol=1e-12)
+    for g in (2, 4):
+        x, gram = _fit_parts(sample, 0.4, g, K1)
+        for order in (1, 2, 3, 4):
+            est = fit_chaos_kernel(sample, order, 0.4, g, K1)
+            generic = _fit_generic(x, gram, sample.responses, order, g)
+            np.testing.assert_allclose(est.values, generic, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(generic)))
 
 
 @pytest.mark.parametrize("order", [2, 3])
@@ -137,8 +168,9 @@ def test_fit_mean_is_path_grid_smoothed_constant(order):
             0.0, (ConstantComponent(1, 1.0), ConstantComponent(3, 1.0)), GaussianNoise(0.0)
         )
         reps, n = 100, 4000
+    rows = [slice_rows(K1, h, g, grid)]  # reduced at synthesis: no fit redraws the paths
     fits = np.array([
-        fit_chaos_kernel(synthesize(truth, n, grid, 7000 + r), order, h, g, K1).values
+        fit_chaos_kernel(synthesize(truth, n, grid, 7000 + r, rows), order, h, g, K1).values
         for r in range(reps)
     ])
     s = slice_matrix(K1, midpoints(g), h, grid.points[:-1]).sum(axis=1) / grid.n_steps
@@ -481,7 +513,7 @@ def test_model_json_round_trip():
 
 
 def _model_json_oracle(model: FittedModel) -> str:
-    """The whole model document through ``json.dumps``."""
+    """The whole model document through ``json.dumps`` with compact separators."""
     doc = {
         "format": MODEL_FORMAT,
         "mean_hat": model.a,
@@ -491,7 +523,7 @@ def _model_json_oracle(model: FittedModel) -> str:
             for e in model.components
         ],
     }
-    return json.dumps(doc, sort_keys=True)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _bits(values):
@@ -515,7 +547,7 @@ def test_model_json_equals_json_dumps(case):
         else:
             values = rng.normal(size=shape)
             if case == "symmetrized":
-                values = _symmetrize(values)
+                values = _symmetric(values)
         surfaces[order] = values
     model = _model_with(surfaces, -0.0 if case == "special_values" else 1.25, h=0.1)
     text = model_to_json(model)
@@ -545,7 +577,7 @@ def test_expansion_order_rules(build, component):
 def test_model_of_a_gridded_truth_reproduces_it_exactly():
     g = 8
     rng = np.random.default_rng(3)
-    surfaces = {order: _symmetrize(rng.normal(size=(g,) * order)) for order in (1, 2, 3)}
+    surfaces = {order: _symmetric(rng.normal(size=(g,) * order)) for order in (1, 2, 3)}
     truth = MappingSpec(0.5, tuple(
         GriddedComponent(order, g, values)
         for order, values in surfaces.items()), GaussianNoise(0.0))
@@ -578,7 +610,7 @@ def _on_left_tuples(component, n_steps):
 
 
 def _symmetric_surface(rng, order, g):
-    return _symmetrize(rng.normal(size=(g,) * order))
+    return _symmetric(rng.normal(size=(g,) * order))
 
 
 @pytest.mark.parametrize("form", ["equal_factor", "gridded"])
@@ -618,7 +650,7 @@ def _order_three_model(g=16):
     rng = np.random.default_rng(12)
     sym = {}
     for order in (1, 2, 3):
-        sym[order] = _symmetrize(rng.normal(size=(g,) * order))
+        sym[order] = _symmetric(rng.normal(size=(g,) * order))
     return _model_with(sym, 0.7)
 
 
