@@ -1018,9 +1018,11 @@ def run_checks(config: ExperimentConfig) -> dict:
 
 
 def cmd_check(config: ExperimentConfig, out_dir: Path) -> dict:
+    started = time.time()
     report = run_checks(config)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "check.json", report)
+    check_json = _write_json(out_dir / "check.json", report)
+    _write_manifest(out_dir, "check", config, started, [check_json])
     return report
 
 
@@ -1140,7 +1142,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="replication workers (rate and isometry risk run in process)")
+                       help="replication workers (rate, check and isometry risk run in process)")
 
     for name in ("simulate", "rate", "check"):
         common(sub.add_parser(name))

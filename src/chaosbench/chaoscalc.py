@@ -5,14 +5,14 @@ single integrals xi = A dW^T of weight rows A (k, N), taken at the left points
 t_j = j / N, with their exact path-grid covariance A A^T / N, on which every
 multiple integral below pairs.  ``block_left_point_integrals`` returns the
 same pairs for several A in one pass over row blocks of the increments, so a
-sample's paths need never be held whole.  ``draw_left_point_integrals``
-returns the same pair for n fresh paths without building them:
-A dW = R^T (Q^T dW) for the reduced QR A^T = Q R, and Q^T dW is
-r = min(k, N) independent N(0, 1/N) normals.  Rows C needed only through sum_i y_i C dW_i, for responses y that
-depend on the paths through A dW alone, are drawn as that one sum per
-batch: the part of C in the span of A's rows from the pairs' own normals,
-the orthogonal rest as ||y|| times one normal per dimension it spans.  Many
-draws share one ``left_point_factor`` (``draw_from_factor``).  Each
+sample's paths need never be held whole.  ``draw_from_factor`` returns the
+same pair for n fresh paths without building them, from A's
+``left_point_factor``: A dW = R^T (Q^T dW) for the reduced QR A^T = Q R, and
+Q^T dW is r = min(k, N) independent N(0, 1/N) normals.  Rows C needed only
+through sum_i y_i C dW_i, for responses y that depend on the paths through
+A dW alone, are drawn as that one sum per batch.  ``stack_rows`` stacks the
+distinct row blocks of several owners for one draw, with each owner's slice
+of the stack.  Each
 expansion component owns its single integrals: its ``functional_rows(N)``
 are the weight rows A, and its ``chaos_from_functionals`` evaluates I_l(f_l)
 from (xi, A A^T / N), whether xi came from paths or from a draw:
@@ -47,11 +47,11 @@ fitted models; ``ChaosExpansion.values`` evaluates both, and ``path_grid_inner``
 pairs two components on the path grid through ``project``, as the fit's mean does.
 
 ``l2_inner``, a continuum quadrature, serves only the class-check norms.
-``monte_carlo_mean``, the one Monte Carlo estimator, serves the validators
-of the Ito isometry, orthogonality of distinct orders, hypercontractive
-moment growth and the second-moment bound
-(E xi^2r)^(1/r) <= c_l^2(2r) 2^l l! ||k||^2l h^-l, and the Monte Carlo risk.
-``moment_bound_reports`` takes several moments of one draw of xi.
+``monte_carlo_mean``, the one Monte Carlo estimator, draws only the functionals
+its statistic reads, never a path.  It serves the validators of the Ito
+isometry, orthogonality of distinct orders, hypercontractive moment growth and
+the second-moment bound (E xi^2r)^(1/r) <= c_l^2(2r) 2^l l! ||k||^2l h^-l (several
+moments of one draw in ``moment_bound_reports``), and the Monte Carlo risk.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from numpy.polynomial import hermite_e
 
 from ._util import DEFAULT_QUAD_POINTS, midpoints
 from .kernelkit import MomentKernel, slice_matrix
-from .pathlab import BrownianPath, TimeGrid, brownian_blocks
+from .pathlab import BrownianPath, block_rows
 
 # the largest (rows, G^(l-1)) temporary of a gridded integral's row block, in
 # float64 entries: 512 rows of an order-3 surface on G = 64
@@ -327,12 +327,11 @@ def left_point_factor(weights: np.ndarray, summed: np.ndarray):
             (weights @ weights.T) / n_steps)
 
 
-def draw_left_point_integrals(weights: np.ndarray, summed: np.ndarray, n: int,
-                              rng: np.random.Generator):
+def draw_from_factor(factor, n: int, rng: np.random.Generator):
     """``left_point_integrals`` of n fresh paths, and response-weighted sums, without the paths.
 
-    The per-pair rows A (k, N) are stacked over the summed rows C (k_C, N):
-    [A; C]^T = Q R, a reduced QR with r = min(k + k_C, N).  Split after
+    ``factor`` is the ``left_point_factor`` of the per-pair rows A (k, N) over
+    the summed rows C (k_C, N): [A; C]^T = Q R, r = min(k + k_C, N).  Split after
     r_A = min(k, N) columns, Q = [Q_A Q_perp], and R_A = R[:r_A, :k] is the
     factor of A^T alone, R[:r_A, k:]^T = C Q_A, and R_perp = R[r_A:, k:] is
     the factor of C - C Q_A Q_A^T, the part of C orthogonal to A's rows.
@@ -350,11 +349,6 @@ def draw_left_point_integrals(weights: np.ndarray, summed: np.ndarray, n: int,
     Exact in distribution for any rows, rank-deficient or k >= N.  Without
     summed rows z is empty, and xi is R^T a for the factor of A alone.
     """
-    return draw_from_factor(left_point_factor(weights, summed), n, rng)
-
-
-def draw_from_factor(factor, n: int, rng: np.random.Generator):
-    """``draw_left_point_integrals`` of the rows whose ``left_point_factor`` is ``factor``."""
     r, k, n_steps, cov = factor
     r_a = min(k, n_steps)
     sd = math.sqrt(1.0 / n_steps)
@@ -363,6 +357,20 @@ def draw_from_factor(factor, n: int, rng: np.random.Generator):
     cross, perp = r[:r_a, k:], r[r_a:, k:]
     return (r[:r_a, :k].T @ a.T, cov,
             lambda y: cross.T @ (a.T @ y) + math.sqrt(y @ y) * (perp.T @ z))
+
+
+def stack_rows(blocks: Sequence[np.ndarray], n_steps: int) -> tuple[np.ndarray, list]:
+    """The distinct row blocks (k_b, N) stacked in order, and each block's slice of the stack.
+
+    Equal blocks share one slice, so the functionals drawn for them are the
+    same bits.  Without blocks the stack is (0, N).
+    """
+    keys = [(b.shape, b.tobytes()) for b in blocks]
+    distinct = dict(zip(keys, blocks))
+    edges = np.cumsum([0] + [len(b) for b in distinct.values()])
+    where = dict(zip(distinct, map(slice, edges[:-1], edges[1:])))
+    stack = np.concatenate([np.empty((0, n_steps)), *distinct.values()])
+    return stack, [where[key] for key in keys]
 
 
 def _left_rows(gs: Sequence[Callable], n_steps: int) -> np.ndarray:
@@ -444,24 +452,27 @@ class BoundReport:
 MIN_MC_DRAWS = 100
 
 
-def monte_carlo_mean(statistic: Callable[[np.ndarray], np.ndarray], n_mc: int, n_steps: int,
-                     seed: int, root: float = 1.0) -> tuple[float, float]:
-    """(E statistic(dW))^(1/root) over ``n_mc`` paths and its standard error.
+def monte_carlo_mean(weights: np.ndarray, statistic: Callable, n_mc: int, seed: int,
+                     root: float = 1.0) -> tuple[float, float]:
+    """(E statistic(xi, cov))^(1/root) over ``n_mc`` fresh paths and its standard error.
 
-    ``statistic`` maps (m, N) increments to m values.  The paths are the
-    ``pathlab.brownian_blocks`` of one stream, ``default_rng(seed)``, so they
-    equal one (n_mc, N) draw.  The stderr std(ddof=1)/sqrt(n_mc) goes through
-    the delta method for x -> x^(1/root).
+    ``statistic`` maps xi = A dW (k, m) for A = ``weights`` (k, N), drawn by
+    ``draw_from_factor`` from ``default_rng(seed)`` in blocks of
+    ``pathlab.block_rows(min(k, N))`` draws that equal one batch, and A A^T / N
+    to m values.  The stderr std(ddof=1)/sqrt(n_mc) goes through the delta
+    method for x -> x^(1/root).
     """
-    return _mean_and_stderr(_monte_carlo_values(statistic, n_mc, n_steps, seed), root)
+    return _mean_and_stderr(_monte_carlo_values(weights, statistic, n_mc, seed), root)
 
 
-def _monte_carlo_values(statistic, n_mc: int, n_steps: int, seed: int) -> np.ndarray:
-    """``statistic`` on the ``n_mc`` paths of ``monte_carlo_mean``, one value per path."""
+def _monte_carlo_values(weights, statistic, n_mc: int, seed: int) -> np.ndarray:
+    """``statistic`` on the ``n_mc`` draws of ``monte_carlo_mean``, one value per draw."""
     if n_mc < MIN_MC_DRAWS:
         raise ValueError(f"n_mc must be >= {MIN_MC_DRAWS}, got {n_mc}")
-    return np.concatenate([statistic(dw) for dw in brownian_blocks(
-        TimeGrid(n_steps), n_mc, np.random.default_rng(seed))])
+    factor, rng = left_point_factor(weights, weights[:0]), np.random.default_rng(seed)
+    rows = block_rows(len(factor[0]))
+    return np.concatenate([statistic(*draw_from_factor(factor, min(rows, n_mc - lo), rng)[:2])
+                           for lo in range(0, n_mc, rows)])
 
 
 def _mean_and_stderr(values: np.ndarray, root: float) -> tuple[float, float]:
@@ -471,15 +482,6 @@ def _mean_and_stderr(values: np.ndarray, root: float) -> tuple[float, float]:
         stderr = stderr / root * mean ** (1.0 / root - 1.0) if mean > 0 else 0.0
         mean = mean ** (1.0 / root)
     return mean, stderr
-
-
-def _sym_product_inner(gs, gs_prime, n_steps: int) -> float:
-    """l! <sym tensor, sym tensor'>_N = permanent of the path-grid cross covariance."""
-    cross = _left_rows(gs, n_steps) @ _left_rows(gs_prime, n_steps).T / n_steps
-    total = 0.0
-    for perm in itertools.permutations(range(len(gs))):
-        total += float(np.prod(cross[np.arange(len(gs)), perm]))
-    return total
 
 
 def isometry_report(
@@ -493,17 +495,20 @@ def isometry_report(
 
     The target is 0 for distinct orders and otherwise l! times the path-grid
     inner product of the symmetrized tensors, the exact second moment of the
-    left-point integrals (for equal-factor tensors, l! <g, g'>_N^l).
+    left-point integrals (for equal-factor tensors, l! <g, g'>_N^l): the
+    permanent of the cross covariance of the factors' single integrals.
     """
     if not gs or not gs_prime:
         raise ValueError("both tensors need at least one factor")
+    k, rows = len(gs), _left_rows([*gs, *gs_prime], n_steps)
     mean, stderr = monte_carlo_mean(
-        lambda dw: tensor_chaos_values(gs, dw) * tensor_chaos_values(gs_prime, dw),
-        n_mc, n_steps, seed)
-    if len(gs) != len(gs_prime):
-        theoretical = 0.0
-    else:
-        theoretical = _sym_product_inner(gs, gs_prime, n_steps)
+        rows, lambda xi, cov: (_chaos_from_parts(xi[:k], cov[:k, :k])
+                               * _chaos_from_parts(xi[k:], cov[k:, k:])), n_mc, seed)
+    theoretical = 0.0
+    if len(gs) == len(gs_prime):
+        cross = rows[:k] @ rows[k:].T / n_steps
+        theoretical = sum(float(np.prod(cross[np.arange(k), perm]))
+                          for perm in itertools.permutations(range(k)))
     return MomentReport(mean, theoretical, stderr, n_mc, seed)
 
 
@@ -532,8 +537,7 @@ def moment_bound_reports(
         raise ValueError("t must be interior: all coordinates in [h, 1-h]")
     # the slice factorization of K_h(t, .), the integrand of the xi variates
     rows = slice_matrix(kernel, t, h, left_points(n_steps))
-    xi = _monte_carlo_values(lambda dw: _chaos_from_parts(*left_point_integrals(rows, dw)),
-                             n_mc, n_steps, seed)
+    xi = _monte_carlo_values(rows, _chaos_from_parts, n_mc, seed)
     reports = []
     for r in rs:
         empirical, stderr = _mean_and_stderr(xi ** (2 * r), root=r)
@@ -542,10 +546,3 @@ def moment_bound_reports(
         bound = b_lr * h ** (-order)
         reports.append(BoundReport(empirical, bound, empirical <= bound, stderr, n_mc, seed))
     return tuple(reports)
-
-
-def moment_bound_report(order: int, h: float, r: int, n_mc: int, seed: int,
-                        kernel: MomentKernel, t: Sequence[float] | None = None,
-                        n_steps: int = 512) -> BoundReport:
-    """The ``moment_bound_reports`` entry of a single r."""
-    return moment_bound_reports(order, h, (r,), n_mc, seed, kernel, t, n_steps)[0]

@@ -13,7 +13,7 @@ slice gram sl sl^T / N taken on the same path grid as x, so the Ito
 correction removes exactly the expected diagonal of the left-point sums.
 ``Sample.left_point_integrals`` gives both from sl at the left points, in one
 pass over the sample's row blocks of increments (``_fit_parts``), so no fit
-holds the (n, N) increments; ``chaoscalc.draw_left_point_integrals``
+holds the (n, N) increments; ``chaoscalc.draw_from_factor``
 draws them without paths, and ``fit_from_parts`` is the one fit formula on
 either.  At order 1 the fit is M_1 alone, a linear functional of
 sum_i Y_i dW_i, so a slice block used at no other order can be drawn as the
@@ -37,7 +37,7 @@ ways: the exact conditional decomposition
 
 valid for p = 2 (norms over the N^l left-point tuples of the path grid), and a
 plain Monte Carlo prediction error E |mhat(W) - m(W)|^p for any p >= 2
-(``chaoscalc.monte_carlo_mean`` over row blocks of raw increments).
+(``chaoscalc.monte_carlo_mean`` on drawn functionals of both, not on paths).
 
 A fit computes only the C(G+l-1, l) distinct values of its surface, at the
 sorted index tuples a_1 <= ... <= a_l (45 760 of 262 144 at G = 64, l = 3),
@@ -64,7 +64,7 @@ from ._util import midpoints
 from ._util import derive_seed  # noqa: F401
 from .chaoscalc import ChaosExpansion, GriddedFunction, _chaos_from_parts, _matchings
 from .chaoscalc import block_left_point_integrals, left_points, monte_carlo_mean
-from .chaoscalc import path_grid_inner, project
+from .chaoscalc import path_grid_inner, project, stack_rows
 from .chaoscalc import brute_multiple_integral  # noqa: F401
 from .kernelkit import MomentKernel, slice_matrix
 from .pathlab import BrownianPath, BrownianPaths, TimeGrid, increment_blocks
@@ -347,14 +347,23 @@ def risk_monte_carlo(
 ) -> RiskReport:
     """Monte Carlo prediction risk (E |mhat(W) - m(W)|^p)^(1/p) over fresh paths.
 
-    ``chaoscalc.monte_carlo_mean`` with ``root=p`` evaluates model and truth on
-    raw increment batches from ``default_rng(seed)``; ``mc_stderr`` is its stderr.
+    ``chaoscalc.monte_carlo_mean`` with ``root=p`` draws the model's and the
+    truth's distinct ``functional_rows`` blocks, stacked once (``stack_rows``),
+    so an exact model has risk exactly 0, and evaluates both with
+    ``values_from_functionals``; ``mc_stderr`` is its stderr.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
-    value, stderr = monte_carlo_mean(
-        lambda dw: np.abs(model.values(dw) - truth.values(dw)) ** p,
-        n_mc, n_steps, seed, root=p)
+    rows, spans = stack_rows([c.functional_rows(n_steps)
+                              for e in (model, truth) for c in e.components], n_steps)
+    k = len(model.components)
+
+    def statistic(xi, cov):
+        parts, m = [(xi[s], cov[s, s]) for s in spans], xi.shape[1]
+        return np.abs(model.values_from_functionals(m, parts[:k])
+                      - truth.values_from_functionals(m, parts[k:])) ** p
+
+    value, stderr = monte_carlo_mean(rows, statistic, n_mc, seed, root=p)
     return RiskReport(float(p), value, "monte_carlo", stderr, {})
 
 

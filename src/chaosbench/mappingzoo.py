@@ -40,6 +40,7 @@ import numpy as np
 from ._util import derive_seed, midpoints
 from .chaoscalc import ChaosExpansion, GriddedFunction, draw_from_factor, left_point_factor
 from .chaoscalc import _left_rows, block_left_point_integrals, hermite_from_integral, l2_inner
+from .chaoscalc import stack_rows
 from .chaosreg import Sample
 from .pathlab import BrownianPath, BrownianPaths, TimeGrid, increment_blocks
 from .pathlab import sample_brownian_paths
@@ -184,10 +185,10 @@ def synthesize(spec: MappingSpec, n: int, grid: TimeGrid, seed: int,
 
 
 def synthesis_factor(spec: MappingSpec, weights: np.ndarray, summed: np.ndarray):
-    """(edges, factor) of ``weights`` stacked over the truth's ``functional_rows``, for any n."""
+    """(spans, factor) of ``weights`` stacked over the truth's ``functional_rows``, for any n."""
     blocks = [weights, *(c.functional_rows(weights.shape[1]) for c in spec.components)]
-    return (np.cumsum([0] + [len(b) for b in blocks]),
-            left_point_factor(np.concatenate(blocks), summed))
+    rows, spans = stack_rows(blocks, weights.shape[1])
+    return spans, left_point_factor(rows, summed)
 
 
 def synthesize_functionals(spec: MappingSpec, factor, n: int, seed: int):
@@ -201,15 +202,15 @@ def synthesize_functionals(spec: MappingSpec, factor, n: int, seed: int):
     response-weighted sum sum_i y_i summed dW_i (k_C,), the order-1 moment
     times n.  All of it comes from the stream (seed, 0) by
     ``chaoscalc.draw_from_factor``: n x r_P normals for the per-pair
-    rows, r_P = min(k + k_t, N) with k_t the truth's, then min(k_C, N - r_P)
-    for the summed rows.  The responses y are m from the truth's functionals
+    rows, r_P = min(k + k_t, N) with k_t the truth's distinct rows, then
+    min(k_C, N - r_P) for the summed rows.  The responses y are m from the truth's functionals
     plus noise from the stream (seed, 1).  Same law as the path route, not
     the same draws; with no summed rows, the draws of the per-pair rows alone.
     """
-    edges, rows_factor = factor
+    spans, rows_factor = factor
     xi, cov, weighted_sum = draw_from_factor(
         rows_factor, n, np.random.default_rng(derive_seed(seed, 0)))
-    parts = [(xi[lo:hi], cov[lo:hi, lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]
+    parts = [(xi[s], cov[s, s]) for s in spans]
     noise_rng = np.random.default_rng(derive_seed(seed, 1))
     responses = spec.values_from_functionals(n, parts[1:]) + spec.noise.sample(noise_rng, n)
     return (*parts[0], responses, weighted_sum(responses))

@@ -8,8 +8,8 @@ back into the driving Brownian path.
 
 Many paths are read in row blocks of ``BLOCK_ENTRIES`` float64 entries
 (``path_blocks``), from a path matrix or drawn from a seed
-(``BrownianPaths``), so that fits, synthesis and Monte Carlo reduce their
-paths without holding an (n, N) matrix of them.
+(``BrownianPaths``), so that fits and synthesis reduce their paths without
+holding an (n, N) matrix of them.
 """
 
 from __future__ import annotations
@@ -138,23 +138,16 @@ def brownian_increments(grid: TimeGrid, n: int, rng: np.random.Generator) -> np.
     return rng.normal(0.0, np.sqrt(grid.dt), (n, grid.n_steps))
 
 
-# The float64 entries of one row block of paths: 256 rows at N = 512.  Fits,
-# synthesis and Monte Carlo read paths one block at a time, so none holds an
-# (n, N) matrix; a constant, so the blocks, and every output, are the same at
-# any number of workers.
+# The float64 entries of one row block: 256 paths at N = 512.  Fits and
+# synthesis read paths, and Monte Carlo draws functionals, one block at a
+# time; a constant, so the blocks, and every output, are the same at any
+# number of workers.
 BLOCK_ENTRIES = 2**17
 
 
-def block_rows(n_steps: int) -> int:
-    """Rows of one block of paths with ``n_steps`` increments (at least 1)."""
-    return max(1, BLOCK_ENTRIES // n_steps)
-
-
-def brownian_blocks(grid: TimeGrid, n: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """``brownian_increments(grid, n, rng)`` as consecutive blocks of ``block_rows(N)`` rows."""
-    rows = block_rows(grid.n_steps)
-    for lo in range(0, n, rows):
-        yield brownian_increments(grid, min(rows, n - lo), rng)
+def block_rows(width: int) -> int:
+    """Rows of one block (at least 1) of paths of ``width`` steps, or draws of ``width`` normals."""
+    return max(1, BLOCK_ENTRIES // max(1, width))
 
 
 @dataclass(frozen=True)
@@ -173,12 +166,15 @@ def path_blocks(paths: Union[np.ndarray, BrownianPaths]) -> Iterator[np.ndarray]
     """Consecutive (rows, N+1) row blocks of an (n, N+1) path matrix or of ``BrownianPaths``.
 
     Blocks hold ``block_rows(N)`` rows (the last one the rest).  A drawn block
-    is 0 followed by the cumulative sum of one ``brownian_blocks`` block, which
-    is its rows of the matrix ``sample_brownian_paths`` returns, bit for bit.
+    is 0 followed by the cumulative sum of its rows of
+    ``brownian_increments(grid, n, default_rng(seed))``, drawn in turn from
+    one stream, so it is its rows of ``sample_brownian_paths``, bit for bit.
     """
     if isinstance(paths, BrownianPaths):
-        return (_levels(dw) for dw in brownian_blocks(
-            paths.grid, paths.n, np.random.default_rng(paths.seed)))
+        grid, n, rng = paths.grid, paths.n, np.random.default_rng(paths.seed)
+        rows = block_rows(grid.n_steps)
+        return (_levels(brownian_increments(grid, min(rows, n - lo), rng))
+                for lo in range(0, n, rows))
     rows = block_rows(paths.shape[1] - 1)
     return (paths[lo:lo + rows] for lo in range(0, len(paths), rows))
 

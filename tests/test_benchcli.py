@@ -443,6 +443,22 @@ def test_check_passes_and_sabotage_fails(tmp_path, monkeypatch):
     assert any("mass" in name for name in failed)
 
 
+def test_check_writes_a_manifest_with_the_check_digest(tmp_path, capsys):
+    cfg = _write_config(tmp_path, _base_doc())
+    out = tmp_path / "check"
+    assert main(["check", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "check.json").read_text())
+    assert capsys.readouterr().out.splitlines() == [
+        f"pass {c['name']}: {c['measured']:.6g}" for c in report["checks"]]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "check"
+    assert manifest["outputs"] == {"check.json": benchcli._sha256(out / "check.json")}
+    # the manifest replays as the config, to the same check.json
+    replay = tmp_path / "replay"
+    assert main(["check", "--config", str(out / "manifest.json"), "--out", str(replay)]) == 0
+    assert (replay / "check.json").read_bytes() == (out / "check.json").read_bytes()
+
+
 def test_hypercontractivity_slack_is_in_lhs_units(monkeypatch):
     # lhs = (E xi^4)^(1/4) = 1.25 exceeds rhs = sqrt(3) (E xi^2)^(1/2) = 1 by five
     # delta-method standard errors, 0.5 * 0.125 / 1.25 = 0.05 each, but by less

@@ -10,12 +10,13 @@ from chaosbench.chaoscalc import (
     GriddedFunction,
     brute_multiple_integral,
     chaos_constant,
-    draw_left_point_integrals,
+    draw_from_factor,
     hermite_chaos,
     isometry_report,
     l2_inner,
+    left_point_factor,
     left_point_integrals,
-    moment_bound_report,
+    moment_bound_reports,
     monte_carlo_mean,
     path_grid_inner,
     project,
@@ -25,7 +26,7 @@ from chaosbench.chaoscalc import (
 from chaosbench.chaosreg import fit_from_parts, slice_rows
 from chaosbench.kernelkit import build_kernel, slice_matrix
 from chaosbench.mappingzoo import EqualFactorComponent
-from chaosbench.pathlab import block_rows, make_grid, sample_brownian
+from chaosbench.pathlab import block_rows, make_grid, sample_brownian, sample_brownian_paths
 
 ONE = np.polynomial.Polynomial([1.0])
 RAMP = np.polynomial.Polynomial([0.0, 1.0])
@@ -215,25 +216,68 @@ def test_isometry_report_input_validation():
 
 
 def test_monte_carlo_mean_batches_continue_one_stream():
-    # a run just over one batch equals the statistics of a single (n_mc, N) draw
-    n_mc, n_steps, seed = block_rows(4) + 37, 4, 2718
-    rows = []
+    # a run just over one block of factor draws equals the statistics of a
+    # single (n_mc, r) draw, bit for bit
+    n_steps, seed = 4, 2718
+    weights = np.random.default_rng(5).normal(size=(3, n_steps))
+    n_mc = block_rows(3) + 37
+    blocks = []
 
-    def statistic(dw):
-        rows.append(len(dw))
-        return dw.sum(axis=1) ** 2
+    def statistic(xi, cov):
+        blocks.append(xi)
+        return xi.sum(axis=0) ** 2 * cov[0, 0]
 
-    mean, stderr = monte_carlo_mean(statistic, n_mc, n_steps, seed)
-    assert rows == [block_rows(4), 37]
-    values = statistic(np.random.default_rng(seed).normal(0.0, 0.5, (n_mc, n_steps)))
+    mean, stderr = monte_carlo_mean(weights, statistic, n_mc, seed)
+    assert [len(b[0]) for b in blocks] == [block_rows(3), 37]
+    drawn = np.concatenate(blocks, axis=1)
+    once = draw_from_factor(left_point_factor(weights, weights[:0]), n_mc,
+                            np.random.default_rng(seed))
+    assert np.array_equal(drawn.view(np.uint64), once[0].view(np.uint64))
+    values = statistic(*once[:2])
     assert mean == np.mean(values)
     assert stderr == np.std(values, ddof=1) / np.sqrt(n_mc)
     # the root goes through the delta method for x -> x^(1/root)
-    root_mean, root_stderr = monte_carlo_mean(statistic, n_mc, n_steps, seed, root=2.0)
+    root_mean, root_stderr = monte_carlo_mean(weights, statistic, n_mc, seed, root=2.0)
     assert root_mean == mean**0.5
     assert root_stderr == pytest.approx(stderr / 2.0 / mean**0.5, rel=1e-15)
     with pytest.raises(ValueError, match=">= 100"):
-        monte_carlo_mean(statistic, 99, n_steps, seed)
+        monte_carlo_mean(weights, statistic, 99, seed)
+
+
+def _path_increments(n, n_steps, seed):
+    return np.diff(sample_brownian_paths(make_grid(n_steps), n, seed), axis=1)
+
+
+def _agree(drawn, drawn_se, path, path_se):
+    """Two independent estimates of one mean within 3 standard errors of their gap."""
+    return abs(drawn - path) <= 3.0 * math.hypot(drawn_se, path_se)
+
+
+@pytest.mark.parametrize("gs, gs_prime", [([ONE, ONE], [ONE, ONE]), ([ONE], [ONE, ONE]),
+                                          ([RAMP], [RAMP])], ids=["I2_sq", "orthogonal", "I1_sq"])
+def test_isometry_report_draws_match_the_path_route(gs, gs_prime):
+    # the functionals drawn from seed 2024 against the product of tensor_chaos_values
+    # on 10^4 paths of seed 2025
+    n_mc, n_steps = 10_000, 256
+    report = isometry_report(gs, gs_prime, n_mc, 2024, n_steps)
+    dw = _path_increments(n_mc, n_steps, 2025)
+    path = tensor_chaos_values(gs, dw) * tensor_chaos_values(gs_prime, dw)
+    assert _agree(report.empirical, report.mc_stderr,
+                  *chaoscalc._mean_and_stderr(path, 1.0))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_moment_bound_reports_draws_match_the_path_route(order):
+    # (E xi^2r)^(1/r), r = 1, 2, at h = e^-2: drawn from seed 3030 against the
+    # slice integrals of 10^4 paths of seed 3031
+    n_mc, n_steps, h, kernel = 10_000, 256, math.exp(-2), build_kernel(2.0)
+    reports = moment_bound_reports(order, h, (1, 2), n_mc, 3030, kernel, n_steps=n_steps)
+    rows = slice_matrix(kernel, [0.45] * order, h, np.arange(n_steps) / n_steps)
+    xi = chaoscalc._chaos_from_parts(
+        *left_point_integrals(rows, _path_increments(n_mc, n_steps, 3031)))
+    for r, report in zip((1, 2), reports):
+        assert _agree(report.empirical, report.mc_stderr,
+                      *chaoscalc._mean_and_stderr(xi ** (2 * r), r))
 
 
 def test_orthogonality_of_kernel_slice_tensors():
@@ -257,7 +301,7 @@ def test_isometry_order_three_equal_factor():
 def test_moment_bound_order_one_with_quadrature_oracle():
     kernel = build_kernel(2.0)
     h = 0.25
-    report = moment_bound_report(1, h, 1, n_mc=10_000, seed=9, kernel=kernel)
+    (report,) = moment_bound_reports(1, h, (1,), n_mc=10_000, seed=9, kernel=kernel)
     # b_{1,1} h^-1 = 2 ||k||^2 / h = 32
     assert report.bound == pytest.approx(2.0 * 4.0 / h)
     assert report.within_bound
@@ -270,14 +314,14 @@ def test_moment_bound_order_one_with_quadrature_oracle():
 @pytest.mark.parametrize("r", [1, 2])
 def test_moment_bound_order_two(r):
     kernel = build_kernel(2.0)
-    report = moment_bound_report(2, math.exp(-2), r, n_mc=10_000, seed=17, kernel=kernel)
+    (report,) = moment_bound_reports(2, math.exp(-2), (r,), n_mc=10_000, seed=17, kernel=kernel)
     assert report.within_bound
 
 
 def test_moment_bound_interior_requirement():
     kernel = build_kernel(1.0)
     with pytest.raises(ValueError):
-        moment_bound_report(1, 0.25, 1, 200, 0, kernel, t=[0.1])
+        moment_bound_reports(1, 0.25, (1,), 200, 0, kernel, t=[0.1])
 
 
 def test_gridded_function_symmetry_helper():
@@ -412,17 +456,17 @@ def test_drawn_left_point_integrals_are_exact_in_distribution(case):
     n_steps, n = 16, 20_000
     a = _weights(case, n_steps, np.random.default_rng(31))
     target = a @ a.T
-    xi, cov, _ = draw_left_point_integrals(a, np.empty((0, n_steps)), n,
-                                           np.random.default_rng(32))
+    xi, cov, _ = draw_from_factor(left_point_factor(a, np.empty((0, n_steps))), n,
+                                  np.random.default_rng(32))
     assert xi.shape == (len(a), n)
     # one factor drawn twice gives the bits of two one-shot draws from the
     # same generator states, the summed rows' sums included
     summed, y = _weights("k < N", n_steps, np.random.default_rng(33))[:3], np.arange(50.0)
-    factor = chaoscalc.left_point_factor(a, summed)
+    factor = left_point_factor(a, summed)
     once, reused = np.random.default_rng(34), np.random.default_rng(34)
     for _ in range(2):
-        want = draw_left_point_integrals(a, summed, 50, once)
-        got = chaoscalc.draw_from_factor(factor, 50, reused)
+        want = draw_from_factor(left_point_factor(a, summed), 50, once)
+        got = draw_from_factor(factor, 50, reused)
         for w, g in zip((*want[:2], want[2](y)), (*got[:2], got[2](y))):
             assert np.array_equal(w.view(np.uint64), g.view(np.uint64))
     # the covariance is the one left_point_integrals pairs on, A A^T / N

@@ -8,7 +8,7 @@ import pytest
 
 from chaosbench._util import derive_seed, midpoints
 from chaosbench.benchcli import _parse_truth
-from chaosbench.chaoscalc import GriddedFunction, draw_left_point_integrals
+from chaosbench.chaoscalc import GriddedFunction, draw_from_factor, left_point_factor
 from chaosbench.chaosreg import (
     MODEL_FORMAT,
     ChaosKernelEstimate,
@@ -309,7 +309,8 @@ def test_summed_route_is_the_per_pair_moment_for_the_same_coordinates(k_pair, k_
     assert close(x, summed @ dw.T)
     # the residual sum as ||y|| times coordinates of the orthogonal rest
     z = (dw @ q_perp).T @ y / np.linalg.norm(y)
-    xi, cov, weighted_sum = draw_left_point_integrals(weights, summed, n, _Normals(a, z))
+    xi, cov, weighted_sum = draw_from_factor(left_point_factor(weights, summed), n,
+                                             _Normals(a, z))
     assert close(xi, weights @ dw.T)
     assert np.array_equal(cov, weights @ weights.T / n_steps)
     assert weighted_sum(y).shape == (k_summed,)
@@ -473,6 +474,13 @@ def test_risk_monte_carlo_self_comparison_is_discretization_floor():
         truth = MappingSpec(1.0, (ConstantComponent(order, 1.0),), GaussianNoise(0.0))
         perfect = _model_with({order: np.ones((g,) * order)}, truth.a)
         assert risk_monte_carlo(perfect, truth, 2.0, 300, 11, 512).value < 1e-12
+
+
+def test_risk_monte_carlo_of_constants_draws_nothing():
+    # no component on either side: no row to draw, and the risk is |a - a'|
+    truth = MappingSpec(1.0, (), GaussianNoise(0.0))
+    report = risk_monte_carlo(FittedModel(0.25, ()), truth, 4.0, 200, 3, 64)
+    assert (report.value, report.mc_stderr) == (0.75, 0.0)
 
 
 def test_risk_monte_carlo_moment_monotonicity():
@@ -663,22 +671,46 @@ def test_model_values_match_predict_row_by_row():
         assert value == pytest.approx(predict(model, BrownianPath(grid, values)), rel=1e-12)
 
 
+def _order_one_and_three_truth():
+    return MappingSpec(0.5, (EqualFactorComponent(1, np.polynomial.Polynomial([1.0, 0.5])),
+                             ConstantComponent(3, 1.0)), GaussianNoise(0.0))
+
+
 def test_risk_monte_carlo_equals_explicit_per_draw_formula():
-    model = _order_three_model()
-    truth = MappingSpec(
-        0.5,
-        (EqualFactorComponent(1, np.polynomial.Polynomial([1.0, 0.5])),
-         ConstantComponent(3, 1.0)),
-        GaussianNoise(0.0),
-    )
-    n_mc, seed, p = 300, 77, 4.0
-    grid = make_grid(128)
-    draws = [BrownianPath(grid, v) for v in sample_brownian_paths(grid, n_mc, seed)]
-    diffs = np.array([predict(model, w) - evaluate_mapping(truth, w) for w in draws])
-    report = risk_monte_carlo(model, truth, p, n_mc, seed, n_steps=128)
+    # the draw is one factor draw from default_rng(seed) of the model's cell
+    # rows, which its three surfaces share and so are stacked once, over the
+    # truth's rows g and 1; each draw's error is the per-draw formula on them
+    model, truth = _order_three_model(), _order_one_and_three_truth()
+    n_mc, seed, p, n_steps = 300, 77, 4.0, 128
+    cells = model.components[0].functional_rows(n_steps)
+    g = len(cells)
+    rows = np.vstack([cells, 1.0 + 0.5 * np.arange(n_steps) / n_steps, np.ones(n_steps)])
+    xi, cov, _ = draw_from_factor(left_point_factor(rows, rows[:0]), n_mc,
+                                  np.random.default_rng(seed))
+    diffs = []
+    for x in xi.T[:, :, None]:
+        fitted = model.a + sum(c.chaos_from_functionals(x[:g], cov[:g, :g])[0]
+                               / math.factorial(c.order) for c in model.components)
+        # I_3(1) = u^3 - 3 u, since ||1||_N^2 = 1
+        u = x[g + 1, 0]
+        diffs.append(fitted - (0.5 + x[g, 0] + (u**3 - 3.0 * u) / 6.0))
+    report = risk_monte_carlo(model, truth, p, n_mc, seed, n_steps=n_steps)
     powered = np.abs(diffs) ** p
     mean = np.mean(powered)
     assert report.value == pytest.approx(mean ** (1 / p), rel=1e-12)
     # delta method for x -> x^(1/p) applied to the ddof-1 standard error of the mean
     stderr = np.std(powered, ddof=1) / np.sqrt(n_mc) / p * mean ** (1 / p - 1)
     assert report.mc_stderr == pytest.approx(stderr, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_risk_monte_carlo_draws_match_the_path_route(p):
+    # drawn from seed 77 against predict - evaluate_mapping on 2000 paths of seed 78
+    model, truth = _order_three_model(), _order_one_and_three_truth()
+    n_mc, grid = 2000, make_grid(128)
+    report = risk_monte_carlo(model, truth, p, n_mc, 77, n_steps=128)
+    paths = [BrownianPath(grid, v) for v in sample_brownian_paths(grid, n_mc, 78)]
+    powered = np.abs([predict(model, w) - evaluate_mapping(truth, w) for w in paths]) ** p
+    mean = np.mean(powered)
+    stderr = np.std(powered, ddof=1) / np.sqrt(n_mc) / p * mean ** (1 / p - 1)
+    assert abs(report.value - mean ** (1 / p)) <= 3.0 * math.hypot(report.mc_stderr, stderr)

@@ -3,7 +3,6 @@ import pytest
 
 from chaosbench.pathlab import (
     BrownianPaths,
-    brownian_blocks,
     increment_blocks,
     path_blocks,
     BrownianPath,
@@ -82,8 +81,6 @@ def test_path_blocks_are_the_rows_of_one_draw():
     for source in (paths, BrownianPaths(grid, n, seed)):
         assert np.array_equal(np.concatenate(list(increment_blocks(source))),
                               np.diff(paths, axis=1))
-    draws = np.random.default_rng(seed)
-    assert np.array_equal(np.concatenate(list(brownian_blocks(grid, n, draws))), dw)
 
 
 def test_batch_pooled_increment_variance():
