@@ -547,7 +547,8 @@ def _replicate(task, config: ExperimentConfig, threads: int) -> list:
 
     In this process when ``threads <= 1``, else in a ``_pool``, so ``task``
     must pickle (a module-level function or a ``functools.partial`` of one).
-    ``rate`` does not use it, and isometry ``risk`` passes ``threads`` 1.
+    Every command's replications run here.  ``rate`` (each n's factor built
+    once, ``_rate_setup``) and isometry ``risk`` pass ``threads`` 1.
     """
     jobs = _replications(config)
     columns = [[config] * len(jobs), *zip(*jobs)]
@@ -718,7 +719,7 @@ def _simulate_one(config: ExperimentConfig, n_index: int, n: int, rep: int,
     # one row per grid time: t, then the value of every path at t
     paths = _write_table(rep_dir / "paths.csv", _paths_header(n), ",".join(["%.17g"] * (n + 1)),
                          ((t, *column) for t, column in
-                          zip(sample.grid.points, sample.path_values.T)))
+                          zip(sample.grid.points, sample.paths.T)))
     return responses, paths
 
 
@@ -858,15 +859,14 @@ def cmd_risk(config: ExperimentConfig, models_dir: Path, out_dir: Path,
     return out_dir
 
 
-def _rate_models(config: ExperimentConfig, n_index: int, n: int):
-    """Each replication's model at n, in order, from drawn slice integrals; no path is built.
+def _rate_setup(config: ExperimentConfig, n: int):
+    """(factor, {h: rows}, per-pair bandwidths) that every replication at n draws from.
 
     Every distinct bandwidth of ``plan_bandwidths(config, n)`` (every
-    candidate in adaptive mode) gets one slice block, drawn by
-    ``synthesize_functionals`` jointly with the truth's functionals from one
-    ``synthesis_factor`` for all replications.  A bandwidth that some order
-    >= 2 uses is drawn per pair and fitted from its block and gram, one used at
-    order 1 alone as its response moment sum_i Y_i x_i, whose fit is that over n.
+    candidate in adaptive mode) gets one slice block of the
+    ``synthesis_factor``.  A bandwidth that some order >= 2 uses is drawn
+    per pair and fitted from its block and gram, one used at order 1 alone as
+    its response moment sum_i Y_i x_i, whose fit is that over n.
     """
     plan = plan_bandwidths(config, n)
     per_pair = sorted({h for order, hs in plan.items() if order > 1 for h in hs}, reverse=True)
@@ -878,13 +878,20 @@ def _rate_models(config: ExperimentConfig, n_index: int, n: int):
         config.truth,
         *(np.reshape([slice_rows(kernel, h, g, grid) for h in hs], (-1, grid.n_steps))
           for hs in (per_pair, summed)))
-    for rep in range(config.replications):
-        x, gram, y, sums = synthesize_functionals(config.truth, factor, n,
-                                                  config.rep_seed(n_index, rep))
-        yield _plan_model(config, n, float(np.mean(y)), lambda h, orders: {
-            order: fit_from_parts(x[rows[h]], gram[rows[h], rows[h]], y, order, h)
-            if h in per_pair else ChaosKernelEstimate(order, g, sums[rows[h]] / n, bandwidth=h)
-            for order in orders})
+    return factor, rows, per_pair
+
+
+def _rate_risk(config: ExperimentConfig, n_index: int, n: int, rep: int, setups):
+    """The replication's risk, from slice integrals drawn from ``setups[n_index]``, not paths."""
+    factor, rows, per_pair = setups[n_index]
+    x, gram, y, sums = synthesize_functionals(config.truth, factor, n,
+                                              config.rep_seed(n_index, rep))
+    g = config.grid_size
+    model = _plan_model(config, n, float(np.mean(y)), lambda h, orders: {
+        order: fit_from_parts(x[rows[h]], gram[rows[h], rows[h]], y, order, h)
+        if h in per_pair else ChaosKernelEstimate(order, g, sums[rows[h]] / n, bandwidth=h)
+        for order in orders})
+    return _risk_of_model(config, model, n_index, rep)
 
 
 def theoretical_rate_curve(config: ExperimentConfig) -> np.ndarray:
@@ -928,18 +935,18 @@ def _loglog_slope(n_values: np.ndarray, y_values: np.ndarray) -> tuple[float, fl
 def cmd_rate(config: ExperimentConfig, out_dir: Path) -> dict:
     """Full rate sweep: draw, fit, and evaluate risk for every n; fit the slope.
 
-    Each replication's model comes from its drawn slice integrals, not from
-    paths (``_rate_models``), in this process, since a pool costs more to
-    start than all of them.  Nothing is written unless every one succeeded.
+    Each n's slice rows and their factor are built once (``_rate_setup``),
+    and ``_replicate`` runs every replication's ``_rate_risk`` from them, in
+    this process, since a pool costs more to start than all of them.
+    Nothing is written unless every one succeeded.
     """
     if len(config.n_list) < 4:
         raise ConfigError("rate: n_list needs at least 4 sample sizes")
     if max(config.n_list) < 10 * min(config.n_list):
         raise ConfigError("rate: n_list should span at least one decade")
     started = time.time()
-    values = [_risk_of_model(config, model, n_index, rep).value
-              for n_index, n in enumerate(config.n_list)
-              for rep, model in enumerate(_rate_models(config, n_index, n))]
+    setups = [_rate_setup(config, n) for n in config.n_list]
+    values = [r.value for r in _replicate(partial(_rate_risk, setups=setups), config, 1)]
     out_dir.mkdir(parents=True, exist_ok=True)
     risk_csv = out_dir / "risk_by_n.csv"
     means = _write_aggregates(risk_csv, config, values)

@@ -17,7 +17,8 @@ holds the (n, N) increments; ``chaoscalc.draw_from_factor``
 draws them without paths, and ``fit_from_parts`` is the one fit formula on
 either.  At order 1 the fit is M_1 alone, a linear functional of
 sum_i Y_i dW_i, so a slice block used at no other order can be drawn as the
-one sum sum_i Y_i x_i (``benchcli._rate_models``).  The gram is the exact
+one sum sum_i Y_i x_i (``benchcli._rate_setup``, which builds each n's
+factor once for ``rate``'s replications).  The gram is the exact
 covariance of x, and by Isserlis's theorem the fit's mean is exactly
 S^(x l) f_l with S = sl / N at any n and N (``fit_mean``); its continuum
 limit, the kernel smoothing of f_l, is not.
@@ -53,7 +54,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -68,7 +68,6 @@ from .chaoscalc import path_grid_inner, project, stack_rows
 from .chaoscalc import brute_multiple_integral  # noqa: F401
 from .kernelkit import MomentKernel, slice_matrix
 from .pathlab import BrownianPath, BrownianPaths, TimeGrid, increment_blocks
-from .pathlab import sample_brownian_paths
 from .pathlab import sample_brownian  # noqa: F401
 
 
@@ -104,7 +103,7 @@ class Sample:
         object.__setattr__(self, "paths", values)
         if values.shape != (len(responses), self.grid.n_steps + 1):
             raise ValueError(
-                f"path_values must have shape {(len(responses), self.grid.n_steps + 1)}"
+                f"paths must have shape {(len(responses), self.grid.n_steps + 1)}"
             )
         if np.any(values[:, 0] != 0.0):
             raise ValueError("all covariate paths must start at 0")
@@ -114,13 +113,6 @@ class Sample:
     @property
     def n(self) -> int:
         return len(self.responses)
-
-    @cached_property
-    def path_values(self) -> np.ndarray:
-        """The (n, N+1) path matrix, built from the seed once when the paths were drawn."""
-        if isinstance(self.paths, BrownianPaths):
-            return sample_brownian_paths(self.grid, self.n, self.paths.seed)
-        return self.paths
 
     def left_point_integrals(self, weights) -> list:
         """``chaoscalc.left_point_integrals`` of each weight matrix (k, N) on the sample.

@@ -166,7 +166,7 @@ def synthesize(spec: MappingSpec, n: int, grid: TimeGrid, seed: int,
 
     The n paths are ``sample_brownian_paths(grid, n, derive_seed(seed, 0))``,
     kept as their seed (``pathlab.BrownianPaths``), or with ``hold_paths`` as
-    that matrix, drawn once, for a caller that reads ``path_values``.  One pass
+    that matrix, drawn once, for a caller that reads ``paths``.  One pass
     over their increment blocks, the same bits on both, reduces the truth's
     ``functional_rows``, from which ``values_from_functionals`` gives m, and
     the rows of each of ``weights`` (k, N), whose (x, cov) the sample keeps as

@@ -317,8 +317,8 @@ def test_dataset_round_trip(tmp_path):
     out = cmd_simulate(config, tmp_path / "sim")
     sample = load_dataset(out / "n_000040" / "rep_000", config.path_steps)
     assert sample.n == 40
-    assert sample.path_values.shape == (40, 129)
-    assert np.all(sample.path_values[:, 0] == 0.0)
+    assert sample.paths.shape == (40, 129)
+    assert np.all(sample.paths[:, 0] == 0.0)
 
 
 def test_fit_and_risk_pipeline(tmp_path):
@@ -753,9 +753,11 @@ def test_routes_agree_on_a_sample_that_ends_in_a_part_block(tmp_path):
     grid, seed = make_grid(256), config.rep_seed(0, 0)
     paths = sample_brownian_paths(grid, 1300, derive_seed(seed, 0))
     kernel = config.kernel()
-    for sample in (synthesize(config.truth, 1300, grid, seed),
-                   load_dataset(data / "n_001300" / "rep_000", 256)):
-        assert np.array_equal(sample.path_values, paths)
+    synthesized = synthesize(config.truth, 1300, grid, seed)
+    loaded = load_dataset(data / "n_001300" / "rep_000", 256)
+    assert np.array_equal(sample_brownian_paths(grid, 1300, synthesized.paths.seed), paths)
+    assert np.array_equal(loaded.paths, paths)
+    for sample in (synthesized, loaded):
         texts.append(model_to_json(FittedModel(estimate_mean(sample), tuple(
             fit_chaos_kernel(sample, order, h, config.grid_size, kernel)
             for order, (h,) in sorted(benchcli.plan_bandwidths(config, 1300).items())))))
@@ -949,7 +951,7 @@ def test_gridded_order_4_truth_runs(tmp_path):
                     bandwidths={"mode": "fixed", "values": orders})
     config = parse_config(doc)
     sample = synthesize(config.truth, 50, make_grid(config.path_steps), 7)
-    w1 = sample.path_values[:, -1]
+    w1 = sample_brownian_paths(sample.grid, sample.n, sample.paths.seed)[:, -1]
     assert np.allclose(sample.responses, 0.5 + (w1**4 - 6.0 * w1**2 + 3.0) / 24.0,
                        rtol=0.0, atol=1e-12)
     cfg = _write_config(tmp_path, doc)
@@ -1320,7 +1322,7 @@ def test_rate_draws_match_the_path_route(tmp_path, monkeypatch, mode):
     shapes, factor = [], benchcli.synthesis_factor
     monkeypatch.setattr(benchcli, "synthesis_factor", lambda truth, rows, summed: (
         shapes.append((rows.shape, summed.shape)) or factor(truth, rows, summed)))
-    next(benchcli._rate_models(config, 0, 500))
+    benchcli._rate_setup(config, 500)
     monkeypatch.undo()
     assert shapes == [{"theoretical": ((0, 512), (64, 512)), "adaptive": ((0, 128), (32, 128)),
                        "no_components": ((0, 128), (16, 128)),
@@ -1328,10 +1330,10 @@ def test_rate_draws_match_the_path_route(tmp_path, monkeypatch, mode):
                        "rank_deficient": ((0, 64), (64, 64)),
                        "mixed": ((16, 128), (16, 128))}[mode]]
     reps = config.replications
+    setups = [benchcli._rate_setup(config, n) for n in config.n_list]
     direct, paths = (np.empty((len(config.n_list), reps)) for _ in range(2))
     for i, n in enumerate(config.n_list):
-        direct[i] = [benchcli._risk_of_model(config, model, i, rep).value
-                     for rep, model in enumerate(benchcli._rate_models(config, i, n))]
+        direct[i] = [benchcli._rate_risk(config, i, n, rep, setups).value for rep in range(reps)]
         for rep in range(reps):
             model = benchcli._fit_one(config, i, n, rep)
             paths[i, rep] = benchcli._risk_of_model(config, model, i, rep).value
@@ -1342,7 +1344,28 @@ def test_rate_draws_match_the_path_route(tmp_path, monkeypatch, mode):
     report = cmd_rate(config, tmp_path / "rate")
     assert report["mean_risk"] == direct.mean(axis=1).tolist()
     if mode == "adaptive":
-        model = next(benchcli._rate_models(config, 0, 500))
-        (trace,) = model.selection_traces
+        models = []
+        monkeypatch.setattr(benchcli, "_risk_of_model",
+                            lambda config, model, n_index, rep: models.append(model))
+        benchcli._rate_risk(config, 0, 500, 0, setups)
+        (trace,) = models[0].selection_traces
         assert [r.h for r in trace.records] == list(benchcli.plan_bandwidths(config, 500)[1])
         assert len(trace.records) > 1
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "mixed"])
+def test_rate_replication_alone_equals_its_sweep_entry(tmp_path, monkeypatch, mode):
+    # every rate replication is an independent task: computed alone from its
+    # (n_index, rep) and its n's setup, or in a worker pool, it is its entry
+    # in the sweep bit for bit
+    config = parse_config(_rate_case_doc(mode))
+    sweeps, replicate = [], benchcli._replicate
+    monkeypatch.setattr(benchcli, "_replicate", lambda task, config, threads: (
+        sweeps.append((task, threads, replicate(task, config, threads))) or sweeps[-1][2]))
+    cmd_rate(config, tmp_path / "rate")
+    ((task, threads, reports),) = sweeps
+    assert threads == 1
+    for (i, n, rep), report in zip(benchcli._replications(config), reports):
+        setup = {i: benchcli._rate_setup(config, n)}
+        assert benchcli._rate_risk(config, i, n, rep, setup) == report
+    assert replicate(task, config, 2) == reports

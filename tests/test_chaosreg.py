@@ -88,7 +88,8 @@ def test_sample_reuses_each_reduced_pair_and_reduces_the_rest():
     sample = synthesize(quadratic_terminal(), 50, grid, 3, [a, b])
     got = sample.left_point_integrals([c, b, a])
     assert got[1] is sample.reduced[1][1] and got[2] is sample.reduced[0][1]
-    want = Sample(grid, sample.responses, sample.path_values).left_point_integrals([c, b, a])
+    paths = sample_brownian_paths(grid, sample.n, sample.paths.seed)
+    want = Sample(grid, sample.responses, paths).left_point_integrals([c, b, a])
     for (x, cov), (x0, cov0) in zip(got, want):
         assert np.array_equal(x, x0) and np.array_equal(cov, cov0)
 
@@ -101,7 +102,7 @@ def test_fit_zero_responses_gives_zero_surface():
 
 def test_fit_is_linear_in_responses():
     sample = _toy_sample(10, seed=3)
-    scaled = Sample(sample.grid, 2.5 * sample.responses, sample.path_values)
+    scaled = Sample(sample.grid, 2.5 * sample.responses, sample.paths)
     a = fit_chaos_kernel(sample, 2, 0.3, 8, K1)
     b = fit_chaos_kernel(scaled, 2, 0.3, 8, K1)
     assert np.allclose(b.values, 2.5 * a.values, rtol=1e-12, atol=1e-12)

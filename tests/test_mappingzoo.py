@@ -59,9 +59,10 @@ def test_mean_of_mapping_matches_constant_term():
     assert abs(sample.responses.mean() - 1.0) <= 3 * stderr
 
 
-def _path(sample, i):
-    """Row i of a sample as a single path."""
-    return BrownianPath(sample.grid, sample.path_values[i])
+def _paths(sample):
+    """A synthesized sample's paths, redrawn from their seed, as single paths."""
+    matrix = sample_brownian_paths(sample.grid, sample.n, sample.paths.seed)
+    return [BrownianPath(sample.grid, row) for row in matrix]
 
 
 def test_synthesize_zero_noise_and_determinism():
@@ -70,28 +71,27 @@ def test_synthesize_zero_noise_and_determinism():
     a = synthesize(spec, 16, grid, 5)
     b = synthesize(spec, 16, grid, 5)
     assert np.array_equal(a.responses, b.responses)
-    assert np.array_equal(a.path_values, b.path_values)
-    for i in range(16):
-        assert a.responses[i] == pytest.approx(evaluate_mapping(spec, _path(a, i)), rel=1e-12)
+    assert a.paths == b.paths
+    for y, path in zip(a.responses, _paths(a)):
+        assert y == pytest.approx(evaluate_mapping(spec, path), rel=1e-12)
 
 
 def test_synthesize_batch_matches_per_path_evaluation_for_poly():
     g = np.polynomial.Polynomial([0.3, 1.0])
     spec = MappingSpec(0.5, (EqualFactorComponent(2, g),), GaussianNoise(0.0))
     sample = synthesize(spec, 8, make_grid(128), 21)
-    for i in range(8):
-        assert sample.responses[i] == pytest.approx(
-            evaluate_mapping(spec, _path(sample, i)), rel=1e-10
-        )
+    for y, path in zip(sample.responses, _paths(sample)):
+        assert y == pytest.approx(evaluate_mapping(spec, path), rel=1e-10)
 
 
 def test_synthesize_noise_independent_of_paths():
     spec = quadratic_terminal(noise=GaussianNoise(1.0))
     n = 4000
     sample = synthesize(spec, n, make_grid(32), 17)
-    m_values = np.array([evaluate_mapping(spec, _path(sample, i)) for i in range(n)])
+    paths = _paths(sample)
+    m_values = np.array([evaluate_mapping(spec, path) for path in paths])
     eps = sample.responses - m_values
-    terminal = sample.path_values[:, -1]
+    terminal = np.array([path.values[-1] for path in paths])
     corr = np.corrcoef(eps, terminal)[0, 1]
     assert abs(corr) <= 3.0 / np.sqrt(n)
 
