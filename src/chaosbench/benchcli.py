@@ -49,9 +49,9 @@ manifest replays the run it describes.
 Every file a command reads (config, datasets, models, plot input) goes
 through one reader, ``_read``: a missing file, or one that does not parse,
 is a ConfigError naming it, as is a dataset that is not a ``Sample`` on the
-config's path grid.  Every CSV table is written by ``_write_table`` (numbers
-as ``%.17g``, so they read back bit-exactly) and read by ``_read_table``,
-which requires the exact header the writer wrote and at least one row.
+config's path grid.  ``_read_table`` reads every CSV table, bit-exactly, under
+the exact header its writer wrote: ``_write_paths`` (``paths.csv``, through
+``orjson``) or ``_write_table`` (the others, as ``%.17g``).
 """
 
 from __future__ import annotations
@@ -639,6 +639,25 @@ def _read(path: Path, parse):
         raise ConfigError(f"{path}: malformed ({exc!r})") from exc
 
 
+# JSON number characters: no literal (true, null), string, array or object
+_NUMBER_CHARS = dict.fromkeys(map(ord, "0123456789+-.eE,"))
+
+
+def _json_rows(lines, columns: int):
+    """Each non-blank line as a list of ``columns`` numbers, parsed by ``orjson`` bit-exactly."""
+    import orjson
+
+    for line in filter(None, map(str.strip, lines)):
+        if line.translate(_NUMBER_CHARS):
+            raise ValueError(f"a cell that is not a number in {line[:60]!r}")
+        if "-0," in line or line.endswith("-0"):  # -0.0 in %.17g, the integer 0 in JSON
+            line = ",".join("-0.0" if cell == "-0" else cell for cell in line.split(","))
+        row = orjson.loads("[" + line + "]")
+        if len(row) != columns:
+            raise ValueError(f"{len(row)} cells under a header of {columns}")
+        yield row
+
+
 def _read_table(path: Path, *headers: str) -> tuple[str, np.ndarray]:
     """The header of a CSV table, which must be one of ``headers``, and its rows (at least one)."""
 
@@ -646,13 +665,10 @@ def _read_table(path: Path, *headers: str) -> tuple[str, np.ndarray]:
         header = fp.readline().rstrip("\n")
         if header not in headers:
             raise ValueError(f"unexpected header {header[:60]!r}")
-        rows = fp.tell()
-        if not fp.readline().strip():
+        columns = header.count(",") + 1
+        table = np.fromiter(_json_rows(fp, columns), dtype=(float, columns))
+        if not len(table):
             raise ValueError("no rows under the header")
-        fp.seek(rows)
-        table = np.loadtxt(fp, delimiter=",", ndmin=2)
-        if table.shape[1] != header.count(",") + 1:
-            raise ValueError(f"{table.shape[1]} columns under a header of {header.count(',') + 1}")
         return header, table
 
     return _read(path, parse)
@@ -707,6 +723,19 @@ def _paths_header(n: int) -> str:
     return "t," + ",".join(f"w_{i:04d}" for i in range(n))
 
 
+def _write_paths(path: Path, grid, paths: np.ndarray) -> Path:
+    """Write ``paths.csv``: one ``orjson`` row per grid time, t then every path's value."""
+    import orjson
+
+    row = np.empty(len(paths) + 1)  # C-contiguous float64, as orjson requires
+    with open(path, "wb") as fp:
+        fp.write(_paths_header(len(paths)).encode() + b"\n")
+        for t, column in zip(grid.points, paths.T):
+            row[0], row[1:] = t, column
+            fp.write(orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] + b"\n")
+    return path
+
+
 def _simulate_one(config: ExperimentConfig, n_index: int, n: int, rep: int,
                   out_dir: Path) -> tuple[Path, Path]:
     """Write the replication's two CSV files from one draw of its paths."""
@@ -716,11 +745,7 @@ def _simulate_one(config: ExperimentConfig, n_index: int, n: int, rep: int,
     rep_dir.mkdir(parents=True, exist_ok=True)
     responses = _write_table(rep_dir / "responses.csv", "index,y", "%d,%.17g",
                              enumerate(sample.responses))
-    # one row per grid time: t, then the value of every path at t
-    paths = _write_table(rep_dir / "paths.csv", _paths_header(n), ",".join(["%.17g"] * (n + 1)),
-                         ((t, *column) for t, column in
-                          zip(sample.grid.points, sample.paths.T)))
-    return responses, paths
+    return responses, _write_paths(rep_dir / "paths.csv", sample.grid, sample.paths)
 
 
 def cmd_simulate(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> Path:
@@ -904,16 +929,9 @@ def theoretical_rate_curve(config: ExperimentConfig) -> np.ndarray:
         s = d.s or (config.s_star_hi,)
         lam = d.lam or (1.0,)
     orders = range(1, config.max_order + 1)
-    curve = []
-    for n in config.n_list:
-        curve.append(
-            max(
-                _per_order(lam, o) ** (2 * o / (2 * _per_order(s, o) + o))
-                * n ** (-_per_order(s, o) / (2 * _per_order(s, o) + o))
-                for o in orders
-            )
-        )
-    return np.asarray(curve)
+    return np.array([max(_per_order(lam, o) ** (2 * o / (2 * _per_order(s, o) + o))
+                         * n ** (-_per_order(s, o) / (2 * _per_order(s, o) + o)) for o in orders)
+                     for n in config.n_list])
 
 
 def _loglog_slope(n_values: np.ndarray, y_values: np.ndarray) -> tuple[float, float]:
@@ -1176,12 +1194,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         out_dir = Path(args.out)
         if args.command == "simulate":
             cmd_simulate(config, out_dir, args.threads)
-        elif args.command == "fit":
-            data = Path(args.data) if args.data else None
-            cmd_fit(config, out_dir, args.threads, data)
-        elif args.command == "adapt":
-            data = Path(args.data) if args.data else None
-            cmd_adapt(config, out_dir, args.threads, data)
+        elif args.command in ("fit", "adapt"):
+            command = cmd_fit if args.command == "fit" else cmd_adapt
+            command(config, out_dir, args.threads, Path(args.data) if args.data else None)
         elif args.command == "risk":
             cmd_risk(config, Path(args.models), out_dir, args.threads)
         elif args.command == "rate":

@@ -43,15 +43,14 @@ plain Monte Carlo prediction error E |mhat(W) - m(W)|^p for any p >= 2
 A fit computes only the C(G+l-1, l) distinct values of its surface, at the
 sorted index tuples a_1 <= ... <= a_l (45 760 of 262 144 at G = 64, l = 3),
 and fills the G^l tensor from them by one gather (``fit_from_parts``), so a
-fitted surface is exactly symmetric.  ``model_to_json`` writes the text of
-``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` byte for byte, with
-each distinct value of a surface formatted once.
+fitted surface is exactly symmetric.  ``model_to_json`` writes the model as
+compact JSON with sorted keys through ``orjson``, each number the shortest
+text that reads back to its bits; ``json.loads`` reads the same values.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -362,40 +361,24 @@ def risk_monte_carlo(
 MODEL_FORMAT = "chaosbench.fitted-model/1"
 
 
-def _float_list_json(values: np.ndarray) -> str:
-    """The JSON list of ``values`` in C order, each distinct float formatted once.
-
-    Distinct means distinct bit pattern: ``np.unique`` on the floats would merge
-    -0.0 with 0.0.  Each pattern's ``float.__repr__``, the text ``json.dumps``
-    writes for a finite float, is scattered back through the inverse index.
-    """
-    bits, inverse = np.unique(values.ravel().view(np.uint64), return_inverse=True)
-    text = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
-    return "[" + ",".join(text[inverse].tolist()) + "]"
-
-
 def model_to_json(model: FittedModel) -> str:
-    """The model document in the compact layout of ``json.dumps``, byte for byte.
+    """The model as compact JSON with sorted keys, each number the shortest text of its bits."""
+    import orjson
 
-    The text is ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``,
-    with no space after a comma or a colon.  Each surface goes through
-    ``_float_list_json``, the scalars through ``json.dumps``.
-    """
-    orders = ",".join(
-        f'{{"bandwidth":{json.dumps(e.bandwidth)},"grid_size":{json.dumps(e.grid_size)},'
-        f'"order":{json.dumps(e.order)},"values":{_float_list_json(e.values)}}}'
-        for e in model.components)
-    return (f'{{"format":{json.dumps(MODEL_FORMAT)},"mean_hat":{json.dumps(model.a)},'
-            f'"orders":[{orders}]}}')
+    orders = [{"bandwidth": e.bandwidth, "grid_size": e.grid_size, "order": e.order,
+               "values": e.values.ravel()} for e in model.components]
+    doc = {"format": MODEL_FORMAT, "mean_hat": model.a, "orders": orders}
+    return orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_SORT_KEYS).decode()
 
 
-def model_from_json(text: str) -> FittedModel:
+def model_from_json(text: str | bytes) -> FittedModel:
     """The model of a ``model_to_json`` document, or of any JSON text of the same value.
 
-    Files written with the spaced separators of ``json.dumps``' default read
-    the same.
+    Files that earlier versions wrote with ``json.dumps``, compact or spaced, read the same.
     """
-    doc = json.loads(text)
+    import orjson
+
+    doc = orjson.loads(text)
     if doc["format"] != MODEL_FORMAT:
         raise ValueError(f"unknown model format {doc['format']!r}")
     estimates = []

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -1106,6 +1109,12 @@ def _drop_last_value(doc):
     return doc
 
 
+def _first_path_cell(text):
+    """Edit paths.csv: the first path's cell at line 3 set to ``text``."""
+    return lambda path: _edit_lines(path, 3, lambda s: ",".join(
+        (s.split(",", 2)[0], text, s.split(",", 2)[2])))
+
+
 # (command, tree copied from the small run, file edited in it, edit); a plot
 # case gives a file of the small run's risk output, or the CSV text to plot
 MALFORMED_INPUTS = {
@@ -1114,6 +1123,10 @@ MALFORMED_INPUTS = {
                          lambda p: _edit_lines(p, 3, lambda s: s.rsplit(",", 1)[0] + "\n")),
     "paths non-numeric cell": ("fit", "data", "paths.csv",
                                lambda p: _edit_lines(p, 3, lambda s: "abc" + s[s.index(","):])),
+    # JSON values that are not numbers, and a number that is not JSON
+    "paths cell true": ("fit", "data", "paths.csv", _first_path_cell("true")),
+    "paths cell null": ("fit", "data", "paths.csv", _first_path_cell("null")),
+    "paths cell +1": ("fit", "data", "paths.csv", _first_path_cell("+1")),
     "paths wrong header": ("fit", "data", "paths.csv",
                            lambda p: _edit_lines(p, 0, lambda s: s.replace("w_", "v_"))),
     "paths not starting at 0": ("fit", "data", "paths.csv",
@@ -1250,6 +1263,57 @@ def test_table_writer_matches_fstrings_and_reader_returns_the_bits(tmp_path):
     assert header == "i,x,k"
     assert np.array_equal(table[:, 1].view(np.uint64), values.view(np.uint64))
     assert np.array_equal(table[:, 0], np.arange(5)) and table[4, 2] == 4e12
+
+
+def _finite_bits(rng, shape):
+    """Random finite float64 bit patterns, with the values a text writer gets wrong first."""
+    values = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
+    values = np.where(np.isfinite(values), values, 0.0)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1e-05, 1.0000000000000001e-05, 1.5e-7, 1e16, -3.0]
+    values.flat[:len(special)] = special
+    values.flat[len(special):2 * len(special)] = np.round(rng.normal(size=len(special)) * 1e6)
+    return values
+
+
+def test_paths_writer_and_table_reader_return_the_bits(tmp_path):
+    grid = make_grid(16)
+    paths = _finite_bits(np.random.default_rng(8), (40, grid.n_steps + 1))
+    path = benchcli._write_paths(tmp_path / "paths.csv", grid, paths)
+    header, table = benchcli._read_table(path, benchcli._paths_header(40))
+    assert header == benchcli._paths_header(40) and table.shape == (17, 41)
+    assert np.array_equal(table[:, 0], grid.points)
+    assert np.array_equal(table[:, 1:].T.view(np.uint64), paths.view(np.uint64))
+    # the shortest text that reads back to the bits, never %.17g's padding
+    assert "0.00001" in path.read_text() and "1.5e-7" in path.read_text()
+
+
+def test_table_reader_returns_the_bits_of_legacy_17g_text(tmp_path):
+    values = _finite_bits(np.random.default_rng(9), (60, 5))
+    path = benchcli._write_table(tmp_path / "t.csv", "a,b,c,d,e", ",".join(["%.17g"] * 5),
+                                 values)
+    assert path.read_text().startswith("a,b,c,d,e\n-0,0,4.9406564584124654e-324,")
+    _, table = benchcli._read_table(path, "a,b,c,d,e")
+    assert np.array_equal(table.view(np.uint64), values.view(np.uint64))
+    # -0 first, inside and last in a row, and two texts of 1e-05
+    path.write_text("a,b,c\n-0,1e-05,1.0000000000000001e-05\n1e-05,-0,-0\n")
+    _, table = benchcli._read_table(path, "a,b,c")
+    expected = np.array([[-0.0, 1e-05, 1e-05], [1e-05, -0.0, -0.0]])
+    assert np.array_equal(table.view(np.uint64), expected.view(np.uint64))
+
+
+def test_rate_leaves_orjson_unimported(tmp_path):
+    # orjson serves the dataset and model files; rate writes neither
+    cfg = _write_config(tmp_path, dict(_RATE_DOC, n_list=[500, 1000, 2000, 5000], replications=2))
+    code = ("import sys; from pathlib import Path; import chaosbench.benchcli as cli; "
+            "cli.cmd_rate(cli.load_config(sys.argv[1]), Path(sys.argv[2])); "
+            "sys.exit('orjson' in sys.modules)")
+    src = str(Path(benchcli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get(
+        "PYTHONPATH")))))
+    subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "out")], env=env,
+                   check=True)
+    assert (tmp_path / "out" / "rate.json").exists()
 
 
 # acceptance criterion 6's config, with fewer replications
