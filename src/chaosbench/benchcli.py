@@ -77,8 +77,9 @@ from .chaosreg import (
     ChaosKernelEstimate,
     FittedModel,
     Sample,
-    fit_from_parts,
+    candidate_fits,
     estimate_mean,
+    fit_from_parts,
     model_from_json,
     model_to_json,
     risk_isometry,
@@ -579,36 +580,31 @@ def _distinct_bandwidths(plan: dict) -> list[float]:
     return sorted({h for hs in plan.values() for h in hs}, reverse=True)
 
 
-def _plan_model(config: ExperimentConfig, n: int, mean: float, fit_at) -> FittedModel:
-    """The model at n with mean ``mean``, from ``fit_at(h, orders)`` = {order: fit at h}.
+def _plan_model(config: ExperimentConfig, n: int, mean: float, fits: dict) -> FittedModel:
+    """The model at n with mean ``mean`` from the candidate fits {order: {h: fit}} of its plan.
 
-    One call per distinct h of ``plan_bandwidths(config, n)``, largest first,
-    for the orders with h as a candidate; adaptive mode then selects.
+    Adaptive mode selects among each order's candidates; the other modes
+    assemble the one fit of each order.
     """
-    plan = plan_bandwidths(config, n)
-    by_h = {h: fit_at(h, [order for order in sorted(plan) if h in plan[order]])
-            for h in _distinct_bandwidths(plan)}
     if config.bandwidths.mode == "adaptive":
-        fits = {order: {h: by_h[h][order] for h in hs} for order, hs in plan.items()}
         return select_model(mean, n, fits, config.majorant)
-    return FittedModel(mean, tuple(by_h[h][order] for order, (h,) in sorted(plan.items())))
+    return FittedModel(mean, tuple(fit for order in sorted(fits) for fit in fits[order].values()))
 
 
 def _fit_one(config: ExperimentConfig, n_index: int, n: int, rep: int,
              data_dir: Path | None = None) -> FittedModel:
     """The replication's model from one pass over its paths, one row block at a time.
 
-    The pass fills the slice integrals of every distinct bandwidth, and on the
-    seed route the truth's functionals for the responses (``synthesize``);
-    no (n, N) matrix of increments is formed.
+    The slice rows of every distinct bandwidth of the plan are built once.
+    The pass fills their integrals (on the seed route with the truth's
+    functionals for the responses, ``synthesize``), and ``candidate_fits``
+    fits every (order, h) from them.  No (n, N) matrix of increments is formed.
     """
     grid, kernel = make_grid(config.path_steps), config.kernel()
-    hs = _distinct_bandwidths(plan_bandwidths(config, n))
-    rows = [slice_rows(kernel, h, config.grid_size, grid) for h in hs]
-    sample = _sample_for(config, n_index, n, rep, data_dir, rows)
-    parts = dict(zip(hs, sample.left_point_integrals(rows)))
-    return _plan_model(config, n, estimate_mean(sample), lambda h, orders: {
-        order: fit_from_parts(*parts[h], sample.responses, order, h) for order in orders})
+    plan = plan_bandwidths(config, n)
+    rows = {h: slice_rows(kernel, h, config.grid_size, grid) for h in _distinct_bandwidths(plan)}
+    sample = _sample_for(config, n_index, n, rep, data_dir, list(rows.values()))
+    return _plan_model(config, n, estimate_mean(sample), candidate_fits(sample, plan, rows))
 
 
 def _risk_of_model(config: ExperimentConfig, model: FittedModel, n_index: int, rep: int):
@@ -639,22 +635,21 @@ def _read(path: Path, parse):
         raise ConfigError(f"{path}: malformed ({exc!r})") from exc
 
 
-# JSON number characters: no literal (true, null), string, array or object
-_NUMBER_CHARS = dict.fromkeys(map(ord, "0123456789+-.eE,"))
+_NOT_NUMBERS = '{["tfn \t\r'  # how every non-number JSON value starts, and JSON whitespace
 
 
 def _json_rows(lines, columns: int):
-    """Each non-blank line as a list of ``columns`` numbers, parsed by ``orjson`` bit-exactly."""
+    """Each non-blank line as ``columns`` float64 numbers, parsed bit-exactly by ``orjson``."""
     import orjson
 
     for line in filter(None, map(str.strip, lines)):
-        if line.translate(_NUMBER_CHARS):
+        if any(c in line for c in _NOT_NUMBERS):
             raise ValueError(f"a cell that is not a number in {line[:60]!r}")
-        if "-0," in line or line.endswith("-0"):  # -0.0 in %.17g, the integer 0 in JSON
-            line = ",".join("-0.0" if cell == "-0" else cell for cell in line.split(","))
-        row = orjson.loads("[" + line + "]")
+        row = np.array(orjson.loads("[" + line + "]"), dtype=float)
         if len(row) != columns:
             raise ValueError(f"{len(row)} cells under a header of {columns}")
+        if not row.all():  # -0.0 in %.17g is -0, the integer 0 in JSON
+            row[[cell == "-0" for cell in line.split(",")]] = -0.0
         yield row
 
 
@@ -768,9 +763,9 @@ def load_dataset(rep_dir: Path, grid_steps: int) -> Sample:
     _, table = _read_table(rep_dir / "responses.csv", "index,y")
     responses = np.ascontiguousarray(table[:, 1])
     _, matrix = _read_table(rep_dir / "paths.csv", _paths_header(len(responses)))
-    # C-contiguous so downstream matrix products reduce in the same order as
-    # freshly synthesized samples (bit-identical fits from either route)
-    values = np.ascontiguousarray(matrix[:, 1:].T)
+    # a view, not a copy: a fit reads C-contiguous increments of its row blocks
+    # (pathlab.increment_blocks), so fits equal the seed route's bit for bit
+    values = matrix[:, 1:].T
     if values.shape != (len(responses), grid_steps + 1):
         raise ConfigError(
             f"dataset {rep_dir} holds {len(responses)} responses and {values.shape[0]} "
@@ -885,9 +880,9 @@ def cmd_risk(config: ExperimentConfig, models_dir: Path, out_dir: Path,
 
 
 def _rate_setup(config: ExperimentConfig, n: int):
-    """(factor, {h: rows}, per-pair bandwidths) that every replication at n draws from.
+    """(factor, {h: rows}, per-pair bandwidths, plan) that every replication at n draws from.
 
-    Every distinct bandwidth of ``plan_bandwidths(config, n)`` (every
+    Every distinct bandwidth of the plan ``plan_bandwidths(config, n)`` (every
     candidate in adaptive mode) gets one slice block of the
     ``synthesis_factor``.  A bandwidth that some order >= 2 uses is drawn
     per pair and fitted from its block and gram, one used at order 1 alone as
@@ -903,20 +898,19 @@ def _rate_setup(config: ExperimentConfig, n: int):
         config.truth,
         *(np.reshape([slice_rows(kernel, h, g, grid) for h in hs], (-1, grid.n_steps))
           for hs in (per_pair, summed)))
-    return factor, rows, per_pair
+    return factor, rows, per_pair, plan
 
 
 def _rate_risk(config: ExperimentConfig, n_index: int, n: int, rep: int, setups):
     """The replication's risk, from slice integrals drawn from ``setups[n_index]``, not paths."""
-    factor, rows, per_pair = setups[n_index]
+    factor, rows, per_pair, plan = setups[n_index]
     x, gram, y, sums = synthesize_functionals(config.truth, factor, n,
                                               config.rep_seed(n_index, rep))
     g = config.grid_size
-    model = _plan_model(config, n, float(np.mean(y)), lambda h, orders: {
-        order: fit_from_parts(x[rows[h]], gram[rows[h], rows[h]], y, order, h)
-        if h in per_pair else ChaosKernelEstimate(order, g, sums[rows[h]] / n, bandwidth=h)
-        for order in orders})
-    return _risk_of_model(config, model, n_index, rep)
+    fits = {o: {h: fit_from_parts(x[rows[h]], gram[rows[h], rows[h]], y, o, h) if h in per_pair
+                else ChaosKernelEstimate(o, g, sums[rows[h]] / n, bandwidth=h) for h in hs}
+            for o, hs in plan.items()}
+    return _risk_of_model(config, _plan_model(config, n, float(np.mean(y)), fits), n_index, rep)
 
 
 def theoretical_rate_curve(config: ExperimentConfig) -> np.ndarray:

@@ -12,10 +12,11 @@ with response moments M_k = (1/n) sum_i Y_i x_i^(x k), M_0 = Ybar, and the
 slice gram sl sl^T / N taken on the same path grid as x, so the Ito
 correction removes exactly the expected diagonal of the left-point sums.
 ``Sample.left_point_integrals`` gives both from sl at the left points, in one
-pass over the sample's row blocks of increments (``_fit_parts``), so no fit
-holds the (n, N) increments; ``chaoscalc.draw_from_factor``
-draws them without paths, and ``fit_from_parts`` is the one fit formula on
-either.  At order 1 the fit is M_1 alone, a linear functional of
+pass over the sample's row blocks of increments, so no fit holds the (n, N)
+increments; ``chaoscalc.draw_from_factor`` draws them without paths, and
+``fit_from_parts`` is the one fit formula on either.  ``candidate_fits``, every
+(order, h) of a bandwidth plan from one such pass, is the one route from a
+sample to its fits.  At order 1 the fit is M_1 alone, a linear functional of
 sum_i Y_i dW_i, so a slice block used at no other order can be drawn as the
 one sum sum_i Y_i x_i (``benchcli._rate_setup``, which builds each n's
 factor once for ``rate``'s replications).  The gram is the exact
@@ -170,11 +171,6 @@ def slice_rows(kernel: MomentKernel, bandwidth: float, grid_size: int, grid: Tim
     return slice_matrix(kernel, midpoints(grid_size), bandwidth, left_points(grid.n_steps))
 
 
-def _fit_parts(sample: Sample, bandwidth: float, grid_size: int, kernel: MomentKernel):
-    """Slice single-integrals X (G, n) and their path-grid gram sl sl^T / N (G, G)."""
-    return sample.left_point_integrals([slice_rows(kernel, bandwidth, grid_size, sample.grid)])[0]
-
-
 def _response_moment(x: np.ndarray, y: np.ndarray, k: int):
     """M_k = (1/n) sum_i y_i x_i^(x k), set at its sorted index tuples; M_0 = Ybar.
 
@@ -211,15 +207,27 @@ def fit_chaos_kernel(
 ) -> ChaosKernelEstimate:
     """Fit the order-l surface on the G-per-axis midpoint grid of [0,1]^l.
 
-    ``fit_from_parts`` on the sample's slice integrals.  The slice matrix
-    rejects a bandwidth outside (0, 1) before any work is done.
+    ``candidate_fits`` of the one candidate.  The slice matrix rejects a
+    bandwidth outside (0, 1) before any work is done.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     if order < 1:
         raise ValueError("order must be >= 1")
-    x, gram = _fit_parts(sample, bandwidth, grid_size, kernel)
-    return fit_from_parts(x, gram, sample.responses, order, bandwidth)
+    rows = {bandwidth: slice_rows(kernel, bandwidth, grid_size, sample.grid)}
+    return candidate_fits(sample, {order: (bandwidth,)}, rows)[order][bandwidth]
+
+
+def candidate_fits(sample: Sample, plan: dict, rows: dict) -> dict:
+    """The fit at every candidate of ``plan`` {order: hs}, as {order: {h: fit}}.
+
+    ``rows`` maps each distinct h to its ``slice_rows``.  One
+    ``Sample.left_point_integrals`` call reduces them all, then
+    ``fit_from_parts`` runs once per (order, h).
+    """
+    parts = dict(zip(rows, sample.left_point_integrals(list(rows.values()))))
+    return {order: {h: fit_from_parts(*parts[h], sample.responses, order, h) for h in hs}
+            for order, hs in plan.items()}
 
 
 def _sorted_positions(g: int, order: int) -> np.ndarray:

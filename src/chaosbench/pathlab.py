@@ -180,12 +180,13 @@ def path_blocks(paths: Union[np.ndarray, BrownianPaths]) -> Iterator[np.ndarray]
 
 
 def increment_blocks(paths: Union[np.ndarray, BrownianPaths]) -> Iterator[np.ndarray]:
-    """The (rows, N) ``np.diff`` of each of ``path_blocks(paths)``.
+    """The (rows, N) ``np.diff`` of each of ``path_blocks(paths)``, C-contiguous.
 
     Row for row these are ``np.diff`` of the whole path matrix, whether the
-    paths were drawn or read from a matrix.
+    paths were drawn or read from a matrix, and in one layout whatever the
+    matrix's, so products with them reduce in one order.
     """
-    return (np.diff(block, axis=1) for block in path_blocks(paths))
+    return (np.ascontiguousarray(np.diff(block, axis=1)) for block in path_blocks(paths))
 
 
 def _levels(dw: np.ndarray) -> np.ndarray:

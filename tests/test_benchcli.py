@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chaosbench import benchcli, chaoscalc, chaosreg, pathlab
+from chaosbench import benchcli, chaoscalc, chaosreg, mappingzoo, pathlab
 from chaosbench.benchcli import (
     cmd_adapt,
     cmd_check,
@@ -696,22 +696,40 @@ def test_rate_runs_in_process_and_builds_each_n_once(tmp_path, monkeypatch):
 
 
 def test_fit_and_adapt_build_each_distinct_bandwidth_once(tmp_path, monkeypatch):
-    # orders that share a bandwidth share its slice integrals.  In adaptive
+    # orders that share a bandwidth share its slice integrals, and one pass
+    # over a replication's paths reduces them all: synthesize's on the seed
+    # route, Sample.left_point_integrals's on a loaded dataset.  In adaptive
     # mode order 1's candidates (e^-2, e^-3) hold order 2's one (e^-2) at both
     # n: 2 blocks per replication, not 3 (one per order and candidate)
-    adapt = parse_config(_base_doc(n_list=[500, 1000], path_steps=512, grid_size=64,
-                                   bandwidths={"mode": "adaptive"}))
+    doc = dict(n_list=[500, 1000], path_steps=512, grid_size=64, bandwidths={"mode": "adaptive"})
+    adapt = parse_config(_base_doc(**doc))
     for n in adapt.n_list:
         plan = benchcli.plan_bandwidths(adapt, n)
         assert plan == {1: (math.exp(-2), math.exp(-3)), 2: (math.exp(-2),)}
-    calls = {"slice_matrix": 0}
+    # the --data route on one replication per n; simulate takes passes of its own
+    adapt_once, fixed = parse_config(_base_doc(**doc, replications=1)), parse_config(_base_doc())
+    adapt_data = cmd_simulate(adapt_once, tmp_path / "adapt_data")
+    fixed_data = cmd_simulate(fixed, tmp_path / "fixed_data")
+    calls = {"slice_matrix": 0, "block_left_point_integrals": 0}
     _count_calls(monkeypatch, calls, chaosreg, "slice_matrix")
-    cmd_adapt(adapt, tmp_path / "adapt", threads=1)
-    assert calls["slice_matrix"] == 2 * 2 * 2
+    for module in (mappingzoo, chaosreg):
+        _count_calls(monkeypatch, calls, module, "block_left_point_integrals")
+
+    def counted(run, *args, **kwargs):
+        calls.update(dict.fromkeys(calls, 0))
+        run(*args, **kwargs)
+        return calls["slice_matrix"], calls["block_left_point_integrals"]
+
+    assert counted(cmd_adapt, adapt, tmp_path / "adapt", threads=1) == (2 * 2 * 2, 2 * 2)
+    assert counted(cmd_adapt, adapt_once, tmp_path / "adapt_from_data", threads=1,
+                   data_dir=adapt_data) == (2 * 2, 2)
+    sample = load_dataset(adapt_data / "n_000500" / "rep_000", 512)
+    assert counted(adaptive_fit, sample, adapt.max_order, adapt.majorant, adapt.s_star_lo,
+                   adapt.grid_size, adapt.kernel()) == (2, 1)
     # the fixed plan gives both orders h = 0.25: one block per replication
-    calls["slice_matrix"] = 0
-    cmd_fit(parse_config(_base_doc()), tmp_path / "fit", threads=1)
-    assert calls["slice_matrix"] == 2
+    assert counted(cmd_fit, fixed, tmp_path / "fit", threads=1) == (2, 2)
+    assert counted(cmd_fit, fixed, tmp_path / "fit_from_data", threads=1,
+                   data_dir=fixed_data) == (2, 2)
 
 
 @pytest.mark.parametrize("route", ["seed", "data"])
@@ -1127,6 +1145,10 @@ MALFORMED_INPUTS = {
     "paths cell true": ("fit", "data", "paths.csv", _first_path_cell("true")),
     "paths cell null": ("fit", "data", "paths.csv", _first_path_cell("null")),
     "paths cell +1": ("fit", "data", "paths.csv", _first_path_cell("+1")),
+    "paths cell with a space": ("fit", "data", "paths.csv", _first_path_cell(" 1.5")),
+    "paths cell string": ("fit", "data", "paths.csv", _first_path_cell('"1"')),
+    "paths cell array": ("fit", "data", "paths.csv", _first_path_cell("[1]")),
+    "paths cell object": ("fit", "data", "paths.csv", _first_path_cell("{}")),
     "paths wrong header": ("fit", "data", "paths.csv",
                            lambda p: _edit_lines(p, 0, lambda s: s.replace("w_", "v_"))),
     "paths not starting at 0": ("fit", "data", "paths.csv",

@@ -15,7 +15,6 @@ from chaosbench.chaosreg import (
     FittedModel,
     Sample,
     _fit_generic,
-    _fit_parts,
     estimate_mean,
     fit_chaos_kernel,
     fit_from_parts,
@@ -133,7 +132,7 @@ def test_fit_is_exactly_symmetric_under_every_transpose(order, g):
 
 def test_order_one_fit_is_the_first_moment_bit_for_bit():
     sample = _toy_sample(11, seed=4)
-    x, gram = _fit_parts(sample, 0.3, 8, K1)
+    x, gram = sample.left_point_integrals([slice_rows(K1, 0.3, 8, sample.grid)])[0]
     values = fit_from_parts(x, gram, sample.responses, 1, 0.3).values
     assert np.array_equal(values, x @ sample.responses / sample.n)
 
@@ -143,7 +142,7 @@ def test_order_three_matches_generic_route():
     # gram must agree at every order, on grids of 2 and 4 points per axis
     sample = _toy_sample(9, seed=11)
     for g in (2, 4):
-        x, gram = _fit_parts(sample, 0.4, g, K1)
+        x, gram = sample.left_point_integrals([slice_rows(K1, 0.4, g, sample.grid)])[0]
         for order in (1, 2, 3, 4):
             est = fit_chaos_kernel(sample, order, 0.4, g, K1)
             generic = _fit_generic(x, gram, sample.responses, order, g)
